@@ -1,5 +1,5 @@
 // Jumbo-message broadcast sweep: the segmented/pipelined/striped multicast
-// engine (coll/segmented.hpp) against the MPICH point-to-point baseline at
+// engine (the mcast-segmented preset of coll/mcast_stream.hpp) against the MPICH point-to-point baseline at
 // payloads far past the single-datagram ceiling.
 //
 // Two topologies: the paper's 9-machine switched segment, and a 16-machine
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "coll/segmented.hpp"
+#include "coll/mcast_stream.hpp"
 #include "common/bytes.hpp"
 
 namespace mcmpi::bench {
@@ -68,10 +68,12 @@ Measured measure_jumbo(const Topology& topo, const Variant& v,
   const auto result = cluster::measure_collective(
       cluster, exp, [&v, bytes](mpi::Proc& p, int) {
         if (v.window > 0) {
-          coll::SegmentedConfig cfg;
-          cfg.window = v.window;
+          coll::StreamConfig cfg =
+              coll::preset_config(coll::StreamPreset::kSegmented);
+          cfg.k = v.window;
           cfg.lanes = v.lanes;
-          coll::set_segmented_config(p, p.comm_world(), cfg);
+          coll::set_stream_config(p, p.comm_world(),
+                                  coll::StreamPreset::kSegmented, cfg);
         }
         Buffer data;
         if (p.rank() == 0) {

@@ -26,10 +26,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "coll/ack_mcast.hpp"
-#include "coll/fec.hpp"
-#include "coll/nack_mcast.hpp"
-#include "coll/segmented.hpp"
+#include "coll/mcast_stream.hpp"
 #include "common/bytes.hpp"
 
 namespace mcmpi::bench {
@@ -94,36 +91,35 @@ std::vector<LossProfile> loss_profiles() {
 /// trunk makes the protocols' 2 ms LAN defaults exactly too tight).
 /// Idempotent; called at the top of every repetition.
 void configure_recovery(mpi::Proc& p, const Variant& v, SimTime silence) {
+  coll::StreamPreset preset;
   if (v.engine == "ack-mcast") {
-    coll::AckMcastParams params;
-    params.retransmit_timeout = silence;
-    params.backoff = 2.0;
-    params.timeout_cap = milliseconds(80);
-    params.max_retries = 200;
-    coll::set_ack_mcast_params(p, p.comm_world(), params);
+    preset = coll::StreamPreset::kAck;
   } else if (v.engine == "nack-mcast") {
-    coll::NackMcastParams params;
-    params.nack_timeout = silence;
-    coll::set_nack_mcast_params(p, p.comm_world(), params);
+    preset = coll::StreamPreset::kNack;
   } else if (v.engine == "mcast-segmented") {
-    coll::SegmentedConfig config;
-    config.chunk_bytes = 4096;
-    config.window = 4;
-    config.retransmit_timeout = silence;
-    config.retransmit_backoff = 2.0;
-    config.retransmit_timeout_cap = milliseconds(400);
-    config.max_retries = 50;
-    coll::set_segmented_config(p, p.comm_world(), config);
+    preset = coll::StreamPreset::kSegmented;
   } else if (v.engine == "fec-mcast") {
-    coll::FecConfig config;
-    config.overhead = v.fec_overhead;
-    config.fallback_timeout = silence;
-    config.fallback_backoff = 2.0;
-    config.fallback_timeout_cap = milliseconds(400);
-    config.max_fallback_retries = 50;
-    coll::set_fec_config(p, p.comm_world(), config);
+    preset = coll::StreamPreset::kFec;
+  } else {
+    return;  // the sequencer already defaults to a backed-off, capped timer
   }
-  // The sequencer already defaults to a backed-off, capped NACK timer.
+  coll::StreamConfig config = coll::preset_config(preset);
+  config.timeout = silence;
+  if (preset == coll::StreamPreset::kAck) {
+    config.backoff = 2.0;
+    config.timeout_cap = milliseconds(80);
+    config.max_retries = 200;
+  } else if (preset == coll::StreamPreset::kSegmented) {
+    config.chunk_bytes = 4096;
+    config.backoff = 2.0;
+    config.timeout_cap = milliseconds(400);
+    config.max_retries = 50;
+  } else if (preset == coll::StreamPreset::kFec) {
+    config.overhead = v.fec_overhead;
+    config.timeout_cap = milliseconds(400);
+    config.max_retries = 50;
+  }
+  coll::set_stream_config(p, p.comm_world(), preset, config);
 }
 
 Measured measure_loss(int procs, const Topology& topo, const LossProfile& lp,

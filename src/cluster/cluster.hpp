@@ -74,12 +74,6 @@ struct ClusterConfig {
   std::int64_t eager_threshold = 64 * 1024;
   /// Multicast-channel receive buffer per rank (SO_RCVBUF analogue).
   std::size_t mcast_rcvbuf_bytes = 256 * 1024;
-  /// Default nack-mcast retransmission-history bound: framed broadcasts a
-  /// root retains to serve NACKs (coll/nack_mcast.hpp history_frames).  0
-  /// defers to the MCMPI_NACK_HISTORY environment variable, then to the
-  /// protocol default (64).  Per-communicator set_nack_mcast_params wins
-  /// over either.
-  std::size_t nack_history_frames = 0;
   /// Collective auto-selection rules (coll/tuning.hpp rule syntax).  Empty
   /// defers to MCMPI_COLL_TUNING, then to the paper-crossover defaults.
   std::string coll_tuning;

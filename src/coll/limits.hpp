@@ -7,8 +7,8 @@
 /// 65535 * 8 = 524280 bytes.  Every single-transmission multicast
 /// collective (mcast-binary/linear broadcast, mcast-slice scatter,
 /// mcast-rr alltoall, the lockstep allgather) must keep its whole framed
-/// payload under this ceiling, and the segmented collectives
-/// (coll/segmented.hpp) chunk against it.  One constant, one place —
+/// payload under this ceiling, and the stream engine
+/// (coll/mcast_stream.hpp) chunks against it.  One constant, one place —
 /// predicates, runtime re-checks and the chunker all size against it.
 
 #include <cstddef>

@@ -6,18 +6,15 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "coll/ack_mcast.hpp"
-#include "coll/fec.hpp"
 #include "coll/hier.hpp"
 #include "coll/mcast.hpp"
 #include "coll/mcast_allgather.hpp"
 #include "coll/mcast_alltoall.hpp"
 #include "coll/mcast_reduce.hpp"
 #include "coll/mcast_scatter.hpp"
+#include "coll/mcast_stream.hpp"
 #include "coll/mpich.hpp"
-#include "coll/nack_mcast.hpp"
 #include "coll/scatter_allgather.hpp"
-#include "coll/segmented.hpp"
 #include "coll/sequencer.hpp"
 #include "common/assert.hpp"
 
@@ -91,15 +88,24 @@ bool fits_mcast_datagram(const mpi::Comm& comm, std::size_t payload) {
 
 /// The FEC blast is windowed but unacked: a receiver that consumes nothing
 /// mid-blast must absorb the whole stream — data, parity at the worst-case
-/// ratio, and framing — in its multicast socket buffer.  fec_plan is the
-/// single source of truth for that geometry, so the predicate and the
+/// ratio, and framing — in its multicast socket buffer.  stream_plan is
+/// the single source of truth for that geometry, so the predicate and the
 /// engine can never disagree about what fits.
 bool fits_fec_blast(const mpi::Comm& comm, std::size_t payload) {
   if (comm.proc() == nullptr) {
     return true;  // same convention as the socket-buffer checks above
   }
-  const FecPlan plan = fec_plan(payload, fec_config(*comm.proc(), comm));
-  return plan.wire_bytes <= comm.proc()->mcast_recv_buffer();
+  mpi::Proc& p = *comm.proc();
+  const StreamConfig& cfg = stream_config(p, comm, StreamPreset::kFec);
+  return stream_plan(payload, cfg, p.mcast_recv_buffer()).wire_bytes <=
+         p.mcast_recv_buffer();
+}
+
+/// The broadcast entry of a reliable-multicast stream preset.
+template <StreamPreset kPreset>
+void bcast_preset(mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
+                  int root) {
+  bcast_stream(p, comm, buffer, root, kPreset);
 }
 
 /// ~64 KiB chunks of the segmented pipeline for an M-byte stream — the
@@ -154,8 +160,7 @@ void register_builtins(Registry& r) {
             return 1.5 * frames(bytes) + (ranks - 1);
           },
       .loss_tolerant = true,  // resends until every receiver ACKs
-      .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
-                  int root) { bcast_ack_mcast(p, comm, buffer, root); }});
+      .bcast = bcast_preset<StreamPreset::kAck>});
   r.add(CollAlgorithm{
       .name = "sequencer",
       .op = CollOp::kBcast,
@@ -184,8 +189,7 @@ void register_builtins(Registry& r) {
         return 1.5 + frames(bytes);
       },
       .loss_tolerant = true,  // the point: NACK-driven retransmission
-      .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
-                  int root) { bcast_nack_mcast(p, comm, buffer, root); }});
+      .bcast = bcast_preset<StreamPreset::kNack>});
   r.add(CollAlgorithm{
       .name = "fec-mcast",
       .op = CollOp::kBcast,
@@ -203,8 +207,7 @@ void register_builtins(Registry& r) {
         return 1.5 + 1.125 * frames(bytes);
       },
       .loss_tolerant = true,  // the point: in-window erasure recovery
-      .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
-                  int root) { bcast_fec_mcast(p, comm, buffer, root); }});
+      .bcast = bcast_preset<StreamPreset::kFec>});
   r.add(CollAlgorithm{
       .name = "scatter-allgather",
       .op = CollOp::kBcast,
@@ -236,10 +239,7 @@ void register_builtins(Registry& r) {
                    chunk_count(bytes) * (ranks - 1);
           },
       .loss_tolerant = true,  // per-chunk acks + timeout retransmission
-      .bcast =
-          [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer, int root) {
-            bcast_mcast_segmented(p, comm, buffer, root);
-          }});
+      .bcast = bcast_preset<StreamPreset::kSegmented>});
   r.add(CollAlgorithm{
       .name = "hier-mcast",
       .op = CollOp::kBcast,
@@ -426,7 +426,7 @@ void register_builtins(Registry& r) {
       .loss_tolerant = true,  // per-chunk acks + timeout retransmission
       .allgather = [](mpi::Proc& p, const mpi::Comm& comm,
                       std::span<const std::uint8_t> data) {
-        return allgather_mcast_segmented(p, comm, data);
+        return allgather_stream(p, comm, data, StreamPreset::kSegmented);
       }});
   r.add(CollAlgorithm{
       .name = "hier",
@@ -577,7 +577,8 @@ void register_builtins(Registry& r) {
           },
       .scatter = [](mpi::Proc& p, const mpi::Comm& comm,
                     const std::vector<Buffer>& chunks, int root) {
-        return scatter_mcast_segmented(p, comm, chunks, root);
+        return scatter_stream(p, comm, chunks, root,
+                              StreamPreset::kSegmented);
       }});
 
   // ------------------------------------------------------------ alltoall

@@ -176,16 +176,6 @@ class Proc {
   void set_network_lossy(bool lossy) { network_lossy_ = lossy; }
   bool network_lossy() const { return network_lossy_; }
 
-  /// Default retransmission-history bound (framed broadcasts retained per
-  /// root) for NACK-served reliable multicast; picked up by nack-mcast
-  /// communicator state on first use, overridable per communicator via
-  /// set_nack_mcast_params.  Wired from ClusterConfig::nack_history_frames
-  /// / MCMPI_NACK_HISTORY.
-  void set_nack_history_frames(std::size_t frames) {
-    nack_history_frames_ = frames;
-  }
-  std::size_t nack_history_frames() const { return nack_history_frames_; }
-
   /// Per-communicator protocol state for collective implementations
   /// (e.g. the sequencer's history buffer).  One T per (communicator,
   /// type); default-constructed on first access.
@@ -212,7 +202,6 @@ class Proc {
   std::vector<sim::SimProcess*> helpers_;
   std::size_t mcast_rcvbuf_ = 256 * 1024;
   bool network_lossy_ = false;
-  std::size_t nack_history_frames_ = 64;
   /// Keyed by (context id, lane): a striped collective holds several live
   /// channels per communicator, one per multicast group it stripes across.
   std::map<std::pair<std::uint32_t, int>, std::unique_ptr<McastChannel>>

@@ -21,15 +21,13 @@ inline constexpr Tag kFirstInternalTag = -100;
 inline constexpr Tag kTagScout = -101;      // multicast readiness scouts
 inline constexpr Tag kTagBarrier = -102;    // MPICH barrier messages
 inline constexpr Tag kTagCollective = -103; // tree collectives over p2p
-inline constexpr Tag kTagAckMcast = -104;   // ORNL-style ACK protocol
 inline constexpr Tag kTagSequencer = -105;  // Orca-style sequencer protocol
 inline constexpr Tag kTagSeqNack = -106;    // sequencer retransmission NACKs
 inline constexpr Tag kTagReducePartial = -107;  // mcast-scout reduce partials
 inline constexpr Tag kTagGatherBlock = -108;    // scout-combining gather blocks
-inline constexpr Tag kTagChunkAck = -109;       // segmented-pipeline chunk acks
-inline constexpr Tag kTagNackMcast = -110;      // nack-mcast retransmission NACKs
+inline constexpr Tag kTagChunkAck = -109;       // stream engine chunk acks
+inline constexpr Tag kTagChunkNack = -110;      // stream engine NACKs
 inline constexpr Tag kTagHier = -111;           // hierarchical inter-leader phase
-inline constexpr Tag kTagFecNack = -112;        // fec-mcast fallback NACKs
 
 /// Returned by receive operations.
 struct Status {

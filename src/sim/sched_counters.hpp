@@ -37,7 +37,8 @@ struct SchedCounters {
   std::uint64_t event_pool_hits = 0;
   std::uint64_t event_pool_misses = 0;
 
-  /// Segmented-collective pipeline instrumentation (coll/segmented.cpp).
+  /// Ack-window instrumentation of the stream engine's ack-feedback mode
+  /// (coll/mcast_stream.cpp, e.g. mcast-segmented, ack-mcast).
   /// chunk_sent counts first transmissions, chunk_retried the
   /// timeout-driven re-multicasts, chunk_acked every per-chunk ack the
   /// root consumed; chunk_peak_window is the high-water mark of
@@ -58,20 +59,20 @@ struct SchedCounters {
   std::uint64_t frames_duplicated = 0;
   std::uint64_t frames_reordered = 0;
 
-  /// Reliable-multicast recovery instrumentation: receiver-side NACKs
-  /// sent, root-side NACKs suppressed by the aggregation window
-  /// (coll/nack_mcast.cpp), and protocol-level payload re-multicasts
-  /// (ack-mcast timeouts + NACK-served resends).
+  /// Reliable-multicast recovery instrumentation (coll/mcast_stream.cpp):
+  /// receiver-side NACK rounds sent, root-side NACKs suppressed by the
+  /// sink's aggregation window, and protocol-level payload re-multicasts
+  /// (ack-window timeouts + NACK-served resends).
   std::uint64_t nacks_sent = 0;
   std::uint64_t nacks_suppressed = 0;
   std::uint64_t retransmits = 0;
 
-  /// FEC-coded multicast instrumentation (coll/fec.cpp + the segmented
-  /// pipeline's FEC recovery mode): parity frames multicast by roots,
-  /// parity rows actually consumed by receiver-side reconstructions,
-  /// windows reconstructed (fec_decodes), and windows that lost more than
-  /// their parity could absorb and fell back to a NACK round
-  /// (fec_fallbacks).  parity_sent - parity_used is the bandwidth the
+  /// Parity-generation instrumentation of the stream engine (fec-mcast,
+  /// or any preset with a parity overhead): parity frames multicast by
+  /// roots, parity rows actually consumed by receiver-side
+  /// reconstructions, generations reconstructed (fec_decodes), and NACK
+  /// rounds of parity-carrying streams whose generation lost more than its
+  /// parity could absorb (fec_fallbacks).  parity_sent - parity_used is the bandwidth the
   /// protocol burned for nothing — the measurable cost of its zero-RTT
   /// recovery.
   std::uint64_t parity_sent = 0;

@@ -3,9 +3,9 @@
 // formulas, ordering (§4), and scout-protocol readiness.
 #include <gtest/gtest.h>
 
-#include "coll/ack_mcast.hpp"
 #include "coll/facade.hpp"
 #include "coll/mcast.hpp"
+#include "coll/mcast_stream.hpp"
 #include "coll/mpich.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/experiment.hpp"
@@ -391,10 +391,10 @@ TEST(ReadinessHazard, AckMcastRecoversViaRetransmission) {
     if (p.rank() == 0) {
       data = pattern_payload(1, 256);
     }
-    coll::bcast_ack_mcast(p, comm, data, 0);
+    coll::bcast_stream(p, comm, data, 0, coll::StreamPreset::kAck);
     ok[static_cast<std::size_t>(p.rank())] = check_pattern(1, data);
     if (p.rank() == 0) {
-      retransmissions = coll::ack_mcast_stats(p, comm).retransmissions;
+      retransmissions = coll::stream_stats(p, comm).retransmits;
     }
   });
 

@@ -1,7 +1,8 @@
 // Fault-injection subsystem tests: MCMPI_FAULTS parsing, the determinism
 // contract (one drop schedule per seed, bit-identical across shard counts,
 // shard drivers and execution backends), recovery-protocol behavior under
-// loss/duplication/reorder (nack-mcast, ack-mcast, segmented), the
+// loss/duplication/reorder (the nack-mcast, ack-mcast and mcast-segmented
+// presets of the stream engine), the
 // loss-tolerant conformance sweep, background cross traffic and per-host
 // speed skew.
 #include <gtest/gtest.h>
@@ -11,11 +12,9 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "coll/ack_mcast.hpp"
 #include "coll/facade.hpp"
-#include "coll/nack_mcast.hpp"
+#include "coll/mcast_stream.hpp"
 #include "coll/registry.hpp"
-#include "coll/segmented.hpp"
 #include "common/bytes.hpp"
 #include "net/fault.hpp"
 
@@ -266,10 +265,12 @@ TEST(NackMcast, TotalLossIsAHardErrorNotAHang) {
       faulty_config(4, NetworkType::kSwitch, FaultProfile{.loss = 1.0}));
   EXPECT_THROW(
       cluster.world().run([&](mpi::Proc& p) {
-        coll::NackMcastParams params;
-        params.nack_timeout = milliseconds(1);
-        params.max_retries = 3;
-        coll::set_nack_mcast_params(p, p.comm_world(), params);
+        coll::StreamConfig cfg =
+            coll::preset_config(coll::StreamPreset::kNack);
+        cfg.timeout = milliseconds(1);
+        cfg.max_retries = 3;
+        coll::set_stream_config(p, p.comm_world(), coll::StreamPreset::kNack,
+                                cfg);
         Buffer data;
         if (p.rank() == 0) {
           data = pattern_payload(1, 500);
@@ -277,53 +278,6 @@ TEST(NackMcast, TotalLossIsAHardErrorNotAHang) {
         p.comm_world().coll().bcast(data, 0, "nack-mcast");
       }),
       std::runtime_error);
-}
-
-TEST(NackMcast, HistoryBoundPlumbsFromClusterConfigAndEnvironment) {
-  // Explicit ClusterConfig bound wins; the first broadcast adopts it into
-  // the communicator's protocol params.
-  {
-    ClusterConfig config = faulty_config(3, NetworkType::kSwitch, {});
-    config.nack_history_frames = 7;
-    Cluster cluster(config);
-    cluster.world().run([](mpi::Proc& p) {
-      EXPECT_EQ(p.nack_history_frames(), 7u);
-      Buffer data;
-      if (p.rank() == 0) {
-        data = pattern_payload(2, 300);
-      }
-      p.comm_world().coll().bcast(data, 0, "nack-mcast");
-      EXPECT_EQ(coll::nack_mcast_params(p, p.comm_world()).history_frames,
-                7u);
-    });
-  }
-  // Env variable fills in when the config leaves the bound at 0...
-  {
-    ::setenv("MCMPI_NACK_HISTORY", "5", 1);
-    Cluster cluster(faulty_config(2, NetworkType::kSwitch, {}));
-    ::unsetenv("MCMPI_NACK_HISTORY");
-    cluster.world().run(
-        [](mpi::Proc& p) { EXPECT_EQ(p.nack_history_frames(), 5u); });
-  }
-  // ...and an explicit config bound beats the environment.
-  {
-    ::setenv("MCMPI_NACK_HISTORY", "5", 1);
-    ClusterConfig config = faulty_config(2, NetworkType::kSwitch, {});
-    config.nack_history_frames = 9;
-    Cluster cluster(config);
-    ::unsetenv("MCMPI_NACK_HISTORY");
-    cluster.world().run(
-        [](mpi::Proc& p) { EXPECT_EQ(p.nack_history_frames(), 9u); });
-  }
-}
-
-TEST(NackMcast, RejectsMalformedHistoryEnvironment) {
-  const ClusterConfig config = faulty_config(2, NetworkType::kSwitch, {});
-  for (const char* bad : {"0", "abc", "-3"}) {
-    ::setenv("MCMPI_NACK_HISTORY", bad, 1);
-    EXPECT_THROW(Cluster{config}, std::invalid_argument) << bad;
-    ::unsetenv("MCMPI_NACK_HISTORY");
-  }
 }
 
 TEST(NackMcast, BoundedHistoryOverflowIsAHardError) {
@@ -334,17 +288,16 @@ TEST(NackMcast, BoundedHistoryOverflowIsAHardError) {
   // workload under an ample history recovers completely.
   const auto run_once = [](std::uint64_t seed, std::size_t history,
                            int max_retries) {
-    ClusterConfig config = faulty_config(
-        5, NetworkType::kSwitch, FaultProfile{.loss = 0.4}, seed);
-    config.nack_history_frames = history;
-    Cluster cluster(config);
+    Cluster cluster(faulty_config(5, NetworkType::kSwitch,
+                                  FaultProfile{.loss = 0.4}, seed));
     cluster.world().run([&](mpi::Proc& p) {
-      coll::NackMcastParams params;
-      params.history_frames = p.nack_history_frames();  // the plumbed bound
-      params.nack_timeout = milliseconds(1);
-      params.timeout_cap = milliseconds(8);
-      params.max_retries = max_retries;
-      coll::set_nack_mcast_params(p, p.comm_world(), params);
+      coll::StreamConfig cfg = coll::preset_config(coll::StreamPreset::kNack);
+      cfg.history_frames = history;
+      cfg.timeout = milliseconds(1);
+      cfg.timeout_cap = milliseconds(8);
+      cfg.max_retries = max_retries;
+      coll::set_stream_config(p, p.comm_world(), coll::StreamPreset::kNack,
+                              cfg);
       for (int i = 0; i < 3; ++i) {
         Buffer data;
         if (p.rank() == 0) {
@@ -369,21 +322,22 @@ TEST(NackMcast, BoundedHistoryOverflowIsAHardError) {
   run_once(bad_seed, 64, 50);  // ample history: same races, full recovery
 }
 
+/// Expects set_stream_config to reject `preset`'s defaults after `mutate`.
+template <typename Mutate>
+void expect_rejected(mpi::Proc& p, coll::StreamPreset preset, Mutate mutate) {
+  coll::StreamConfig bad = coll::preset_config(preset);
+  mutate(bad);
+  EXPECT_THROW(coll::set_stream_config(p, p.comm_world(), preset, bad),
+               std::invalid_argument);
+}
+
 TEST(NackMcast, RejectsOutOfRangeParams) {
   Cluster cluster(faulty_config(2, NetworkType::kSwitch, FaultProfile{}));
   cluster.world().run([&](mpi::Proc& p) {
-    coll::NackMcastParams bad;
-    bad.nack_timeout = kTimeZero;
-    EXPECT_THROW(coll::set_nack_mcast_params(p, p.comm_world(), bad),
-                 std::invalid_argument);
-    bad = coll::NackMcastParams{};
-    bad.backoff = 0.5;
-    EXPECT_THROW(coll::set_nack_mcast_params(p, p.comm_world(), bad),
-                 std::invalid_argument);
-    bad = coll::NackMcastParams{};
-    bad.max_retries = -1;
-    EXPECT_THROW(coll::set_nack_mcast_params(p, p.comm_world(), bad),
-                 std::invalid_argument);
+    constexpr auto kNack = coll::StreamPreset::kNack;
+    expect_rejected(p, kNack, [](auto& c) { c.timeout = kTimeZero; });
+    expect_rejected(p, kNack, [](auto& c) { c.backoff = 0.5; });
+    expect_rejected(p, kNack, [](auto& c) { c.max_retries = -1; });
   });
 }
 
@@ -392,12 +346,12 @@ TEST(AckMcast, BackoffRecoversAtFivePercentLoss) {
       faulty_config(9, NetworkType::kSwitch, FaultProfile{.loss = 0.05}));
   std::uint64_t root_retransmissions = 0;
   cluster.world().run([&](mpi::Proc& p) {
-    coll::AckMcastParams params;
-    params.retransmit_timeout = milliseconds(2);
-    params.backoff = 2.0;
-    params.timeout_cap = milliseconds(80);
-    params.max_retries = 100;
-    coll::set_ack_mcast_params(p, p.comm_world(), params);
+    coll::StreamConfig cfg = coll::preset_config(coll::StreamPreset::kAck);
+    cfg.timeout = milliseconds(2);
+    cfg.backoff = 2.0;
+    cfg.timeout_cap = milliseconds(80);
+    cfg.max_retries = 100;
+    coll::set_stream_config(p, p.comm_world(), coll::StreamPreset::kAck, cfg);
     for (int i = 0; i < 4; ++i) {
       Buffer data;
       if (p.rank() == 0) {
@@ -407,8 +361,7 @@ TEST(AckMcast, BackoffRecoversAtFivePercentLoss) {
       EXPECT_TRUE(check_pattern(i, data)) << "rank " << p.rank();
     }
     if (p.rank() == 0) {
-      root_retransmissions =
-          coll::ack_mcast_stats(p, p.comm_world()).retransmissions;
+      root_retransmissions = coll::stream_stats(p, p.comm_world()).retransmits;
     }
   });
   EXPECT_GT(root_retransmissions, 0u);
@@ -424,10 +377,12 @@ TEST(AckMcast, RetryCapTurnsTotalLossIntoAnError) {
         if (p.rank() == 0) {
           data = pattern_payload(1, 500);
         }
-        coll::AckMcastParams params;
-        params.retransmit_timeout = milliseconds(1);
-        params.max_retries = 3;
-        coll::bcast_ack_mcast(p, p.comm_world(), data, 0, params);
+        coll::StreamConfig cfg = coll::preset_config(coll::StreamPreset::kAck);
+        cfg.timeout = milliseconds(1);
+        cfg.max_retries = 3;
+        coll::set_stream_config(p, p.comm_world(), coll::StreamPreset::kAck,
+                                cfg);
+        p.comm_world().coll().bcast(data, 0, "ack-mcast");
       }),
       std::runtime_error);
 }
@@ -435,18 +390,11 @@ TEST(AckMcast, RetryCapTurnsTotalLossIntoAnError) {
 TEST(AckMcast, RejectsOutOfRangeParams) {
   Cluster cluster(faulty_config(2, NetworkType::kSwitch, FaultProfile{}));
   cluster.world().run([&](mpi::Proc& p) {
-    coll::AckMcastParams bad;
-    bad.retransmit_timeout = kTimeZero;
-    EXPECT_THROW(coll::set_ack_mcast_params(p, p.comm_world(), bad),
-                 std::invalid_argument);
-    bad = coll::AckMcastParams{};
-    bad.backoff = 0.9;
-    EXPECT_THROW(coll::set_ack_mcast_params(p, p.comm_world(), bad),
-                 std::invalid_argument);
-    bad = coll::AckMcastParams{};
-    bad.timeout_cap = microseconds(1);  // below the timeout
-    EXPECT_THROW(coll::set_ack_mcast_params(p, p.comm_world(), bad),
-                 std::invalid_argument);
+    constexpr auto kAck = coll::StreamPreset::kAck;
+    expect_rejected(p, kAck, [](auto& c) { c.timeout = kTimeZero; });
+    expect_rejected(p, kAck, [](auto& c) { c.backoff = 0.9; });
+    // Below the timeout.
+    expect_rejected(p, kAck, [](auto& c) { c.timeout_cap = microseconds(1); });
   });
 }
 
@@ -456,14 +404,16 @@ TEST(Segmented, PerChunkRecoveryUnderLoss) {
   const std::size_t payload = 48 * 1024;
   std::vector<int> ok(9, 0);
   cluster.world().run([&](mpi::Proc& p) {
-    coll::SegmentedConfig config;
+    coll::StreamConfig config =
+        coll::preset_config(coll::StreamPreset::kSegmented);
     config.chunk_bytes = 4096;
-    config.window = 4;
-    config.retransmit_timeout = milliseconds(2);
-    config.retransmit_backoff = 2.0;
-    config.retransmit_timeout_cap = milliseconds(400);
+    config.k = 4;
+    config.timeout = milliseconds(2);
+    config.backoff = 2.0;
+    config.timeout_cap = milliseconds(400);
     config.max_retries = 50;
-    coll::set_segmented_config(p, p.comm_world(), config);
+    coll::set_stream_config(p, p.comm_world(), coll::StreamPreset::kSegmented,
+                            config);
     Buffer data;
     if (p.rank() == 0) {
       data = pattern_payload(7, payload);

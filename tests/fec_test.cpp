@@ -1,11 +1,15 @@
-// FEC-coded reliable multicast tests: GF(256) algebra (inverses, the
-// all-ones XOR row, any-k-subset invertibility of the stacked generator),
-// randomized encode/erase/decode round-trips with ragged tails, config
-// validation, the fec-mcast conformance sweep against mpich across ranks x
-// topologies x loss modes, the adaptive parity ratchet, the NACK fallback
-// and its hard-error cap, lossy-gated auto-selection, and the segmented
-// pipeline's FEC recovery mode (clean-wire parity accounting and jumbo
-// reconstruction under loss).
+// Reliable-multicast stream engine tests (coll/mcast_stream.hpp): GF(256)
+// algebra (inverses, the all-ones XOR row, any-k-subset invertibility of
+// the stacked generator), randomized encode/erase/decode round-trips with
+// ragged tails, stream geometry and config validation, ONE conformance
+// matrix against mpich over every preset (ack-mcast, nack-mcast, fec-mcast,
+// mcast-segmented) x topologies x loss modes x sizes x roots, the adaptive
+// parity ratchet (and that it reads only evidence the root can see), the
+// NACK fallback and its hard-error cap, the presets' separate
+// retransmission histories, lossy-gated auto-selection, parity
+// generations in an ack-feedback stream (clean-wire parity accounting,
+// jumbo reconstruction under loss), and receivers that take the stream
+// geometry from the wire even when their own receive buffer differs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +24,7 @@
 #include "coll/fec.hpp"
 #include "coll/gf256.hpp"
 #include "coll/registry.hpp"
-#include "coll/segmented.hpp"
+#include "coll/mcast_stream.hpp"
 #include "common/bytes.hpp"
 #include "net/fault.hpp"
 
@@ -219,7 +223,7 @@ TEST(Gf256Codec, RandomizedEncodeEraseDecodeRoundTrips) {
 // ------------------------------------------------------ plan and config
 
 TEST(FecPlanGeometry, CoversEmptySmallAndJumboTotals) {
-  const coll::FecConfig cfg;  // k = 8, overhead = 1/8
+  const coll::FecConfig cfg;  // the fec-mcast preset: k = 8, overhead = 1/8
   const coll::FecPlan empty = coll::fec_plan(0, cfg);
   EXPECT_EQ(empty.chunk_bytes, 1u);
   EXPECT_EQ(empty.n_data, 1);
@@ -262,61 +266,98 @@ ClusterConfig faulty_config(int procs, NetworkType net,
   return config;
 }
 
-TEST(FecMcast, RejectsOutOfRangeConfig) {
+using coll::StreamPreset;
+
+/// The mcast-segmented preset with the given geometry and parity, tuned
+/// for a lossy wire (backed-off 2 ms timer, finite retry cap).
+coll::StreamConfig seg_fec_config(std::size_t chunk, int window, int lanes,
+                                  double overhead) {
+  coll::StreamConfig cfg = coll::preset_config(StreamPreset::kSegmented);
+  cfg.chunk_bytes = chunk;
+  cfg.k = window;
+  cfg.lanes = lanes;
+  cfg.overhead = overhead;
+  cfg.timeout = milliseconds(2);
+  cfg.backoff = 2.0;
+  cfg.timeout_cap = milliseconds(400);
+  cfg.max_retries = 50;
+  return cfg;
+}
+
+TEST(StreamConfig, RejectsOutOfRangeValues) {
   Cluster cluster(faulty_config(2, NetworkType::kSwitch, FaultProfile{}));
   cluster.world().run([](mpi::Proc& p) {
-    const auto expect_bad = [&](const coll::FecConfig& bad) {
-      EXPECT_THROW(coll::set_fec_config(p, p.comm_world(), bad),
+    const auto expect_bad = [&](const coll::StreamConfig& bad) {
+      EXPECT_THROW(coll::set_stream_config(p, p.comm_world(),
+                                           StreamPreset::kFec, bad),
                    std::invalid_argument);
     };
-    coll::FecConfig bad;
-    bad.k = 0;
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.k = 256;
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.overhead = 0.0;
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.overhead = 2.5;
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.max_overhead = 0.01;  // below the floor
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.raise_threshold = 0;
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.calm_ops = 0;
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.fallback_timeout = kTimeZero;
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.fallback_backoff = 0.5;
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.fallback_timeout_cap = microseconds(1);  // below the timeout
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.max_fallback_retries = -1;
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.aggregation_window = microseconds(-1);
-    expect_bad(bad);
-    bad = coll::FecConfig{};
-    bad.history_frames = 0;
-    expect_bad(bad);
+    const auto with = [](auto mutate) {
+      coll::StreamConfig c;
+      mutate(c);
+      return c;
+    };
+    expect_bad(with([](auto& c) { c.k = 0; }));
+    expect_bad(with([](auto& c) { c.k = 256; }));  // parity needs k <= 255
+    expect_bad(with([](auto& c) { c.k = 70000; }));
+    expect_bad(with([](auto& c) { c.lanes = 0; }));
+    expect_bad(with([](auto& c) { c.lanes = 17; }));
+    expect_bad(with([](auto& c) { c.overhead = -0.1; }));
+    expect_bad(with([](auto& c) { c.overhead = 2.5; }));
+    expect_bad(with([](auto& c) {
+      c.adaptive = true;
+      c.overhead = 0.75;  // above the ratchet's ceiling
+    }));
+    expect_bad(with([](auto& c) {
+      c.adaptive = true;
+      c.overhead = 0.0;  // nothing to ratchet
+    }));
+    expect_bad(with([](auto& c) { c.timeout = kTimeZero; }));
+    expect_bad(with([](auto& c) { c.backoff = 0.5; }));
+    expect_bad(with([](auto& c) { c.timeout_cap = microseconds(1); }));
+    expect_bad(with([](auto& c) { c.max_retries = -1; }));
+    expect_bad(with([](auto& c) { c.aggregation_window = microseconds(-1); }));
+    expect_bad(with([](auto& c) { c.history_frames = 0; }));
+    // A generation must fit GF(256) only when parity is on.
+    coll::StreamConfig wide = coll::preset_config(StreamPreset::kSegmented);
+    wide.k = 256;
+    EXPECT_NO_THROW(coll::set_stream_config(p, p.comm_world(),
+                                            StreamPreset::kSegmented, wide));
     // The defaults themselves round-trip.
-    coll::set_fec_config(p, p.comm_world(), coll::FecConfig{});
-    EXPECT_EQ(coll::fec_config(p, p.comm_world()).k, 8);
+    coll::set_stream_config(p, p.comm_world(), StreamPreset::kFec,
+                            coll::FecConfig{});
+    EXPECT_EQ(
+        coll::stream_config(p, p.comm_world(), StreamPreset::kFec).k, 8);
   });
 }
 
-// -------------------------------------------------- conformance sweep
+TEST(StreamConfig, PresetsAreTunedIndependently) {
+  Cluster cluster(faulty_config(2, NetworkType::kSwitch, FaultProfile{}));
+  cluster.world().run([](mpi::Proc& p) {
+    coll::StreamConfig fec = coll::preset_config(StreamPreset::kFec);
+    fec.k = 16;
+    fec.timeout = milliseconds(7);
+    coll::set_stream_config(p, p.comm_world(), StreamPreset::kFec, fec);
+    EXPECT_EQ(coll::stream_config(p, p.comm_world(), StreamPreset::kFec).k,
+              16);
+    const coll::StreamConfig& seg =
+        coll::stream_config(p, p.comm_world(), StreamPreset::kSegmented);
+    EXPECT_EQ(seg.k, 4);
+    EXPECT_EQ(seg.chunk_bytes, 64u * 1024);
+    EXPECT_EQ(seg.timeout, milliseconds(50));
+    EXPECT_EQ(seg.backoff, 1.0);
+    EXPECT_EQ(
+        coll::stream_config(p, p.comm_world(), StreamPreset::kAck).timeout,
+        milliseconds(5));
+    EXPECT_EQ(coll::stream_config(p, p.comm_world(), StreamPreset::kNack)
+                  .history_frames,
+              64u);
+  });
+}
 
-TEST(FecConformance, MatchesMpichAcrossRanksTopologiesAndLoss) {
+// -------------------------------------------------- conformance matrix
+
+TEST(StreamConformance, EveryPresetMatchesMpichAcrossRanksTopologiesLossRoots) {
   struct Topo {
     NetworkType net;
     int segments;
@@ -337,42 +378,133 @@ TEST(FecConformance, MatchesMpichAcrossRanksTopologiesAndLoss) {
                               .ge_bad_to_good = 0.25,
                               .ge_loss_bad = 0.5}},
   };
-  for (const int ranks : {2, 3, 9, 16}) {
-    for (const Topo& topo : topologies) {
-      for (const LossMode& mode : modes) {
-        ClusterConfig config =
-            faulty_config(ranks, topo.net, mode.profile);
-        config.num_segments = topo.segments;
-        if (topo.segments > 1 && mode.profile.lossy()) {
-          config.faults.trunk.loss = 0.02;  // the lossy trunk
-        }
-        if (ranks > cluster::kMaxEagleHosts) {
-          config.hosts = cluster::make_uniform_hosts(ranks);
-        }
-        const std::string what = std::to_string(ranks) + " ranks, " +
-                                 topo.name + ", " + mode.name;
-        Cluster cluster(config);
-        std::vector<int> ok(static_cast<std::size_t>(ranks), 1);
-        cluster.world().run([&](mpi::Proc& p) {
-          for (const std::size_t bytes :
-               {std::size_t{1}, std::size_t{1024}, std::size_t{65536}}) {
-            Buffer fec;
-            Buffer ref;
-            if (p.rank() == 0) {
-              fec = pattern_payload(bytes + 7, bytes);
-              ref = pattern_payload(bytes + 7, bytes);
-            }
-            p.comm_world().coll().bcast(fec, 0, "fec-mcast");
-            p.comm_world().coll().bcast(ref, 0, "mpich");
-            if (fec.size() != bytes || fec != ref ||
-                !check_pattern(bytes + 7, fec)) {
-              ok[static_cast<std::size_t>(p.rank())] = 0;
+  for (const StreamPreset preset :
+       {StreamPreset::kAck, StreamPreset::kNack, StreamPreset::kFec,
+        StreamPreset::kSegmented}) {
+    const std::string algo = coll::to_string(preset);
+    // fec-mcast, the preset built for loss, sweeps the rank axis; the
+    // others run at one size that exercises several receivers per segment.
+    const std::vector<int> rank_counts =
+        preset == StreamPreset::kFec ? std::vector<int>{2, 3, 9, 16}
+                                     : std::vector<int>{6};
+    // Empty, one byte, 1 KiB, ragged (a multiple of no preset's k), and
+    // 64 KiB; the segmented preset also streams past the datagram ceiling,
+    // ending in a ragged chunk.
+    std::vector<std::size_t> sizes = {0, 1, 1024, 10007, 65536};
+    if (preset == StreamPreset::kSegmented) {
+      sizes.push_back((1u << 20) + 4097);
+    }
+    for (const int ranks : rank_counts) {
+      for (const Topo& topo : topologies) {
+        for (const LossMode& mode : modes) {
+          ClusterConfig config = faulty_config(ranks, topo.net, mode.profile);
+          config.num_segments = topo.segments;
+          if (topo.segments > 1) {
+            config.trunk_latency = milliseconds(2);
+            if (mode.profile.lossy()) {
+              config.faults.trunk.loss = 0.02;  // the lossy trunk
             }
           }
-        });
-        for (int r = 0; r < ranks; ++r) {
-          EXPECT_TRUE(ok[static_cast<std::size_t>(r)])
-              << what << ", rank " << r;
+          if (ranks > cluster::kMaxEagleHosts) {
+            config.hosts = cluster::make_uniform_hosts(ranks);
+          }
+          const std::string what = algo + ", " + std::to_string(ranks) +
+                                   " ranks, " + topo.name + ", " + mode.name;
+          Cluster cluster(config);
+          std::vector<int> ok(static_cast<std::size_t>(ranks), 1);
+          cluster.world().run([&](mpi::Proc& p) {
+            if (preset == StreamPreset::kNack) {
+              // nack-mcast does not chunk: a lost 100 KB datagram is a lost
+              // stream, and bursty loss on the lossy trunk can take more
+              // rounds than its default cap (the hard-error tests pin it).
+              coll::StreamConfig cfg = coll::preset_config(preset);
+              cfg.max_retries = 0;
+              coll::set_stream_config(p, p.comm_world(), preset, cfg);
+            }
+            for (const int root : {1, ranks - 1}) {
+              for (const std::size_t bytes : sizes) {
+                Buffer got;
+                Buffer ref;
+                if (p.rank() == root) {
+                  got = pattern_payload(bytes + 7, bytes);
+                  ref = pattern_payload(bytes + 7, bytes);
+                }
+                p.comm_world().coll().bcast(got, root, algo);
+                p.comm_world().coll().bcast(ref, root, "mpich");
+                if (got.size() != bytes || got != ref ||
+                    !check_pattern(bytes + 7, got)) {
+                  ok[static_cast<std::size_t>(p.rank())] = 0;
+                }
+              }
+              if (ranks == 2) {
+                break;  // roots 1 and ranks - 1 coincide
+              }
+            }
+          });
+          for (int r = 0; r < ranks; ++r) {
+            EXPECT_TRUE(ok[static_cast<std::size_t>(r)])
+                << what << ", rank " << r;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(StreamConformance, EveryFeedbackParityLaneAndReadinessCombination) {
+  // The engine's knobs beyond the presets: each feedback mode with and
+  // without parity, over one and three lanes, with and without scouts,
+  // under loss, with back-to-back streams from rotating roots (so a
+  // receiver can meet the next stream's frames, on lanes this stream
+  // leaves empty, before it has finished this one).
+  constexpr int kRanks = 5;
+  for (const coll::Feedback feedback :
+       {coll::Feedback::kAck, coll::Feedback::kNack}) {
+    for (const double overhead : {0.0, 0.25}) {
+      for (const int lanes : {1, 3}) {
+        for (const coll::Readiness readiness :
+             {coll::Readiness::kNone, coll::Readiness::kScout}) {
+          Cluster cluster(faulty_config(kRanks, NetworkType::kSwitch,
+                                        FaultProfile{.loss = 0.03}, 5));
+          std::vector<int> ok(kRanks, 1);
+          cluster.world().run([&](mpi::Proc& p) {
+            coll::StreamConfig cfg = seg_fec_config(0, 4, lanes, overhead);
+            cfg.feedback = feedback;
+            cfg.readiness = readiness;
+            cfg.timeout_cap = milliseconds(50);
+            cfg.max_retries = 0;
+            coll::set_stream_config(p, p.comm_world(),
+                                    StreamPreset::kSegmented, cfg);
+            for (int rep = 0; rep < 3; ++rep) {
+              const int root = (rep + 1) % kRanks;
+              for (const std::size_t bytes : {std::size_t{0}, std::size_t{1},
+                                              std::size_t{10007},
+                                              std::size_t{40000}}) {
+                Buffer data;
+                if (p.rank() == root) {
+                  data = pattern_payload(bytes + rep, bytes);
+                }
+                p.comm_world().coll().bcast(data, root, "mcast-segmented");
+                if (data.size() != bytes || !check_pattern(bytes + rep, data)) {
+                  ok[static_cast<std::size_t>(p.rank())] = 0;
+                }
+              }
+            }
+            const std::vector<Buffer> all = p.comm_world().coll().allgather(
+                pattern_payload(p.rank(), 5000), "mcast-segmented");
+            for (int r = 0; r < kRanks; ++r) {
+              if (all[static_cast<std::size_t>(r)] !=
+                  pattern_payload(r, 5000)) {
+                ok[static_cast<std::size_t>(p.rank())] = 0;
+              }
+            }
+          });
+          for (int r = 0; r < kRanks; ++r) {
+            EXPECT_TRUE(ok[static_cast<std::size_t>(r)])
+                << "feedback " << static_cast<int>(feedback) << ", overhead "
+                << overhead << ", lanes " << lanes << ", readiness "
+                << static_cast<int>(readiness) << ", rank " << r;
+          }
         }
       }
     }
@@ -435,14 +567,20 @@ TEST(FecMcast, LowLossIsAbsorbedByInWindowDecodes) {
   EXPECT_GE(sched.parity_used, sched.fec_decodes);
 }
 
+coll::StreamConfig fec_with(SimTime timeout, SimTime cap, int max_retries) {
+  coll::StreamConfig cfg = coll::preset_config(StreamPreset::kFec);
+  cfg.timeout = timeout;
+  cfg.timeout_cap = cap;
+  cfg.max_retries = max_retries;
+  return cfg;
+}
+
 TEST(FecMcast, LossBeyondParityFallsBackToNackAndDelivers) {
   Cluster cluster(
       faulty_config(5, NetworkType::kSwitch, FaultProfile{.loss = 0.3}));
   cluster.world().run([](mpi::Proc& p) {
-    coll::FecConfig cfg;
-    cfg.fallback_timeout = milliseconds(1);
-    cfg.fallback_timeout_cap = milliseconds(16);
-    coll::set_fec_config(p, p.comm_world(), cfg);
+    coll::set_stream_config(p, p.comm_world(), StreamPreset::kFec,
+                            fec_with(milliseconds(1), milliseconds(16), 30));
     for (int i = 0; i < 2; ++i) {
       Buffer data;
       if (p.rank() == 0) {
@@ -458,15 +596,49 @@ TEST(FecMcast, LossBeyondParityFallsBackToNackAndDelivers) {
   EXPECT_GT(sched.retransmits, 0u);    // the history served the NACKs
 }
 
+TEST(StreamRecovery, PresetsKeepTheirOwnRetransmissionHistory) {
+  // fec-mcast then nack-mcast back to back under loss, with no barrier: the
+  // root blasts both streams and returns while its receivers are still
+  // recovering the fec-mcast one.  The nack-mcast stream retains into its
+  // own 64-frame history, so it must not evict the 200 frames fec-mcast's
+  // 256-frame history still has to serve.
+  Cluster cluster(
+      faulty_config(4, NetworkType::kSwitch, FaultProfile{.loss = 0.05}));
+  std::uint64_t unserved = 0;
+  cluster.world().run([&](mpi::Proc& p) {
+    coll::StreamConfig fec = coll::preset_config(StreamPreset::kFec);
+    fec.chunk_bytes = 1024;
+    coll::set_stream_config(p, p.comm_world(), StreamPreset::kFec, fec);
+    Buffer big;
+    if (p.rank() == 0) {
+      big = pattern_payload(1, 200 * 1024);
+    }
+    p.comm_world().coll().bcast(big, 0, "fec-mcast");
+    for (int i = 0; i < 3; ++i) {
+      Buffer small;
+      if (p.rank() == 0) {
+        small = pattern_payload(50 + i, 2000);
+      }
+      p.comm_world().coll().bcast(small, 0, "nack-mcast");
+      EXPECT_TRUE(check_pattern(50 + i, small)) << "rank " << p.rank();
+    }
+    EXPECT_TRUE(check_pattern(1, big)) << "rank " << p.rank();
+    if (p.rank() == 0) {
+      unserved = coll::stream_stats(p, p.comm_world()).nacks_unserved;
+    }
+  });
+  const sim::SchedCounters sched = cluster.simulator().sched_counters();
+  EXPECT_GT(sched.fec_fallbacks, 0u);  // fec-mcast did need its history
+  EXPECT_EQ(unserved, 0u);
+}
+
 TEST(FecMcast, TotalLossIsAHardErrorNotAHang) {
   Cluster cluster(
       faulty_config(4, NetworkType::kSwitch, FaultProfile{.loss = 1.0}));
   EXPECT_THROW(
       cluster.world().run([](mpi::Proc& p) {
-        coll::FecConfig cfg;
-        cfg.fallback_timeout = milliseconds(1);
-        cfg.max_fallback_retries = 3;
-        coll::set_fec_config(p, p.comm_world(), cfg);
+        coll::set_stream_config(p, p.comm_world(), StreamPreset::kFec,
+                                fec_with(milliseconds(1), milliseconds(50), 3));
         Buffer data;
         if (p.rank() == 0) {
           data = pattern_payload(1, 500);
@@ -481,9 +653,9 @@ TEST(FecMcast, AdaptiveRatchetRaisesOverheadUnderLossOnly) {
                                std::uint64_t* raises) {
     Cluster cluster(faulty_config(6, NetworkType::kSwitch, profile));
     cluster.world().run([&](mpi::Proc& p) {
-      coll::FecConfig cfg;
+      coll::StreamConfig cfg = coll::preset_config(StreamPreset::kFec);
       cfg.adaptive = true;  // floor 1/8, ceiling 1/2
-      coll::set_fec_config(p, p.comm_world(), cfg);
+      coll::set_stream_config(p, p.comm_world(), StreamPreset::kFec, cfg);
       for (int i = 0; i < 8; ++i) {
         Buffer data;
         if (p.rank() == 0) {
@@ -491,20 +663,82 @@ TEST(FecMcast, AdaptiveRatchetRaisesOverheadUnderLossOnly) {
         }
         p.comm_world().coll().bcast(data, 0, "fec-mcast");
         EXPECT_TRUE(check_pattern(i, data)) << "rank " << p.rank();
+        // Pace the operations (the §4 method's spaced starts): the root
+        // returns right after its blast, and the receivers' recovery
+        // requests — its only evidence of loss — need a round trip to
+        // reach it before the next encode.
+        p.self().delay(milliseconds(20));
       }
       if (p.rank() == 0) {
-        *working = coll::fec_working_overhead(p, p.comm_world());
-        *raises = coll::fec_stats(p, p.comm_world()).overhead_raises;
+        *working = coll::stream_working_overhead(p, p.comm_world(),
+                                                 StreamPreset::kFec);
+        *raises = coll::stream_stats(p, p.comm_world()).overhead_raises;
       }
     });
   };
   double working = 0.0;
   std::uint64_t raises = 0;
   run_adaptive(FaultProfile{.loss = 0.05}, &working, &raises);
-  EXPECT_GT(working, 0.125);  // observed drops ratcheted the parity up
+  EXPECT_GT(working, 0.125);  // recovery requests ratcheted the parity up
   EXPECT_GE(raises, 1u);
   run_adaptive(FaultProfile{}, &working, &raises);
   EXPECT_DOUBLE_EQ(working, 0.125);  // a clean wire stays at the floor
+  EXPECT_EQ(raises, 0u);
+}
+
+TEST(FecMcast, AdaptiveRatchetIgnoresLossItsRootCannotSee) {
+  // Two segments behind a 30%-lossy trunk; the links themselves are clean.
+  // Segment 0's sub-communicator streams adaptive fec-mcast entirely inside
+  // its segment while the world communicator's mpich bcasts lose frames on
+  // the trunk.  Nothing of the sub-communicator's stream is ever lost, so
+  // its root has no evidence to raise parity on — the ratchet must stay at
+  // the floor even though the root's shard counts trunk drops.
+  ClusterConfig config = faulty_config(8, NetworkType::kSwitch, FaultProfile{});
+  config.num_segments = 2;
+  config.faults.trunk.loss = 0.3;
+  Cluster cluster(config);
+  const int seg0 = cluster.segment_of_rank(0);
+  double working = 0.0;
+  std::uint64_t raises = 0;
+  cluster.world().run([&](mpi::Proc& p) {
+    const bool mine = cluster.segment_of_rank(p.rank()) == seg0;
+    const mpi::Comm sub = p.split(p.comm_world(), mine ? 0 : 1, p.rank());
+    if (mine) {
+      coll::StreamConfig cfg = coll::preset_config(StreamPreset::kFec);
+      cfg.adaptive = true;
+      coll::set_stream_config(p, sub, StreamPreset::kFec, cfg);
+      // fec-mcast has no readiness handshake: join the group before the
+      // root's first blast, so a late join does not cost the first frames
+      // (that loss WOULD be visible to the root, as NACKs).
+      (void)p.mcast_channel(sub);
+      sub.coll().barrier("mpich");
+    }
+    for (int i = 0; i < 8; ++i) {
+      Buffer world_data;
+      if (p.rank() == 0) {
+        world_data = pattern_payload(100 + i, 6000);
+      }
+      p.comm_world().coll().bcast(world_data, 0, "mpich");
+      EXPECT_TRUE(check_pattern(100 + i, world_data)) << "rank " << p.rank();
+      if (mine) {
+        Buffer data;
+        if (sub.rank() == 0) {
+          data = pattern_payload(i, 16000);
+        }
+        sub.coll().bcast(data, 0, "fec-mcast");
+        EXPECT_TRUE(check_pattern(i, data)) << "rank " << p.rank();
+      }
+    }
+    if (mine && sub.rank() == 0) {
+      working = coll::stream_working_overhead(p, sub, StreamPreset::kFec);
+      raises = coll::stream_stats(p, sub).overhead_raises;
+    }
+  });
+  const sim::SchedCounters sched = cluster.simulator().sched_counters();
+  EXPECT_GT(sched.frames_dropped, 0u);  // the trunk did drop world traffic
+  EXPECT_EQ(sched.parity_used, 0u);     // ... but no stream frame was lost
+  EXPECT_EQ(sched.fec_fallbacks, 0u);
+  EXPECT_DOUBLE_EQ(working, 0.125);
   EXPECT_EQ(raises, 0u);
 }
 
@@ -531,53 +765,15 @@ TEST(FecMcast, LossyAutoSelectionPrefersFec) {
   });
 }
 
-// ------------------------------------------- segmented FEC recovery mode
+// ------------------------------- parity generations in an ack stream
 
-coll::SegmentedConfig seg_fec_config(std::size_t chunk, int window, int lanes,
-                                     double fec_overhead) {
-  coll::SegmentedConfig cfg;
-  cfg.chunk_bytes = chunk;
-  cfg.window = window;
-  cfg.lanes = lanes;
-  cfg.fec_overhead = fec_overhead;
-  cfg.retransmit_timeout = milliseconds(2);
-  cfg.retransmit_backoff = 2.0;
-  cfg.retransmit_timeout_cap = milliseconds(400);
-  cfg.max_retries = 50;
-  return cfg;
-}
-
-TEST(SegmentedFec, RejectsOutOfRangeConfig) {
-  // set_segmented_config validates through the contract macros, so the
-  // whole config surface (FEC knobs included) fails uniformly.
-  Cluster cluster(faulty_config(2, NetworkType::kSwitch, FaultProfile{}));
-  cluster.world().run([](mpi::Proc& p) {
-    coll::SegmentedConfig bad;
-    bad.fec_overhead = -0.1;
-    EXPECT_THROW(coll::set_segmented_config(p, p.comm_world(), bad),
-                 ContractViolation);
-    bad = coll::SegmentedConfig{};
-    bad.fec_overhead = 1.5;
-    EXPECT_THROW(coll::set_segmented_config(p, p.comm_world(), bad),
-                 ContractViolation);
-    // A generation must fit one FEC window: window > 128 only without FEC.
-    bad = coll::SegmentedConfig{};
-    bad.window = 256;
-    bad.fec_overhead = 0.25;
-    EXPECT_THROW(coll::set_segmented_config(p, p.comm_world(), bad),
-                 ContractViolation);
-    coll::SegmentedConfig ok;
-    ok.window = 256;  // fine while the FEC recovery mode is off
-    EXPECT_NO_THROW(coll::set_segmented_config(p, p.comm_world(), ok));
-  });
-}
 
 TEST(SegmentedFec, CleanWireSendsParityAndNeverDecodes) {
   Cluster cluster(faulty_config(5, NetworkType::kSwitch, FaultProfile{}));
   const std::size_t payload = 256 * 1024;
   cluster.world().run([&](mpi::Proc& p) {
-    coll::set_segmented_config(p, p.comm_world(),
-                               seg_fec_config(4096, 4, 2, 0.25));
+    coll::set_stream_config(p, p.comm_world(), StreamPreset::kSegmented,
+                            seg_fec_config(4096, 4, 2, 0.25));
     Buffer seg;
     Buffer ref;
     if (p.rank() == 0) {
@@ -604,8 +800,8 @@ TEST(SegmentedFec, JumboBcastRecoversViaParityUnderLoss) {
   const std::size_t payload = 16u << 20;
   std::vector<int> ok(9, 0);
   cluster.world().run([&](mpi::Proc& p) {
-    coll::set_segmented_config(p, p.comm_world(),
-                               seg_fec_config(65536, 8, 2, 0.25));
+    coll::set_stream_config(p, p.comm_world(), StreamPreset::kSegmented,
+                            seg_fec_config(65536, 8, 2, 0.25));
     Buffer data;
     if (p.rank() == 0) {
       data = pattern_payload(16, payload);
@@ -622,6 +818,35 @@ TEST(SegmentedFec, JumboBcastRecoversViaParityUnderLoss) {
   EXPECT_GT(sched.parity_sent, 0u);
   EXPECT_GT(sched.fec_decodes, 0u);  // generation losses healed in-window
   EXPECT_GE(sched.parity_used, sched.fec_decodes);
+}
+
+TEST(SegmentedFec, ReceiversTakeGeometryFromTheWire) {
+  // One receiver runs a smaller multicast receive buffer than the root.
+  // The root sizes chunks from ITS buffer; a receiver that derived the
+  // chunk size from its own would place rebuilt chunks at the wrong
+  // offsets and return corrupt bytes without any error.
+  Cluster cluster(
+      faulty_config(9, NetworkType::kSwitch, FaultProfile{.loss = 0.01}));
+  const std::size_t payload = 2u << 20;
+  std::vector<int> ok(9, 0);
+  cluster.world().run([&](mpi::Proc& p) {
+    if (p.rank() == 4) {
+      p.set_mcast_recv_buffer(128 * 1024);  // before any channel exists
+    }
+    coll::set_stream_config(p, p.comm_world(), StreamPreset::kSegmented,
+                            seg_fec_config(65536, 8, 1, 0.25));
+    Buffer data;
+    if (p.rank() == 0) {
+      data = pattern_payload(44, payload);
+    }
+    p.comm_world().coll().bcast(data, 0, "mcast-segmented");
+    ok[static_cast<std::size_t>(p.rank())] =
+        data.size() == payload && check_pattern(44, data);
+  });
+  for (int r = 0; r < 9; ++r) {
+    EXPECT_TRUE(ok[static_cast<std::size_t>(r)]) << "rank " << r;
+  }
+  EXPECT_GT(cluster.simulator().sched_counters().fec_decodes, 0u);
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/experiment.hpp"
-#include "coll/ack_mcast.hpp"
 #include "coll/facade.hpp"
+#include "coll/mcast_stream.hpp"
 #include "coll/sequencer.hpp"
 #include "common/bytes.hpp"
 #include "net/hub.hpp"
@@ -146,7 +146,7 @@ TEST(LossInjection, AckMcastSurvivesMulticastLoss) {
     if (p.rank() == 0) {
       data = pattern_payload(1, 100);
     }
-    coll::bcast_ack_mcast(p, p.comm_world(), data, 0);
+    coll::bcast_stream(p, p.comm_world(), data, 0, coll::StreamPreset::kAck);
     ok[static_cast<std::size_t>(p.rank())] = check_pattern(1, data);
   });
   for (int r = 0; r < kProcs; ++r) {

@@ -1,5 +1,5 @@
 // Conformance and pipelining tests for the segmented multicast
-// collectives (coll/segmented.hpp): bit-identical results against the
+// collectives (the mcast-segmented preset of coll/mcast_stream.hpp): bit-identical results against the
 // point-to-point references across chunk/window/lane sweeps (including
 // ragged final chunks and jumbo payloads past the single-datagram
 // ceiling), duplicated/split communicators, sliding-window overlap
@@ -13,7 +13,7 @@
 #include "cluster/cluster.hpp"
 #include "coll/facade.hpp"
 #include "coll/limits.hpp"
-#include "coll/segmented.hpp"
+#include "coll/mcast_stream.hpp"
 #include "common/bytes.hpp"
 
 namespace mcmpi {
@@ -45,12 +45,17 @@ struct BcastCase {
   NetworkType net;
 };
 
-coll::SegmentedConfig seg_config(std::size_t chunk, int window, int lanes) {
-  coll::SegmentedConfig cfg;
+coll::StreamConfig seg_config(std::size_t chunk, int window, int lanes) {
+  coll::StreamConfig cfg = coll::preset_config(coll::StreamPreset::kSegmented);
   cfg.chunk_bytes = chunk;
-  cfg.window = window;
+  cfg.k = window;
   cfg.lanes = lanes;
   return cfg;
+}
+
+void set_seg_config(mpi::Proc& p, const mpi::Comm& comm,
+                    const coll::StreamConfig& cfg) {
+  coll::set_stream_config(p, comm, coll::StreamPreset::kSegmented, cfg);
 }
 
 // Runs one bcast on a fresh cluster and returns every rank's buffer.
@@ -59,7 +64,7 @@ std::vector<Buffer> run_bcast(const BcastCase& c, const std::string& algo) {
   std::vector<Buffer> outs(static_cast<std::size_t>(c.procs));
   cluster.world().run([&](mpi::Proc& p) {
     if (algo == "mcast-segmented") {
-      coll::set_segmented_config(p, p.comm_world(),
+      set_seg_config(p, p.comm_world(),
                                  seg_config(c.chunk, c.window, c.lanes));
     }
     Buffer buffer;
@@ -123,7 +128,7 @@ TEST(SegmentedBcastTopology, MultiSegmentJumboBcast) {
   Cluster cluster(config);
   std::vector<int> ok(kProcs, 0);
   cluster.world().run([&](mpi::Proc& p) {
-    coll::set_segmented_config(p, p.comm_world(), seg_config(65536, 4, 2));
+    set_seg_config(p, p.comm_world(), seg_config(65536, 4, 2));
     Buffer buffer;
     if (p.rank() == 0) {
       buffer = pattern_payload(42, kBytes);
@@ -145,7 +150,7 @@ TEST(SegmentedBcastJumbo, ChunksRideJumboUdpDatagrams) {
   Cluster cluster(config_for(kProcs));
   std::uint64_t root_jumbo = 0;
   cluster.world().run([&](mpi::Proc& p) {
-    coll::set_segmented_config(p, p.comm_world(), seg_config(200000, 1, 1));
+    set_seg_config(p, p.comm_world(), seg_config(200000, 1, 1));
     Buffer buffer;
     if (p.rank() == 0) {
       buffer = pattern_payload(7, 1 << 20);
@@ -179,7 +184,7 @@ TEST_P(SegmentedAllgather, MatchesRing) {
     std::vector<std::vector<Buffer>> outs(static_cast<std::size_t>(c.procs));
     cluster.world().run([&](mpi::Proc& p) {
       if (algo == "mcast-segmented") {
-        coll::set_segmented_config(p, p.comm_world(),
+        set_seg_config(p, p.comm_world(),
                                    seg_config(c.chunk, c.window, c.lanes));
       }
       const Buffer mine = pattern_payload(
@@ -234,7 +239,7 @@ TEST(SegmentedScatter, RaggedBlocksMatchMpich) {
     std::vector<Buffer> outs(kProcs);
     cluster.world().run([&](mpi::Proc& p) {
       if (algo == "mcast-segmented") {
-        coll::set_segmented_config(p, p.comm_world(), seg_config(2048, 2, 2));
+        set_seg_config(p, p.comm_world(), seg_config(2048, 2, 2));
       }
       std::vector<Buffer> chunks;
       if (p.rank() == kRoot) {
@@ -269,7 +274,7 @@ TEST(SegmentedScatter, JumboBlocksPastTheDatagramCeiling) {
   Cluster cluster(config_for(kProcs));
   std::vector<int> ok(kProcs, 0);
   cluster.world().run([&](mpi::Proc& p) {
-    coll::set_segmented_config(p, p.comm_world(), seg_config(65536, 4, 1));
+    set_seg_config(p, p.comm_world(), seg_config(65536, 4, 1));
     std::vector<Buffer> chunks;
     if (p.rank() == 0) {
       for (int r = 0; r < kProcs; ++r) {
@@ -299,7 +304,7 @@ TEST(SegmentedComms, DupAndSplitCommunicators) {
 
     // A duplicated world: same ranks, fresh context, its own lanes.
     mpi::Comm dup = p.dup(p.comm_world());
-    coll::set_segmented_config(p, dup, seg_config(4096, 2, 2));
+    set_seg_config(p, dup, seg_config(4096, 2, 2));
     Buffer buffer;
     if (dup.rank() == 0) {
       buffer = pattern_payload(21, 50000);
@@ -310,7 +315,7 @@ TEST(SegmentedComms, DupAndSplitCommunicators) {
     // Two disjoint halves broadcasting different payloads concurrently.
     const int color = p.rank() % 2;
     mpi::Comm half = p.split(p.comm_world(), color, p.rank());
-    coll::set_segmented_config(p, half, seg_config(1024, 4, 1));
+    set_seg_config(p, half, seg_config(1024, 4, 1));
     Buffer mine;
     if (half.rank() == 0) {
       mine = pattern_payload(static_cast<std::uint64_t>(color) + 70, 30000);
@@ -339,12 +344,11 @@ TEST(SegmentedPipelining, PeakWindowShowsOverlap) {
     Cluster cluster(config_for(9));
     std::size_t n_chunks = 0;
     cluster.world().run([&](mpi::Proc& p) {
-      const coll::SegmentedConfig cfg = seg_config(65536, window, 1);
-      coll::set_segmented_config(p, p.comm_world(), cfg);
+      const coll::StreamConfig cfg = seg_config(65536, window, 1);
+      set_seg_config(p, p.comm_world(), cfg);
       if (p.rank() == 0) {
-        const std::size_t eff =
-            coll::segmented_effective_chunk(cfg, p.mcast_recv_buffer());
-        n_chunks = (kBytes + eff - 1) / eff;
+        n_chunks = static_cast<std::size_t>(
+            coll::stream_plan(kBytes, cfg, p.mcast_recv_buffer()).n_data);
       }
       Buffer buffer;
       if (p.rank() == 0) {
