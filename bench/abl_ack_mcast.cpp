@@ -14,6 +14,7 @@
 #include "coll/sequencer.hpp"
 
 #include <map>
+#include <stdexcept>
 
 #include "bench_util.hpp"
 #include "common/bytes.hpp"
@@ -64,24 +65,32 @@ AblationResult run_case(const std::string& algo, int procs, int payload,
 int main(int argc, char** argv) {
   using namespace mcmpi;
   using namespace mcmpi::bench;
-  Flags flags(argc, argv);
-  const auto reps = static_cast<int>(flags.get_int("reps", 15, "reps/point"));
-  const auto seed = static_cast<std::uint64_t>(
-      flags.get_int("seed", 2000, "simulation seed"));
+  int reps = 15;
+  std::uint64_t seed = 2000;
   // Default lateness exceeds the ACK protocol's 5 ms retransmit timeout, so
   // the root re-multicasts full payloads every repetition.
-  const auto stagger_us = flags.get_int(
-      "stagger_us", 8000, "how late the slow receiver enters (microseconds)");
-  const bool csv = flags.get_bool("csv", false, "emit CSV");
-  if (flags.help_requested()) {
-    std::cout << flags.usage("Ablation: scout vs ACK vs sequencer multicast");
-    return 0;
-  }
-  flags.check_unknown();
+  std::int64_t stagger_us = 8000;
   BenchOptions options;
+  try {
+    Flags flags(argc, argv);
+    reps = static_cast<int>(flags.get_int("reps", reps, "reps/point"));
+    seed = static_cast<std::uint64_t>(flags.get_int(
+        "seed", static_cast<std::int64_t>(seed), "simulation seed"));
+    stagger_us = flags.get_int(
+        "stagger_us", stagger_us,
+        "how late the slow receiver enters (microseconds)");
+    options.csv = flags.get_bool("csv", false, "emit CSV");
+    if (flags.help_requested()) {
+      std::cout << flags.usage("Ablation: scout vs ACK vs sequencer multicast");
+      return 0;
+    }
+    flags.check_unknown();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << '\n';
+    return 2;  // a bad invocation, not a failed claim
+  }
   options.reps = reps;
   options.seed = seed;
-  options.csv = csv;
 
   constexpr int kProcs = 6;
   // Every registered multicast-based broadcast (the reliability-strategy
@@ -131,21 +140,26 @@ int main(int argc, char** argv) {
                   std::to_string(stagger_us) + " us late",
               late_table, options);
 
-  shape_check(
-      sync_median_at_2k["ack-mcast"] > sync_median_at_2k["mcast-linear"] * 0.8,
-      "ACK-multicast does not beat scouts even when synchronized (the "
-      "ORNL result)");
-  shape_check(sync_median_at_2k["sequencer"] <
-                  sync_median_at_2k["mcast-binary"],
-              "sequencer wins in steady state (no per-bcast readiness "
-              "handshake)");
-  shape_check(late["ack-mcast"].retransmissions >=
-                  static_cast<std::uint64_t>(reps),
-              "the late receiver forces the ACK protocol to re-multicast "
-              "every repetition");
-  shape_check(static_cast<double>(late["ack-mcast"].data_frames) >=
-                  1.8 * static_cast<double>(late["mcast-binary"].data_frames),
-              "ACK-multicast burns ~2x the payload bandwidth of scouts when "
-              "a receiver lags (scouts wait; it retransmits)");
-  return 0;
+  shape_check({.text = "ACK-multicast does not beat scouts even when "
+                       "synchronized (the ORNL result)",
+               .lhs = sync_median_at_2k["ack-mcast"],
+               .rhs = sync_median_at_2k["mcast-linear"],
+               .min_ratio = 0.8,
+               .strict = true});
+  shape_check({.text = "sequencer wins in steady state (no per-bcast "
+                       "readiness handshake)",
+               .lhs = sync_median_at_2k["mcast-binary"],
+               .rhs = sync_median_at_2k["sequencer"],
+               .strict = true});
+  shape_check({.text = "the late receiver forces the ACK protocol to "
+                       "re-multicast every repetition",
+               .lhs = static_cast<double>(late["ack-mcast"].retransmissions),
+               .rhs = static_cast<double>(reps)});
+  shape_check({.text = "ACK-multicast burns ~2x the payload bandwidth of "
+                       "scouts when a receiver lags (scouts wait; it "
+                       "retransmits)",
+               .lhs = static_cast<double>(late["ack-mcast"].data_frames),
+               .rhs = static_cast<double>(late["mcast-binary"].data_frames),
+               .min_ratio = 1.8});
+  return claims_exit_code();
 }

@@ -74,5 +74,5 @@ int main(int argc, char** argv) {
   shape_check(ordered_everywhere,
               "all-fast <= eagle mix <= all-slow for every size and "
               "algorithm (the slowest rank paces the collective)");
-  return 0;
+  return claims_exit_code();
 }

@@ -80,16 +80,23 @@ int main(int argc, char** argv) {
   print_table("Long-message broadcast designs (latency + data frames/op)",
               table, options);
 
-  shape_check(vdg9 < tree9,
-              "scatter+allgather beats the binomial tree for long messages "
-              "(why MPI implementations adopted it)");
-  shape_check(mcast9 < vdg9,
-              "one IP multicast still beats the best point-to-point "
-              "algorithm (" + Table::num(mcast9) + " vs " + Table::num(vdg9) +
-                  " us at 9 procs x 60 kB)");
-  shape_check(mcast_frames * 2 <= vdg_frames,
-              "the frame economics: one multicast moves each byte once in "
-              "total; scatter+allgather wins on critical path but moves "
-              "more frames than even the tree");
-  return 0;
+  shape_check({.text = "scatter+allgather beats the binomial tree for long "
+                       "messages (why MPI implementations adopted it)",
+               .lhs = tree9,
+               .rhs = vdg9,
+               .strict = true});
+  shape_check({.text = "one IP multicast still beats the best point-to-point "
+                       "algorithm (" +
+                       Table::num(mcast9) + " vs " + Table::num(vdg9) +
+                       " us at 9 procs x 60 kB)",
+               .lhs = vdg9,
+               .rhs = mcast9,
+               .strict = true});
+  shape_check({.text = "the frame economics: one multicast moves each byte "
+                       "once in total; scatter+allgather wins on critical "
+                       "path but moves more frames than even the tree",
+               .lhs = static_cast<double>(vdg_frames),
+               .rhs = static_cast<double>(mcast_frames),
+               .min_ratio = 2.0});
+  return claims_exit_code();
 }

@@ -88,9 +88,12 @@ int main(int argc, char** argv) {
       "scaled together)",
       table, options);
 
-  shape_check(crossovers.front() > crossovers.back(),
-              "shrinking software overhead moves the crossover toward 0 — "
-              "on a VIA-class fabric multicast wins almost everywhere");
+  shape_check({.text = "shrinking software overhead moves the crossover "
+                       "toward 0 — on a VIA-class fabric multicast wins "
+                       "almost everywhere",
+               .lhs = static_cast<double>(crossovers.front()),
+               .rhs = static_cast<double>(crossovers.back()),
+               .strict = true});
   bool monotone_non_increasing = true;
   for (std::size_t i = 1; i < crossovers.size(); ++i) {
     monotone_non_increasing =
@@ -98,5 +101,5 @@ int main(int argc, char** argv) {
   }
   shape_check(monotone_non_increasing,
               "crossover shrinks monotonically with overhead scale");
-  return 0;
+  return claims_exit_code();
 }

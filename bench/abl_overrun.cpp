@@ -124,5 +124,5 @@ int main(int argc, char** argv) {
               "when it survives, blast is faster than lockstep (" +
                   Table::num(blast_large_us) + " vs " +
                   Table::num(lockstep_large_us) + " us)");
-  return 0;
+  return claims_exit_code();
 }

@@ -5,16 +5,13 @@
 // trunk mesh (2 ms per hop — a routed/WAN backbone, the regime the
 // hierarchy targets).
 //
-// What the records claim (and tools/bench_diff.py enforces):
-//   * every simulated median is deterministic against the committed
-//     baseline, like any other bench record;
-//   * with --min-hier-speedup R, hier-mcast's simulated median must be
-//     >= R x faster than flat mcast-binary on every group at >= 4
-//     segments and >= 256 ranks — the paper-style crossover: the flat
-//     tree's ack/scout rounds cross the slow trunks O(log N) times where
-//     the hierarchy pays each trunk once (deterministic, never hw-gated).
-#include <chrono>
-
+// Every simulated median is pinned against the committed baseline by
+// tools/bench_diff.py, like any other bench record.  The bench's own
+// claims: hier-mcast's simulated median is >= 1.2x faster than flat
+// mcast-binary at every point with >= 4 segments and >= 256 ranks — the
+// paper-style crossover: the flat tree's ack/scout rounds cross the slow
+// trunks O(log N) times where the hierarchy pays each trunk once — and it
+// beats mpich everywhere (deterministic, never hw-gated).
 #include "bench_util.hpp"
 #include "common/bytes.hpp"
 
@@ -74,7 +71,7 @@ int main(int argc, char** argv) {
       // every measured rep in steady state.
       exp.rep_interval = milliseconds(250);
 
-      const auto wall_start = std::chrono::steady_clock::now();
+      const PointMeter meter;
       const auto result = cluster::measure_collective(
           cluster, exp, [&algo](mpi::Proc& p, int rep) {
             Buffer data;
@@ -83,30 +80,22 @@ int main(int argc, char** argv) {
             }
             p.comm_world().coll().bcast(data, 0, algo);
           });
-      const auto wall_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - wall_start)
-              .count();
+      const double wall_ms = meter.wall_ms();
 
       const double median = result.latencies_us.median();
+      meter.record({{"op", "bcast"},
+                    {"algo", algo},
+                    {"network", "switch"},
+                    {"ranks", point.ranks},
+                    {"bytes", kBytes},
+                    {"segments", point.segments}},
+                   median, cluster.simulator());
       measured.push_back(
           Measured{point.ranks, point.segments, algo, median});
       table.add_row({std::to_string(point.ranks),
                      std::to_string(point.segments), algo,
                      Table::num(median), Table::num(wall_ms),
                      std::to_string(cluster.simulator().events_scheduled())});
-      record_bench(BenchRecord{
-          .op = "bcast",
-          .algo = algo,
-          .network = "switch",
-          .ranks = point.ranks,
-          .bytes = kBytes,
-          .sim_time_us = median,
-          .wall_time_ms = wall_ms,
-          .events_scheduled = cluster.simulator().events_scheduled(),
-          .handoffs = cluster.simulator().handoffs(),
-          .segments = point.segments,
-      });
     }
   }
   print_table(
@@ -114,8 +103,8 @@ int main(int argc, char** argv) {
       table, options);
 
   // Shape checks: the crossover claim — past 4 segments / 256 ranks the
-  // hierarchy must beat the flat multicast tree (and mpich, which pays the
-  // trunk on nearly every binomial edge, must trail both).
+  // hierarchy must beat the flat multicast tree by 1.2x (and mpich, which
+  // pays the trunk on nearly every binomial edge, must trail it).
   for (const SweepPoint& point : sweep) {
     double mpich = 0;
     double flat = 0;
@@ -135,14 +124,19 @@ int main(int argc, char** argv) {
     const std::string label = std::to_string(point.ranks) + " ranks / " +
                               std::to_string(point.segments) + " segments";
     if (point.segments >= 4 && point.ranks >= 256) {
-      shape_check(hier < flat,
-                  "hier-mcast (" + Table::num(hier) +
-                      " us) beats flat mcast-binary (" + Table::num(flat) +
-                      " us) at " + label);
+      shape_check({.text = "hier-mcast (" + Table::num(hier) +
+                           " us) beats flat mcast-binary (" +
+                           Table::num(flat) + " us) at " + label,
+                   .lhs = flat,
+                   .rhs = hier,
+                   .min_ratio = 1.2});
     }
-    shape_check(hier < mpich, "hier-mcast (" + Table::num(hier) +
-                                  " us) beats mpich (" + Table::num(mpich) +
-                                  " us) at " + label);
+    shape_check({.text = "hier-mcast (" + Table::num(hier) +
+                         " us) beats mpich (" + Table::num(mpich) + " us) at " +
+                         label,
+                 .lhs = mpich,
+                 .rhs = hier,
+                 .strict = true});
   }
-  return 0;
+  return claims_exit_code();
 }

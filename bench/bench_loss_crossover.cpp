@@ -10,18 +10,16 @@
 // per rank count (9 and 16 switched hosts): the paper's single switch, and
 // a 2-segment cluster joined by a 2 ms trunk — the high-latency regime
 // where any recovery round trip costs four orders of magnitude more than a
-// LAN hop.  The machine-readable records carry the loss label, the
-// fault/recovery counters and the FEC parity counters, so the bench_diff
-// gate can enforce both headline claims: receiver-driven NACK recovery
-// overtakes sender-side ACK collection as loss rises
-// (--min-loss-advantage), and zero-round-trip FEC recovery overtakes the
-// NACK protocol on the slow trunk once loss is heavy enough to make NACK
-// round trips routine (--min-fec-advantage).  The zero-loss records pin
-// the fault path's zero-overhead default — and FEC's deterministic parity
-// cost (parity_sent > 0, parity_used == 0 on a clean wire).
+// LAN hop.  The machine-readable records are keyed by the loss label and
+// carry the fault/recovery counters and the FEC parity counters.  The
+// bench claims both headline crossovers: receiver-driven NACK recovery
+// overtakes sender-side ACK collection as loss rises, and zero-round-trip
+// FEC recovery overtakes the NACK protocol on the slow trunk once loss is
+// heavy enough to make NACK round trips routine.  The zero-loss records
+// pin the fault path's zero-overhead default — and FEC's deterministic
+// parity cost (parity_sent > 0, parity_used == 0 on a clean wire).
 #include <algorithm>
 #include <cstdint>
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -150,8 +148,7 @@ Measured measure_loss(int procs, const Topology& topo, const LossProfile& lp,
                               ? topo.trunk_latency * 3
                               : milliseconds(2);
 
-  const PayloadCounters payload_before = payload_counters();
-  const auto wall_start = std::chrono::steady_clock::now();
+  const PointMeter meter;
   const auto result = cluster::measure_collective(
       cluster, exp, [&v, silence](mpi::Proc& p, int) {
         configure_recovery(p, v, silence);
@@ -161,43 +158,20 @@ Measured measure_loss(int procs, const Topology& topo, const LossProfile& lp,
         }
         p.comm_world().coll().bcast(data, 0, v.engine);
       });
-  const auto wall_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - wall_start)
-                           .count();
-  const PayloadCounters payload_delta =
-      payload_counters().since(payload_before);
-
   Measured m;
   m.point = Point{result.latencies_us.median(), result.latencies_us.min(),
                   result.latencies_us.max()};
   m.sched = cluster.simulator().sched_counters();
-  record_bench(BenchRecord{
-      .op = "loss-bcast",
-      .algo = v.algo,
-      .network = cluster::to_string(config.network),
-      .ranks = procs,
-      .bytes = static_cast<std::int64_t>(kPayloadBytes),
-      .sim_time_us = m.point.median_us,
-      .wall_time_ms = wall_ms,
-      .events_scheduled = cluster.simulator().events_scheduled(),
-      .handoffs = cluster.simulator().handoffs(),
-      .payload_allocs = payload_delta.buffer_allocs,
-      .payload_copies = payload_delta.byte_copies,
-      // Single-segment records keep segments = 0 (field omitted from the
-      // JSON), so the pre-trunk baseline rows' keys are unchanged.
-      .segments = topo.segments > 1 ? topo.segments : 0,
-      .loss = lp.label,
-      .frames_dropped = m.sched.frames_dropped,
-      .frames_duplicated = m.sched.frames_duplicated,
-      .frames_reordered = m.sched.frames_reordered,
-      .nacks_sent = m.sched.nacks_sent,
-      .nacks_suppressed = m.sched.nacks_suppressed,
-      .retransmits = m.sched.retransmits,
-      .parity_sent = m.sched.parity_sent,
-      .parity_used = m.sched.parity_used,
-      .fec_decodes = m.sched.fec_decodes,
-      .fec_fallbacks = m.sched.fec_fallbacks,
-  });
+  Fields key{{"op", "loss-bcast"},
+             {"algo", v.algo},
+             {"network", cluster::to_string(config.network)},
+             {"ranks", procs},
+             {"bytes", kPayloadBytes}};
+  if (topo.segments > 1) {  // single-segment records predate the trunk axis
+    key.emplace_back("segments", topo.segments);
+  }
+  key.emplace_back("loss", lp.label);
+  meter.record(std::move(key), m.point.median_us, cluster.simulator());
   return m;
 }
 
@@ -312,36 +286,37 @@ int run(int argc, char** argv) {
 
   // The headline crossovers.  First the paper pair: receiver-driven NACK
   // recovery is no slower than sender-side ACK collection once loss
-  // reaches 1%, on the paper's single-segment testbed (the bench_diff gate
-  // re-checks this from the records; on the trunk topology the claim only
-  // re-emerges at heavy loss, so that sweep is gated on the FEC claim
-  // below instead).
+  // reaches 1%, on the paper's single-segment testbed (on the trunk
+  // topology the claim only re-emerges at heavy loss, so that sweep is
+  // held to the FEC claim below instead).
   for (std::size_t t = 0; t < rank_counts.size(); ++t) {
     for (std::size_t i : {std::size_t{2}, std::size_t{3}}) {
       const double ack = all[0][t][i][kAck].point.median_us;
       const double nack = all[0][t][i][kNack].point.median_us;
-      shape_check(nack <= ack,
-                  "nack-mcast <= ack-mcast at " + profiles[i].label +
-                      " loss, switch, " + std::to_string(rank_counts[t]) +
-                      " procs (" + Table::num(nack) + " vs " +
-                      Table::num(ack) + " us)");
+      shape_check({.text = "nack-mcast <= ack-mcast at " + profiles[i].label +
+                           " loss, switch, " + std::to_string(rank_counts[t]) +
+                           " procs (" + Table::num(nack) + " vs " +
+                           Table::num(ack) + " us)",
+                   .lhs = ack,
+                   .rhs = nack});
     }
   }
   // Then the FEC claim: on the 2 ms trunk at 5% loss, zero-round-trip
   // in-window recovery beats waiting out a NACK round trip — the
-  // best-configured FEC variant is no slower than nack-mcast (bench_diff
-  // re-checks via --min-fec-advantage).
+  // best-configured FEC variant is no slower than nack-mcast.
   for (std::size_t t = 0; t < rank_counts.size(); ++t) {
     const auto& row = all[1][t][3];
     const double nack = row[kNack].point.median_us;
     const double fec = std::min(row[kFec8].point.median_us,
                                 row[kFec4].point.median_us);
-    shape_check(fec <= nack,
-                "fec-mcast <= nack-mcast at 5% loss on the 2 ms trunk, " +
-                    std::to_string(rank_counts[t]) + " procs (" +
-                    Table::num(fec) + " vs " + Table::num(nack) + " us)");
+    shape_check({.text = "fec-mcast <= nack-mcast at 5% loss on the 2 ms "
+                         "trunk, " +
+                         std::to_string(rank_counts[t]) + " procs (" +
+                         Table::num(fec) + " vs " + Table::num(nack) + " us)",
+                 .lhs = nack,
+                 .rhs = fec});
   }
-  return 0;
+  return claims_exit_code();
 }
 
 }  // namespace

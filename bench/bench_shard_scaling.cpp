@@ -6,18 +6,15 @@
 // The workload (multicast broadcast + allreduce per repetition) floods
 // every segment, so all four shards stay busy.
 //
-// What the records claim (and tools/bench_diff.py enforces):
-//   * records differing only in `shards` have IDENTICAL simulated medians
-//     — sharded execution is bit-exact against the serial/1-shard result;
-//   * against the committed baseline, per-shard-count events/handoffs are
-//     deterministic like any other bench record;
-//   * with >= 4 hardware threads, wall(1 shard) / wall(4 shards) >= the
-//     gate's --min-shard-speedup (the run records hw_threads, so the gate
-//     self-disables on hosts that cannot physically run shards in
+// What the bench claims:
+//   * runs differing only in shard count have IDENTICAL per-repetition
+//     latencies — sharded execution is bit-exact against the 1-shard
+//     result;
+//   * with >= 4 hardware threads, wall(1 shard) / wall(4 shards) >= 2.0
+//     (skipped on hosts that cannot physically run the shards in
 //     parallel, e.g. single-core CI runners).
-#include <chrono>
-#include <thread>
-
+// Against the committed baseline, tools/bench_diff.py pins every
+// per-shard-count counter like any other bench record.
 #include "bench_util.hpp"
 #include "common/bytes.hpp"
 #include "net/counters.hpp"
@@ -32,14 +29,12 @@ int main(int argc, char** argv) {
 
   constexpr int kProcs = 16;
   constexpr int kSegments = 4;
-  const int hw_threads =
-      static_cast<int>(std::thread::hardware_concurrency());
   const std::vector<int> sizes = {16 * 1024, 64 * 1024};
 
   struct Measured {
     int shards;
     int bytes;
-    double median_us;
+    std::vector<double> latencies_us;
     double wall_ms;
   };
   std::vector<Measured> measured;
@@ -67,8 +62,7 @@ int main(int argc, char** argv) {
       exp.rep_interval = milliseconds(30);
 
       const auto bytes = static_cast<std::size_t>(size);
-      const PayloadCounters payload_before = payload_counters();
-      const auto wall_start = std::chrono::steady_clock::now();
+      const PointMeter meter;
       const auto result = cluster::measure_collective(
           cluster, exp, [bytes](mpi::Proc& p, int rep) {
             const mpi::Comm comm = p.comm_world();
@@ -82,34 +76,20 @@ int main(int argc, char** argv) {
             (void)comm.coll().allreduce(mine, mpi::Op::kMax,
                                         mpi::Datatype::kByte);
           });
-      const auto wall_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - wall_start)
-              .count();
-      const PayloadCounters payload_delta =
-          payload_counters().since(payload_before);
-
+      const double wall_ms = meter.wall_ms();
       const double median = result.latencies_us.median();
-      measured.push_back(Measured{static_cast<int>(shards), size, median,
-                                  wall_ms});
+      measured.push_back(Measured{static_cast<int>(shards), size,
+                                  result.latencies_us.values(), wall_ms});
       table.add_row({std::to_string(size), std::to_string(shards),
                      Table::num(median), Table::num(wall_ms),
                      std::to_string(cluster.simulator().events_scheduled()),
                      std::to_string(cluster.simulator().handoffs())});
-      record_bench(BenchRecord{
-          .op = "bcast+allreduce",
-          .network = "switch",
-          .ranks = kProcs,
-          .bytes = size,
-          .sim_time_us = median,
-          .wall_time_ms = wall_ms,
-          .events_scheduled = cluster.simulator().events_scheduled(),
-          .handoffs = cluster.simulator().handoffs(),
-          .payload_allocs = payload_delta.buffer_allocs,
-          .payload_copies = payload_delta.byte_copies,
-          .shards = static_cast<int>(shards),
-          .hw_threads = hw_threads,
-      });
+      meter.record({{"op", "bcast+allreduce"},
+                    {"network", "switch"},
+                    {"ranks", kProcs},
+                    {"bytes", size},
+                    {"shards", static_cast<int>(shards)}},
+                   median, cluster.simulator());
     }
   }
   print_table("Sharded-simulator scaling (16 ranks, 4 switch segments)",
@@ -118,39 +98,32 @@ int main(int argc, char** argv) {
   // Shape checks: determinism across shard counts always; the speedup
   // claim only where the host can actually run the shards in parallel.
   for (const int size : sizes) {
-    double median1 = 0;
-    bool identical = true;
-    double wall1 = 0;
-    double wall4 = 0;
+    const Measured* one_shard = nullptr;
+    const Measured* four_shards = nullptr;
     for (const Measured& m : measured) {
-      if (m.bytes != size) {
-        continue;
+      if (m.bytes == size && m.shards == 1) {
+        one_shard = &m;
       }
-      if (m.shards == 1) {
-        median1 = m.median_us;
-        wall1 = m.wall_ms;
-      }
-      if (m.shards == 4) {
-        wall4 = m.wall_ms;
+      if (m.bytes == size && m.shards == 4) {
+        four_shards = &m;
       }
     }
+    bool identical = true;
     for (const Measured& m : measured) {
-      identical = identical && (m.bytes != size || m.median_us == median1);
+      identical = identical && (m.bytes != size ||
+                                m.latencies_us == one_shard->latencies_us);
     }
     shape_check(identical,
-                "simulated medians at " + std::to_string(size) +
+                "simulated latencies at " + std::to_string(size) +
                     " B are bit-identical across 1/2/4 shards");
-    if (hw_threads >= 4) {
-      shape_check(wall4 * 2.0 <= wall1,
-                  "4 shards at least halve wall time at " +
-                      std::to_string(size) + " B (" + Table::num(wall1) +
-                      " -> " + Table::num(wall4) + " ms, " +
-                      std::to_string(hw_threads) + " hw threads)");
-    } else {
-      std::cout << "SHAPE CHECK skip — speedup needs >= 4 hardware threads "
-                   "(host has "
-                << hw_threads << ")\n";
-    }
+    shape_check({.text = "4 shards at least halve wall time at " +
+                         std::to_string(size) + " B (" +
+                         Table::num(one_shard->wall_ms) + " -> " +
+                         Table::num(four_shards->wall_ms) + " ms)",
+                 .lhs = one_shard->wall_ms,
+                 .rhs = four_shards->wall_ms,
+                 .min_ratio = 2.0,
+                 .min_hw_threads = 4});
   }
-  return 0;
+  return claims_exit_code();
 }

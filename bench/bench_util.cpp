@@ -1,11 +1,13 @@
 #include "bench_util.hpp"
 
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
+#include <iterator>
 #include <sstream>
-
-#include "common/bytes.hpp"
+#include <stdexcept>
+#include <thread>
+#include <type_traits>
 
 namespace mcmpi::bench {
 
@@ -45,11 +47,59 @@ void set_bench_name_from_argv0(const char* argv0) {
   }
 }
 
-}  // namespace
+void write_value(std::ostream& os, const JsonValue& value) {
+  std::visit(
+      [&os](const auto& v) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                     std::string>) {
+          os << '"' << json_escape(v) << '"';
+        } else {
+          os << v;
+        }
+      },
+      value);
+}
 
+void write_fields(std::ostream& os, const Fields& fields) {
+  os << '{';
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    os << (i > 0 ? ", " : "") << '"' << json_escape(fields[i].first)
+       << "\": ";
+    write_value(os, fields[i].second);
+  }
+  os << '}';
+}
+
+/// Counters that measure cost: bench_diff lets them fall against the
+/// baseline (reported as improvements) but never rise.  Every other counter
+/// must match its baseline exactly.
+constexpr const char* kCostCounters[] = {"events_scheduled", "handoffs",
+                                         "payload_allocs", "payload_copies",
+                                         "event_pool_misses"};
+
+/// Set by the first failed claim; claims_exit_code() reports it.
+bool any_claim_failed = false;
+
+/// Appends a record to the JSON dump.
 void record_bench(BenchRecord record) {
   json_state().records.push_back(std::move(record));
 }
+
+/// The deterministic counters of one simulated point: its simulated
+/// latency, the events scheduled, and every SchedCounters field.
+Fields sim_counters(double sim_time_us, const sim::Simulator& simulator) {
+  Fields counters{{"sim_time_us", sim_time_us},
+                  {"events_scheduled", simulator.events_scheduled()}};
+  const sim::SchedCounters sched = simulator.sched_counters();
+  sim::for_each_counter(
+      sched,
+      [&counters](const char* name, std::uint64_t value, sim::CounterMerge) {
+        counters.emplace_back(name, value);
+      });
+  return counters;
+}
+
+}  // namespace
 
 void flush_bench_json() {
   BenchJsonState& state = json_state();
@@ -57,74 +107,50 @@ void flush_bench_json() {
     return;
   }
   std::ostringstream os;
-  os << "[\n";
+  os << "{\"bench\": \"" << json_escape(state.name) << "\",\n"
+     << " \"cost_counters\": [";
+  for (std::size_t i = 0; i < std::size(kCostCounters); ++i) {
+    os << (i > 0 ? ", " : "") << '"' << kCostCounters[i] << '"';
+  }
+  os << "],\n \"records\": [\n";
   for (std::size_t i = 0; i < state.records.size(); ++i) {
     const BenchRecord& r = state.records[i];
-    os << "  {\"bench\": \"" << json_escape(state.name) << "\""
-       << ", \"op\": \"" << json_escape(r.op) << "\"";
-    if (!r.algo.empty()) {
-      // Only algorithm sweeps key records by algo; older benches fold the
-      // algorithm into op, and their baselines stay byte-identical.
-      os << ", \"algo\": \"" << json_escape(r.algo) << "\"";
-    }
-    os << ", \"network\": \"" << json_escape(r.network) << "\""
-       << ", \"ranks\": " << r.ranks << ", \"bytes\": " << r.bytes;
-    if (r.shards > 0) {
-      // Only the shard-scaling sweeps key records by shard count; other
-      // benches' baselines stay byte-identical.
-      os << ", \"shards\": " << r.shards
-         << ", \"hw_threads\": " << r.hw_threads;
-    }
-    if (r.segments > 0) {
-      // Only the topology-scaling sweeps key records by segment count;
-      // other benches' baselines stay byte-identical.
-      os << ", \"segments\": " << r.segments;
-    }
-    if (!r.driver.empty()) {
-      // Only throughput-mode benches key records by driver; other benches'
-      // baselines stay byte-identical.
-      os << ", \"driver\": \"" << json_escape(r.driver) << "\""
-         << ", \"p99_us\": " << r.p99_us
-         << ", \"coll_per_sec\": " << r.coll_per_sec
-         << ", \"collectives\": " << r.collectives
-         << ", \"event_pool_hits\": " << r.event_pool_hits
-         << ", \"event_pool_misses\": " << r.event_pool_misses;
-    }
-    if (r.window > 0) {
-      // Only the segmented-pipeline sweeps key records by window/lane;
-      // other benches' baselines stay byte-identical.
-      os << ", \"window\": " << r.window << ", \"lanes\": " << r.lanes
-         << ", \"chunk_sent\": " << r.chunk_sent
-         << ", \"chunk_acked\": " << r.chunk_acked
-         << ", \"chunk_retried\": " << r.chunk_retried
-         << ", \"chunk_peak_window\": " << r.chunk_peak_window;
-    }
-    if (!r.loss.empty()) {
-      // Only the fault-injection sweeps key records by loss profile; other
-      // benches' baselines stay byte-identical.
-      os << ", \"loss\": \"" << json_escape(r.loss) << "\""
-         << ", \"frames_dropped\": " << r.frames_dropped
-         << ", \"frames_duplicated\": " << r.frames_duplicated
-         << ", \"frames_reordered\": " << r.frames_reordered
-         << ", \"nacks_sent\": " << r.nacks_sent
-         << ", \"nacks_suppressed\": " << r.nacks_suppressed
-         << ", \"retransmits\": " << r.retransmits
-         << ", \"parity_sent\": " << r.parity_sent
-         << ", \"parity_used\": " << r.parity_used
-         << ", \"fec_decodes\": " << r.fec_decodes
-         << ", \"fec_fallbacks\": " << r.fec_fallbacks;
-    }
-    os << ", \"sim_time_us\": " << r.sim_time_us
-       << ", \"wall_time_ms\": " << r.wall_time_ms
-       << ", \"events_scheduled\": " << r.events_scheduled
-       << ", \"handoffs\": " << r.handoffs
-       << ", \"payload_allocs\": " << r.payload_allocs
-       << ", \"payload_copies\": " << r.payload_copies << "}"
+    os << "  {\"key\": ";
+    write_fields(os, r.key);
+    os << ", \"counters\": ";
+    write_fields(os, r.counters);
+    os << ", \"wall_time_ms\": " << r.wall_time_ms << "}"
        << (i + 1 < state.records.size() ? "," : "") << "\n";
   }
-  os << "]\n";
+  os << "]}\n";
   std::ofstream out("BENCH_" + state.name + ".json");
   out << os.str();
+}
+
+PointMeter::PointMeter()
+    : payload_before_(payload_counters()),
+      wall_start_(std::chrono::steady_clock::now()) {}
+
+double PointMeter::wall_ms() const {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - wall_start_)
+      .count();
+}
+
+PayloadCounters PointMeter::payload_delta() const {
+  return payload_counters().since(payload_before_);
+}
+
+void PointMeter::record(Fields key, double sim_time_us,
+                        const sim::Simulator& simulator, Fields extra) const {
+  const double wall = wall_ms();
+  const PayloadCounters payload = payload_delta();
+  Fields counters = sim_counters(sim_time_us, simulator);
+  counters.emplace_back("payload_allocs", payload.buffer_allocs);
+  counters.emplace_back("payload_copies", payload.byte_copies);
+  counters.insert(counters.end(), std::make_move_iterator(extra.begin()),
+                  std::make_move_iterator(extra.end()));
+  record_bench(BenchRecord{std::move(key), std::move(counters), wall});
 }
 
 BenchOptions BenchOptions::parse(int argc, char** argv,
@@ -135,21 +161,27 @@ BenchOptions BenchOptions::parse(int argc, char** argv,
     atexit_registered = true;
     std::atexit(flush_bench_json);
   }
-  Flags flags(argc, argv);
   BenchOptions options;
-  options.reps = static_cast<int>(
-      flags.get_int("reps", options.reps, "repetitions per point (paper: 20-30)"));
-  options.seed = static_cast<std::uint64_t>(
-      flags.get_int("seed", static_cast<std::int64_t>(options.seed),
-                    "simulation seed"));
-  options.csv = flags.get_bool("csv", false, "emit CSV instead of ASCII");
-  options.spread =
-      flags.get_bool("spread", false, "add min/max scatter columns");
-  if (flags.help_requested()) {
-    std::cout << flags.usage(description);
-    std::exit(0);
+  try {
+    Flags flags(argc, argv);
+    options.reps = static_cast<int>(flags.get_int(
+        "reps", options.reps, "repetitions per point (paper: 20-30)"));
+    options.seed = static_cast<std::uint64_t>(
+        flags.get_int("seed", static_cast<std::int64_t>(options.seed),
+                      "simulation seed"));
+    options.csv = flags.get_bool("csv", false, "emit CSV instead of ASCII");
+    options.spread =
+        flags.get_bool("spread", false, "add min/max scatter columns");
+    if (flags.help_requested()) {
+      std::cout << flags.usage(description);
+      std::exit(0);
+    }
+    flags.check_unknown();
+  } catch (const std::invalid_argument& e) {
+    // Exit 1 means "a claim failed"; a bad invocation must not look like one.
+    std::cerr << e.what() << '\n';
+    std::exit(2);
   }
-  flags.check_unknown();
   return options;
 }
 
@@ -191,8 +223,7 @@ std::vector<Point> measure_bcast_series(const BcastSeries& series,
         cluster_config(series.network, series.procs, options.seed));
     cluster::ExperimentConfig exp;
     exp.reps = options.reps;
-    const PayloadCounters payload_before = payload_counters();
-    const auto wall_start = std::chrono::steady_clock::now();
+    const PointMeter meter;
     const auto result = cluster::measure_collective(
         cluster, exp, [&series, size](mpi::Proc& p, int) {
           Buffer data;
@@ -201,25 +232,12 @@ std::vector<Point> measure_bcast_series(const BcastSeries& series,
           }
           p.comm_world().coll().bcast(data, 0, series.algo);
         });
-    const auto wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
-    const PayloadCounters payload_delta =
-        payload_counters().since(payload_before);
     points.push_back(to_point(result.latencies_us));
-    record_bench(BenchRecord{
-        .op = series.label,
-        .network = cluster::to_string(series.network),
-        .ranks = series.procs,
-        .bytes = size,
-        .sim_time_us = points.back().median_us,
-        .wall_time_ms = wall_ms,
-        .events_scheduled = cluster.simulator().events_scheduled(),
-        .handoffs = cluster.simulator().handoffs(),
-        .payload_allocs = payload_delta.buffer_allocs,
-        .payload_copies = payload_delta.byte_copies,
-    });
+    meter.record({{"op", series.label},
+                  {"network", cluster::to_string(series.network)},
+                  {"ranks", series.procs},
+                  {"bytes", size}},
+                 points.back().median_us, cluster.simulator());
   }
   return points;
 }
@@ -234,31 +252,17 @@ std::vector<Point> measure_barrier_series(cluster::NetworkType network,
     cluster::Cluster cluster(cluster_config(network, procs, options.seed));
     cluster::ExperimentConfig exp;
     exp.reps = options.reps;
-    const PayloadCounters payload_before = payload_counters();
-    const auto wall_start = std::chrono::steady_clock::now();
+    const PointMeter meter;
     const auto result = cluster::measure_collective(
         cluster, exp, [&algo](mpi::Proc& p, int) {
           p.comm_world().coll().barrier(algo);
         });
-    const auto wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
-    const PayloadCounters payload_delta =
-        payload_counters().since(payload_before);
     points.push_back(to_point(result.latencies_us));
-    record_bench(BenchRecord{
-        .op = "barrier/" + algo,
-        .network = cluster::to_string(network),
-        .ranks = procs,
-        .bytes = -1,
-        .sim_time_us = points.back().median_us,
-        .wall_time_ms = wall_ms,
-        .events_scheduled = cluster.simulator().events_scheduled(),
-        .handoffs = cluster.simulator().handoffs(),
-        .payload_allocs = payload_delta.buffer_allocs,
-        .payload_copies = payload_delta.byte_copies,
-    });
+    meter.record({{"op", "barrier/" + algo},
+                  {"network", cluster::to_string(network)},
+                  {"ranks", procs},
+                  {"bytes", -1}},
+                 points.back().median_us, cluster.simulator());
   }
   return points;
 }
@@ -300,10 +304,35 @@ void print_table(const std::string& title, const Table& table,
   table.print_ascii(std::cout);
 }
 
-void shape_check(bool ok, const std::string& text) {
-  std::cout << "SHAPE CHECK " << (ok ? "ok  " : "FAIL") << " — " << text
-            << '\n';
+void shape_check(const Claim& claim) {
+  const unsigned hw_threads = std::thread::hardware_concurrency();
+  if (hw_threads < claim.min_hw_threads) {
+    std::cout << "SHAPE CHECK skip — " << claim.text << " (needs >= "
+              << claim.min_hw_threads << " hardware threads, host has "
+              << hw_threads << ")\n";
+    return;
+  }
+  const double bound = claim.min_ratio * claim.rhs;
+  const bool ok = claim.strict ? claim.lhs > bound : claim.lhs >= bound;
+  any_claim_failed = any_claim_failed || !ok;
+  std::ostringstream line;
+  line << "SHAPE CHECK " << (ok ? "ok  " : "FAIL") << " — " << claim.text;
+  if (claim.rhs != 0) {
+    line << std::fixed << std::setprecision(2) << " ["
+         << claim.lhs / claim.rhs << "x, need "
+         << (claim.strict ? "> " : ">= ") << claim.min_ratio << "x]";
+  }
+  std::cout << line.str() << '\n';
 }
+
+void shape_check(bool holds, const std::string& text) {
+  shape_check(Claim{.text = text,
+                    .lhs = holds ? 1.0 : 0.0,
+                    .rhs = 0.0,
+                    .strict = true});
+}
+
+int claims_exit_code() { return any_claim_failed ? 1 : 0; }
 
 std::vector<int> paper_sizes(int step) {
   std::vector<int> sizes;

@@ -7,15 +7,22 @@
 /// the paper's methodology (cluster/experiment.hpp), prints the series as
 /// an aligned table (median of 20-30 reps per point, like the paper's
 /// median lines), and finishes with SHAPE CHECK lines — the qualitative
-/// claims the figure makes, evaluated against the fresh numbers.
+/// claims the figure makes, evaluated against the fresh numbers.  A bench
+/// exits 1 if any claim failed, 0 if every claim held or was skipped, and
+/// 2 on a bad invocation.
 
+#include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/experiment.hpp"
 #include "coll/facade.hpp"
+#include "common/bytes.hpp"
 #include "common/flags.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -37,82 +44,50 @@ struct BcastSeries {
 std::vector<std::string> registry_bcast_algos(
     const std::string& substring = "");
 
-/// One machine-readable measurement, dumped to BENCH_<binary>.json at exit
-/// so the perf trajectory (simulated latency, host wall time, event and
-/// payload-copy counts) is tracked across PRs.
-struct BenchRecord {
-  std::string op;        ///< series label / operation name
-  std::string algo;      ///< registry algorithm name ("" when folded into op)
-  std::string network;   ///< "hub", "switch", or "" when not applicable
-  int ranks = 0;
-  std::int64_t bytes = -1;           ///< payload bytes; -1 if n/a
-  double sim_time_us = 0;            ///< median simulated latency
-  double wall_time_ms = 0;           ///< host wall-clock for the whole point
-  std::uint64_t events_scheduled = 0;
-  std::uint64_t handoffs = 0;        ///< scheduler->process control transfers
-  std::uint64_t payload_allocs = 0;  ///< PayloadRef backing allocations
-  std::uint64_t payload_copies = 0;  ///< explicit payload byte copies
-  /// Simulator shard count for sharded-scaling sweeps; 0 everywhere else
-  /// (the fields below are then omitted from the JSON and old baselines
-  /// stay byte-identical).  Records differing only in `shards` must agree
-  /// on sim_time_us — bench_diff.py enforces it.
-  int shards = 0;
-  /// Segment count for topology-scaling sweeps (bench_hier_scaling); joins
-  /// the record key so the same (op, algo, ranks, bytes) point can appear
-  /// once per topology.  0 everywhere else — the field is then omitted from
-  /// the JSON and old baselines stay byte-identical.  Groups carrying both
-  /// a hierarchical and a flat algorithm feed the --min-hier-speedup gate.
-  int segments = 0;
-  /// std::thread::hardware_concurrency() at run time; lets the bench_diff
-  /// speedup gate skip hosts that cannot physically run the shards in
-  /// parallel.
-  int hw_threads = 0;
-  /// Throughput-mode fields (bench/throughput_mixed.cpp): the shard driver
-  /// name ("serial"/"parallel").  Empty everywhere else — the fields below
-  /// are then omitted from the JSON and old baselines stay byte-identical.
-  /// For throughput records sim_time_us carries the p50 completion latency.
-  std::string driver;
-  double p99_us = 0;           ///< p99 completion latency
-  double coll_per_sec = 0;     ///< collectives per virtual second
-  std::uint64_t collectives = 0;
-  std::uint64_t event_pool_hits = 0;    ///< recycled event-slot/node takes
-  std::uint64_t event_pool_misses = 0;  ///< fresh event-slot/node allocations
-  /// Segmented-pipeline fields (bench/bench_jumbo_bcast.cpp): the sliding
-  /// window and lane count the point ran with, plus the engine's chunk
-  /// counters (sim/sched_counters.hpp).  window = 0 everywhere else — the
-  /// fields below are then omitted from the JSON and old baselines stay
-  /// byte-identical.
-  int window = 0;
-  int lanes = 0;
-  std::uint64_t chunk_sent = 0;
-  std::uint64_t chunk_acked = 0;
-  std::uint64_t chunk_retried = 0;
-  std::uint64_t chunk_peak_window = 0;
-  /// Fault-injection fields (bench/bench_loss_crossover.cpp): the loss
-  /// profile label the point ran under ("0", "1%", "bursty", ...) plus the
-  /// fault and recovery counters (sim/sched_counters.hpp).  Empty
-  /// everywhere else — the fields below are then omitted from the JSON and
-  /// old baselines stay byte-identical.
-  std::string loss;
-  std::uint64_t frames_dropped = 0;
-  std::uint64_t frames_duplicated = 0;
-  std::uint64_t frames_reordered = 0;
-  std::uint64_t nacks_sent = 0;
-  std::uint64_t nacks_suppressed = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t parity_sent = 0;      ///< FEC parity frames multicast
-  std::uint64_t parity_used = 0;      ///< FEC parity rows consumed decoding
-  std::uint64_t fec_decodes = 0;      ///< FEC windows reconstructed
-  std::uint64_t fec_fallbacks = 0;    ///< FEC windows past parity -> NACK
-};
+/// A scalar in a record's key or counter map.
+using JsonValue =
+    std::variant<std::string, std::int64_t, std::uint64_t, double>;
+/// Named values in emission order.
+using Fields = std::vector<std::pair<std::string, JsonValue>>;
 
-/// Appends a record to the JSON dump (measure_* helpers call this for every
-/// point automatically; benches may add their own records).
-void record_bench(BenchRecord record);
+/// One machine-readable measurement, dumped to BENCH_<binary>.json at exit
+/// so the perf trajectory is tracked across PRs.  tools/bench_diff.py
+/// matches records by `key` and pins every counter against the committed
+/// baseline (bench/baselines/README.md).
+struct BenchRecord {
+  /// What was measured: op, algo, network, ranks, bytes, plus whatever
+  /// axis the bench sweeps (shards, driver, window, lanes, loss, segments).
+  Fields key;
+  /// Deterministic results: the simulated latency, the scheduler load,
+  /// every SchedCounters field, payload allocs and copies, and any
+  /// bench-specific deterministic figure (p99_us, collectives).
+  Fields counters;
+  /// Host wall-clock for the whole point; noisy, so gated only on the
+  /// file-level sum.
+  double wall_time_ms = 0;
+};
 
 /// Writes BENCH_<name>.json with all records so far.  Registered atexit by
 /// BenchOptions::parse; safe to call explicitly.
 void flush_bench_json();
+
+/// Host wall clock and payload-counter snapshot of one point, both started
+/// at construction.
+class PointMeter {
+ public:
+  PointMeter();
+  double wall_ms() const;
+  PayloadCounters payload_delta() const;
+  /// Records the finished point: its simulated latency, the events
+  /// scheduled, every SchedCounters field, the payload allocs and copies
+  /// since construction, then `extra` counters, and the wall time.
+  void record(Fields key, double sim_time_us,
+              const sim::Simulator& simulator, Fields extra = {}) const;
+
+ private:
+  PayloadCounters payload_before_;
+  std::chrono::steady_clock::time_point wall_start_;
+};
 
 /// Common CLI for every figure binary (--reps, --seed, --csv, --spread).
 struct BenchOptions {
@@ -121,7 +96,8 @@ struct BenchOptions {
   bool csv = false;
   bool spread = false;  // add min/max columns per series
 
-  /// Parses the shared flags; exits(0) on --help.
+  /// Parses the shared flags; exits 0 on --help and 2 (after printing the
+  /// parser's message) on a malformed or unknown flag.
   static BenchOptions parse(int argc, char** argv,
                             const std::string& description);
 };
@@ -156,8 +132,30 @@ Table make_figure_table(const std::string& x_name,
 void print_table(const std::string& title, const Table& table,
                  const BenchOptions& options);
 
-/// Emits one qualitative-claim verdict line: "SHAPE CHECK <ok|FAIL> — text".
-void shape_check(bool ok, const std::string& text);
+/// One qualitative claim of a figure, evaluated against the fresh numbers
+/// by one rule: lhs >= min_ratio * rhs, or lhs > min_ratio * rhs when
+/// strict.  "a is cheaper than b" is {lhs = b, rhs = a, strict}.
+struct Claim {
+  std::string text;
+  double lhs = 0;
+  double rhs = 0;
+  double min_ratio = 1.0;
+  bool strict = false;
+  /// Hardware threads the claim needs (wall-clock parallel speedups); on a
+  /// smaller host it is skipped and the reason printed.
+  unsigned min_hw_threads = 0;
+};
+
+/// Evaluates a claim and prints "SHAPE CHECK <ok|FAIL|skip> — text" with
+/// the measured ratio; a failure makes claims_exit_code() return 1.
+void shape_check(const Claim& claim);
+
+/// A plain boolean claim (results bit-identical, counts equal to a
+/// formula), through the same rule as {lhs = holds, rhs = 0, strict}.
+void shape_check(bool holds, const std::string& text);
+
+/// What every bench's main returns: 1 if any claim failed, else 0.
+int claims_exit_code();
 
 /// Payload sizes the paper sweeps: 0..5000 in steps of 250.
 std::vector<int> paper_sizes(int step = 250);

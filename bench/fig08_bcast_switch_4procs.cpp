@@ -28,14 +28,18 @@ int main(int argc, char** argv) {
                                 options.spread),
               options);
 
-  shape_check(points[0].front().median_us < points[1].front().median_us,
-              "MPICH wins at 0 bytes");
-  shape_check(points[1].back().median_us < points[0].back().median_us &&
-                  points[2].back().median_us < points[0].back().median_us,
-              "both multicast variants win at 5000 bytes");
+  shape_check({.text = "MPICH wins at 0 bytes",
+               .lhs = points[1].front().median_us,
+               .rhs = points[0].front().median_us,
+               .strict = true});
+  shape_check({.text = "both multicast variants win at 5000 bytes",
+               .lhs = points[0].back().median_us,
+               .rhs = std::max(points[1].back().median_us,
+                               points[2].back().median_us),
+               .strict = true});
   const int cross = crossover_size(sizes, points[2], points[0]);
   shape_check(cross > 0 && cross <= 2500,
               "crossover at a large-enough message size (measured " +
                   std::to_string(cross) + " B)");
-  return 0;
+  return claims_exit_code();
 }

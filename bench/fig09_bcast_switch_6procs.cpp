@@ -29,9 +29,13 @@ int main(int argc, char** argv) {
                                 options.spread),
               options);
 
-  shape_check(points[1].back().median_us < points[0].back().median_us,
-              "multicast-linear wins at 5000 bytes");
-  shape_check(points[2].back().median_us < points[0].back().median_us,
-              "multicast-binary wins at 5000 bytes");
-  return 0;
+  shape_check({.text = "multicast-linear wins at 5000 bytes",
+               .lhs = points[0].back().median_us,
+               .rhs = points[1].back().median_us,
+               .strict = true});
+  shape_check({.text = "multicast-binary wins at 5000 bytes",
+               .lhs = points[0].back().median_us,
+               .rhs = points[2].back().median_us,
+               .strict = true});
+  return claims_exit_code();
 }

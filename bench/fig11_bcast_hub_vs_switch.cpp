@@ -40,17 +40,22 @@ int main(int argc, char** argv) {
       ++hub_wins;
     }
   }
-  shape_check(hub_wins >= static_cast<int>(sizes.size()) - 2,
-              "multicast over hub beats multicast over switch at "
-              "essentially every size (" +
-                  std::to_string(hub_wins) + "/" +
-                  std::to_string(sizes.size()) + " points)");
+  shape_check({.text = "multicast over hub beats multicast over switch at "
+                       "essentially every size (" +
+                       std::to_string(hub_wins) + "/" +
+                       std::to_string(sizes.size()) + " points)",
+               .lhs = static_cast<double>(hub_wins),
+               .rhs = static_cast<double>(sizes.size() - 2)});
 
   // MPICH: hub better small, worse past ~3000 B.
-  shape_check(points[0].front().median_us < points[1].front().median_us,
-              "MPICH over hub is faster at small sizes");
-  shape_check(points[0].back().median_us > points[1].back().median_us,
-              "MPICH over hub is slower at 5000 B (medium saturates)");
+  shape_check({.text = "MPICH over hub is faster at small sizes",
+               .lhs = points[1].front().median_us,
+               .rhs = points[0].front().median_us,
+               .strict = true});
+  shape_check({.text = "MPICH over hub is slower at 5000 B (medium saturates)",
+               .lhs = points[0].back().median_us,
+               .rhs = points[1].back().median_us,
+               .strict = true});
 
   // Multicast beats MPICH for messages bigger than one Ethernet frame
   // (allowing one sweep step of quantization past the 1472 B boundary).
@@ -65,5 +70,5 @@ int main(int argc, char** argv) {
   }
   shape_check(mcast_wins_past_frame,
               "multicast beats MPICH for sizes beyond one Ethernet frame");
-  return 0;
+  return claims_exit_code();
 }

@@ -45,15 +45,19 @@ int main(int argc, char** argv) {
   const double linear_large = points[5].back().median_us -
                               points[3].back().median_us;
 
-  shape_check(points[5].back().median_us < points[2].back().median_us,
-              "linear multicast with 9 procs beats MPICH with 9 procs at "
-              "5000 B");
-  shape_check((linear_large - linear_small) * 2 <
-                  (mpich_large - mpich_small),
-              "linear's 3->9 extra cost is nearly size-independent (" +
-                  Table::num(linear_small) + " -> " +
-                  Table::num(linear_large) + " us) while MPICH's grows (" +
-                  Table::num(mpich_small) + " -> " + Table::num(mpich_large) +
-                  " us)");
-  return 0;
+  shape_check({.text = "linear multicast with 9 procs beats MPICH with 9 "
+                       "procs at 5000 B",
+               .lhs = points[2].back().median_us,
+               .rhs = points[5].back().median_us,
+               .strict = true});
+  shape_check({.text = "linear's 3->9 extra cost is nearly size-independent (" +
+                       Table::num(linear_small) + " -> " +
+                       Table::num(linear_large) +
+                       " us) while MPICH's grows (" + Table::num(mpich_small) +
+                       " -> " + Table::num(mpich_large) + " us)",
+               .lhs = mpich_large - mpich_small,
+               .rhs = linear_large - linear_small,
+               .min_ratio = 2.0,
+               .strict = true});
+  return claims_exit_code();
 }

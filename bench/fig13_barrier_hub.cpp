@@ -49,8 +49,10 @@ int main(int argc, char** argv) {
               "multicast barrier wins at every process count");
   const double gap_small = mpich.front().median_us - mcast.front().median_us;
   const double gap_large = mpich.back().median_us - mcast.back().median_us;
-  shape_check(gap_large > gap_small,
-              "the gap grows with N (" + Table::num(gap_small) + " us at 2 -> " +
-                  Table::num(gap_large) + " us at 9)");
-  return 0;
+  shape_check({.text = "the gap grows with N (" + Table::num(gap_small) +
+                       " us at 2 -> " + Table::num(gap_large) + " us at 9)",
+               .lhs = gap_large,
+               .rhs = gap_small,
+               .strict = true});
+  return claims_exit_code();
 }

@@ -6,8 +6,6 @@
 // are keyed by (op, algo, ranks, bytes), so a newly registered reduce or
 // scatter algorithm shows up as a new record without failing the gate,
 // while a semantics change to an existing one fails it.
-#include <chrono>
-
 #include "bench_util.hpp"
 #include "common/bytes.hpp"
 #include "mpi/group.hpp"
@@ -42,8 +40,7 @@ int main(int argc, char** argv) {
         cluster::ExperimentConfig exp;
         exp.reps = options.reps;
 
-        const PayloadCounters payload_before = payload_counters();
-        const auto wall_start = std::chrono::steady_clock::now();
+        const PointMeter meter;
         const auto result = cluster::measure_collective(
             cluster, exp, [op, bytes, &algo](mpi::Proc& p, int rep) {
               const mpi::Comm comm = p.comm_world();
@@ -64,33 +61,19 @@ int main(int argc, char** argv) {
                 (void)comm.coll().scatter(chunks, /*root=*/0, bytes, algo);
               }
             });
-        const auto wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - wall_start)
-                .count();
-        const PayloadCounters payload_delta =
-            payload_counters().since(payload_before);
-
         table.add_row({coll::to_string(op), algo, std::to_string(size),
                        Table::num(result.latencies_us.median()),
-                       Table::num(wall_ms)});
-        record_bench(BenchRecord{
-            .op = coll::to_string(op),
-            .algo = algo,
-            .network = "switch",
-            .ranks = kProcs,
-            .bytes = size,
-            .sim_time_us = result.latencies_us.median(),
-            .wall_time_ms = wall_ms,
-            .events_scheduled = cluster.simulator().events_scheduled(),
-            .handoffs = cluster.simulator().handoffs(),
-            .payload_allocs = payload_delta.buffer_allocs,
-            .payload_copies = payload_delta.byte_copies,
-        });
+                       Table::num(meter.wall_ms())});
+        meter.record({{"op", coll::to_string(op)},
+                      {"algo", algo},
+                      {"network", "switch"},
+                      {"ranks", kProcs},
+                      {"bytes", size}},
+                     result.latencies_us.median(), cluster.simulator());
       }
     }
   }
   print_table("Reduce/scatter algorithm sweep: 8 procs, switch", table,
               options);
-  return 0;
+  return claims_exit_code();
 }

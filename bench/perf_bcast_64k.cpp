@@ -9,8 +9,6 @@
 #include "common/bytes.hpp"
 #include "net/counters.hpp"
 
-#include <chrono>
-
 int main(int argc, char** argv) {
   using namespace mcmpi;
   using namespace mcmpi::bench;
@@ -36,8 +34,7 @@ int main(int argc, char** argv) {
     exp.reps = options.reps;
     const int total_reps = exp.warmup_reps + exp.reps;
 
-    const PayloadCounters payload_before = payload_counters();
-    const auto wall_start = std::chrono::steady_clock::now();
+    const PointMeter meter;
     const auto result = cluster::measure_collective(
         cluster, exp, [&label](mpi::Proc& p, int) {
           Buffer data;
@@ -46,12 +43,7 @@ int main(int argc, char** argv) {
           }
           p.comm_world().coll().bcast(data, 0, label);
         });
-    const auto wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
-    const PayloadCounters payload_delta =
-        payload_counters().since(payload_before);
+    const double wall_ms = meter.wall_ms();
 
     // SchedCounters reaches benches through net/counters.hpp, next to the
     // frame and payload counters it is reported alongside.
@@ -63,20 +55,13 @@ int main(int argc, char** argv) {
                    std::to_string(handoffs_per_coll),
                    std::to_string(sched.events_executed /
                                   static_cast<std::uint64_t>(total_reps))});
-    record_bench(BenchRecord{
-        .op = label + "/64KiB",
-        .network = "switch",
-        .ranks = kProcs,
-        .bytes = kBytes,
-        .sim_time_us = result.latencies_us.median(),
-        .wall_time_ms = wall_ms,
-        .events_scheduled = cluster.simulator().events_scheduled(),
-        .handoffs = cluster.simulator().handoffs(),
-        .payload_allocs = payload_delta.buffer_allocs,
-        .payload_copies = payload_delta.byte_copies,
-    });
+    meter.record({{"op", label + "/64KiB"},
+                  {"network", "switch"},
+                  {"ranks", kProcs},
+                  {"bytes", kBytes}},
+                 result.latencies_us.median(), cluster.simulator());
   }
   print_table("Scheduler cost: 64 KiB MPI_Bcast, 9 procs, switch", table,
               options);
-  return 0;
+  return claims_exit_code();
 }

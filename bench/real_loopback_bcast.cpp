@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -91,15 +92,23 @@ double measure(posix::RealCluster& cluster, int bytes, int reps, int which) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
-  const auto ranks = static_cast<int>(flags.get_int("ranks", 6, "rank threads"));
-  const auto reps = static_cast<int>(flags.get_int("reps", 15, "reps per size"));
-  const bool csv = flags.get_bool("csv", false, "emit CSV");
-  if (flags.help_requested()) {
-    std::cout << flags.usage("real loopback broadcast latency");
-    return 0;
+  int ranks = 6;
+  int reps = 15;
+  bool csv = false;
+  try {
+    Flags flags(argc, argv);
+    ranks = static_cast<int>(flags.get_int("ranks", ranks, "rank threads"));
+    reps = static_cast<int>(flags.get_int("reps", reps, "reps per size"));
+    csv = flags.get_bool("csv", csv, "emit CSV");
+    if (flags.help_requested()) {
+      std::cout << flags.usage("real loopback broadcast latency");
+      return 0;
+    }
+    flags.check_unknown();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << '\n';
+    return 2;  // a bad invocation
   }
-  flags.check_unknown();
 
   if (!posix::RealUdpSocket::loopback_multicast_available()) {
     std::cout << "real_loopback_bcast: loopback multicast unavailable in "

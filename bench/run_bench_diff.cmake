@@ -1,5 +1,6 @@
-# CTest driver for the bench_diff perf gate: runs the quick scheduler bench
-# fresh, then diffs its BENCH_*.json against the committed baselines.
+# CTest driver for the bench_diff perf gate: runs the pinned benches fresh
+# (each bench also evaluates its own SHAPE CHECK claims), then diffs their
+# BENCH_*.json against the committed baselines.
 #
 # Invoked as:
 #   cmake -DBENCH_EXES=<exe1;exe2> -DBENCH_ARGS=--reps=10 -DPYTHON=...
@@ -10,26 +11,56 @@
 # (e.g. "path/micro_collectives_sweep::--reps=12"), appended after the
 # shared BENCH_ARGS — sweeps whose baselines were taken at a different rep
 # count than the figure benches declare it here.
+#
+# Every bench runs and the diff runs even when an earlier step failed; the
+# target then fails naming each bench that exited non-zero (1 = a claim
+# failed, 2 = bad invocation) with its SHAPE CHECK FAIL lines.  Each
+# bench's output is kept in WORK_DIR/<bench>.log (warm pass) and
+# WORK_DIR/<bench>.pass0.log (cold pass).
 
 file(MAKE_DIRECTORY ${WORK_DIR})
 
-set(BENCH_EXE_PATHS)
+set(require_args)
+set(failure_text "")
 foreach(exe ${BENCH_EXES})
   string(REPLACE "::" ";" exe_parts "${exe}")
   list(POP_FRONT exe_parts exe_path)
-  list(APPEND BENCH_EXE_PATHS ${exe_path})
-  # Twice: the first run warms the page cache and allocator, the second
-  # overwrites BENCH_*.json with representative wall times.
-  foreach(pass RANGE 1)
-    execute_process(
-      COMMAND ${exe_path} ${BENCH_ARGS} ${exe_parts}
-      WORKING_DIRECTORY ${WORK_DIR}
-      RESULT_VARIABLE bench_rc
-      OUTPUT_QUIET)
-    if(NOT bench_rc EQUAL 0)
-      message(FATAL_ERROR "bench run failed (${exe_path}): rc=${bench_rc}")
-    endif()
-  endforeach()
+  get_filename_component(exe_name ${exe_path} NAME)
+  # Every bench the gate runs must have produced its JSON (bench name =
+  # executable name).
+  list(APPEND require_args --require BENCH_${exe_name}.json)
+  # Twice: the first (cold) run warms the page cache and allocator, the
+  # second overwrites BENCH_*.json with representative wall times.  The
+  # cold pass keeps its output in <bench>.pass0.log and fails the gate on
+  # any exit but 0 or 1 (a crash, an abort, a bad invocation); its claim
+  # verdict (exit 1) is left to the warm pass, whose wall-speedup claims
+  # are the representative ones.
+  execute_process(
+    COMMAND ${exe_path} ${BENCH_ARGS} ${exe_parts}
+    WORKING_DIRECTORY ${WORK_DIR}
+    RESULT_VARIABLE cold_rc
+    OUTPUT_FILE ${WORK_DIR}/${exe_name}.pass0.log
+    ERROR_FILE ${WORK_DIR}/${exe_name}.pass0.log)
+  if(NOT (cold_rc EQUAL 0 OR cold_rc EQUAL 1))
+    string(APPEND failure_text
+           "\n  ${exe_name} exited ${cold_rc} on the cold pass"
+           " (${WORK_DIR}/${exe_name}.pass0.log)")
+  endif()
+  execute_process(
+    COMMAND ${exe_path} ${BENCH_ARGS} ${exe_parts}
+    WORKING_DIRECTORY ${WORK_DIR}
+    RESULT_VARIABLE bench_rc
+    OUTPUT_FILE ${WORK_DIR}/${exe_name}.log
+    ERROR_FILE ${WORK_DIR}/${exe_name}.log)
+  if(NOT bench_rc EQUAL 0)
+    string(APPEND failure_text
+           "\n  ${exe_name} exited ${bench_rc} (${WORK_DIR}/${exe_name}.log)")
+    file(STRINGS ${WORK_DIR}/${exe_name}.log fail_lines
+         REGEX "SHAPE CHECK FAIL" ENCODING UTF-8)
+    foreach(line ${fail_lines})
+      string(APPEND failure_text "\n    ${line}")
+    endforeach()
+  endif()
 endforeach()
 
 # Wall baselines are taken on the reference machine (bench/baselines/
@@ -41,57 +72,17 @@ else()
   set(wall_tolerance 0.10)
 endif()
 
-# Every bench the gate runs must have produced its JSON (bench name =
-# executable name).
-set(require_args)
-foreach(exe ${BENCH_EXE_PATHS})
-  get_filename_component(exe_name ${exe} NAME)
-  list(APPEND require_args --require BENCH_${exe_name}.json)
-endforeach()
-
-# Sharded-scaling gate: require this wall speedup at the highest shard
-# count (the diff script skips the check on hosts without enough hardware
-# threads; determinism checks always run).
-set(speedup_args)
-if(DEFINED MIN_SHARD_SPEEDUP)
-  set(speedup_args --min-shard-speedup ${MIN_SHARD_SPEEDUP})
-endif()
-# Throughput-mode gate: the parallel shard driver must clear this ratio of
-# the serial driver's wall-clock collectives/sec (hw-gated the same way).
-if(DEFINED MIN_DRIVER_SPEEDUP)
-  list(APPEND speedup_args --min-driver-speedup ${MIN_DRIVER_SPEEDUP})
-endif()
-# Segmented-pipeline gate: the pipelined (largest-window) run must beat the
-# lockstep one by this simulated-median ratio, and striping must strictly
-# help at window 1 (deterministic — never hw-gated).
-if(DEFINED MIN_PIPELINE_SPEEDUP)
-  list(APPEND speedup_args --min-pipeline-speedup ${MIN_PIPELINE_SPEEDUP})
-endif()
-# Loss-crossover gate: at >= 1% injected loss the NACK protocol's simulated
-# median must be no worse than this ratio of the ACK protocol's
-# (deterministic — never hw-gated).
-if(DEFINED MIN_LOSS_ADVANTAGE)
-  list(APPEND speedup_args --min-loss-advantage ${MIN_LOSS_ADVANTAGE})
-endif()
-# FEC-crossover gate: at >= 5% injected loss behind a multi-segment trunk
-# the best fec-mcast variant's simulated median must be within 1/R of
-# nack-mcast's (deterministic — never hw-gated).
-if(DEFINED MIN_FEC_ADVANTAGE)
-  list(APPEND speedup_args --min-fec-advantage ${MIN_FEC_ADVANTAGE})
-endif()
-# Hierarchical-crossover gate: past 4 segments / 256 ranks the hierarchical
-# bcast's simulated median must beat the flat multicast tree's by this
-# ratio (deterministic — never hw-gated).
-if(DEFINED MIN_HIER_SPEEDUP)
-  list(APPEND speedup_args --min-hier-speedup ${MIN_HIER_SPEEDUP})
-endif()
-
 execute_process(
   COMMAND ${PYTHON} ${DIFF_SCRIPT}
           --baseline ${BASELINE_DIR} --fresh ${WORK_DIR}
           --wall-tolerance ${wall_tolerance}
-          ${require_args} ${speedup_args}
+          ${require_args}
   RESULT_VARIABLE diff_rc)
+
 if(NOT diff_rc EQUAL 0)
-  message(FATAL_ERROR "bench_diff reported a regression (rc=${diff_rc})")
+  string(APPEND failure_text
+         "\n  bench_diff reported a regression (rc=${diff_rc})")
+endif()
+if(failure_text)
+  message(FATAL_ERROR "bench gate failed:${failure_text}")
 endif()

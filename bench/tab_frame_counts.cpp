@@ -107,5 +107,5 @@ int main(int argc, char** argv) {
 
   shape_check(all_match, "every measured frame count equals the paper's "
                          "closed-form expression");
-  return all_match ? 0 : 1;
+  return claims_exit_code();
 }

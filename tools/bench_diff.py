@@ -2,78 +2,32 @@
 """Perf-trajectory gate: diff freshly emitted BENCH_*.json against committed
 baselines.
 
-Every bench binary dumps BENCH_<name>.json (op, ranks, bytes, simulated
-median, host wall time, events, handoffs, payload alloc/copy counts).  This
-script compares a fresh run against the baselines committed under
-bench/baselines/ and fails on:
+Every bench binary dumps BENCH_<name>.json (bench/bench_util.hpp):
 
-  * any simulated-median change        (the simulation is deterministic; a
-                                        changed median is a semantics change,
-                                        not a perf regression)
-  * any payload alloc/copy regression  (the zero-copy pipeline is structural:
-                                        counts may only go down)
-  * any events/handoffs regression     (scheduler load is deterministic too)
-  * > --wall-tolerance aggregate wall-time regression per bench file
-                                       (wall time is noisy per point, so the
-                                        gate is on the file-level sum)
+  {"bench": <name>,
+   "cost_counters": [<counter>, ...],
+   "records": [{"key": {...}, "counters": {...}, "wall_time_ms": <ms>}, ...]}
 
-Sharded-simulator records (the bench_shard_scaling sweep) carry a `shards`
-field and two extra rules:
+Records are matched by their key map.  This script compares a fresh run
+against the baselines committed under bench/baselines/ and fails on:
 
-  * records differing only in `shards` (or shard driver) must agree on
-    sim_time_us — the sharded run is bit-identical to the serial one,
-    enforced per fresh run;
-  * with --min-shard-speedup R, wall(min shards) / wall(max shards) >= R
-    per point — but only when the fresh run's hw_threads covers the max
-    shard count, so single-core CI hosts skip the claim instead of failing
-    it (per-shard-count counters are still compared exactly).
+  * any counter that differs from its baseline value (the simulation is
+    deterministic, so a changed counter is a semantics change, not noise) —
+    except the file's cost counters, which may fall (reported as IMPROVED)
+    but never rise;
+  * a baseline record or counter missing from the fresh run;
+  * a fresh record or counter with no baseline value ("not pinned");
+  * a key that appears twice in one file;
+  * a --require'd bench file missing from the fresh run;
+  * > --wall-tolerance aggregate wall-time growth per bench file (wall time
+    is noisy per point, so the gate is on the file-level sum over the
+    baseline records that carry a wall time).
 
-Throughput-mode records (bench/throughput_mixed.cpp) additionally carry a
-`driver` field plus p99/throughput figures, with three rules of their own:
+The benches' qualitative claims (SHAPE CHECK lines) are not checked here:
+each bench evaluates its own claims and exits 1 when one fails.
 
-  * p99_us and the collectives count are deterministic and compared
-    exactly against the baseline, like sim_time_us;
-  * with --min-driver-speedup R, the parallel driver's wall-clock
-    coll_per_sec must be >= R x the serial driver's at the highest shard
-    count — compared within the fresh run only (never against a baseline:
-    wall throughput is host-dependent) and skipped when hw_threads does
-    not cover the shard count;
-  * records whose algo is "pooled" must show strictly fewer payload_allocs
-    than the matching "no-pool" reference (fresh run only).
-
-Segmented-pipeline records (bench/bench_jumbo_bcast.cpp) carry `window` and
-`lanes` fields, with two deterministic sim-time rules (no hardware gating —
-simulated medians do not depend on the host):
-
-  * with --min-pipeline-speedup R, at each record family's largest payload
-    the lockstep run (smallest window) must be >= R x slower than the
-    pipelined run (largest window), per (op, algo, network, ranks) on the
-    single-lane records (multi-lane runs already overlap via striping, so
-    the window has little left to win there);
-  * at window 1 and the largest payload, striping must strictly help:
-    sim(max lanes) < sim(1 lane), per (op, algo, network, ranks).
-
-Fault-injection records (bench/bench_loss_crossover.cpp) carry a `loss`
-field plus the injected/recovery counters (all compared exactly) and two
-deterministic sim-time rules:
-
-  * with --min-loss-advantage R, nack-mcast must be within 1/R of
-    ack-mcast at every single-segment point with >= 1% injected loss;
-  * with --min-fec-advantage R, the best fec-mcast variant must be within
-    1/R of nack-mcast at >= 5% loss on multi-segment (slow-trunk)
-    topologies — the zero-round-trip in-window recovery claim.
-
-Segmented-topology records (bench/bench_hier_scaling.cpp) carry a `segments`
-field with one deterministic sim-time rule:
-
-  * with --min-hier-speedup R, the hierarchical bcast (hier-mcast) must be
-    >= R x faster than the flat multicast tree (mcast-binary) in simulated
-    median at every point with >= 4 segments and >= 256 ranks — the
-    paper-style crossover where the flat tree pays the slow trunks
-    O(log N) times and the hierarchy pays each once.
-
-Improvements are reported and do NOT fail; refresh the baselines in the same
-PR that makes them (see bench/baselines/README.md).
+Improvements do NOT fail; refresh the baselines in the same PR that makes
+them (see bench/baselines/README.md).
 
 Usage:
   tools/bench_diff.py --baseline bench/baselines --fresh <dir> [options]
@@ -85,310 +39,73 @@ import os
 import sys
 
 
-def load_records(path):
-    with open(path) as f:
-        records = json.load(f)
-    by_key = {}
-    for r in records:
-        # Algorithm sweeps emit several records per (op, ranks, bytes) point
-        # — one per registry algorithm — so the algo field joins the key;
-        # sharded-scaling sweeps likewise key by shard count.  Older benches
-        # fold the algorithm into op and carry neither field.
-        key = (r.get("op"), r.get("algo"), r.get("network"), r.get("ranks"),
-               r.get("bytes"), r.get("shards"), r.get("driver"),
-               r.get("window"), r.get("lanes"), r.get("loss"),
-               r.get("segments"))
-        # Last record wins for duplicate keys (benches append per point).
-        by_key[key] = r
-    return by_key
-
-
 def fmt_key(key):
-    (op, algo, network, ranks, nbytes, shards, driver, window, lanes, loss,
-     segments) = key
-    label = f"{op}/{algo}" if algo else op
-    suffix = f", {shards} shards" if shards else ""
-    if driver:
-        suffix += f", {driver} driver"
-    if window:
-        suffix += f", window {window}, {lanes} lane(s)"
-    if loss is not None:
-        suffix += f", loss {loss}"
-    if segments:
-        suffix += f", {segments} segments"
-    return f"{label} [{network}, {ranks} ranks, {nbytes} B{suffix}]"
+    return "[" + ", ".join(f"{k}={v}" for k, v in key.items()) + "]"
 
 
-def check_shard_records(name, fresh, min_speedup, failures):
-    """Cross-(shards, driver) determinism + (hardware permitting) speedup."""
-    groups = {}
-    for key, r in fresh.items():
-        if key[5]:  # shards field present and non-zero
-            groups.setdefault(key[:5], {})[(key[5], key[6])] = r
-    for point, by_config in sorted(groups.items()):
-        if len(by_config) < 2:
-            continue
-        medians = {c: r["sim_time_us"] for c, r in by_config.items()}
-        if len(set(medians.values())) != 1:
+def load_records(path, failures):
+    """Returns (cost counter names, {key identity: record}) for one file;
+    a duplicate key is a failure (the file cannot say which one it pins)."""
+    with open(path) as f:
+        doc = json.load(f)
+    records = {}
+    for r in doc["records"]:
+        identity = json.dumps(r["key"], sort_keys=True)
+        if identity in records:
+            failures.append(f"{os.path.basename(path)}: {fmt_key(r['key'])} "
+                            f"duplicate key in {path}")
+        records[identity] = r
+    return set(doc.get("cost_counters", [])), records
+
+
+def diff_counters(label, cost, base, fresh, failures, improvements):
+    for counter, value in base.items():
+        if counter not in fresh:
+            failures.append(f"{label} {counter} missing from fresh run")
+        elif counter in cost and fresh[counter] < value:
+            improvements.append(
+                f"{label} {counter} improved {value} -> {fresh[counter]}")
+        elif counter in cost and fresh[counter] > value:
             failures.append(
-                f"{name}: {point} simulated medians differ across shard "
-                f"counts/drivers {medians} (sharded determinism break)")
-        p99s = {c: r["p99_us"] for c, r in by_config.items() if "p99_us" in r}
-        if len(set(p99s.values())) > 1:
-            failures.append(
-                f"{name}: {point} p99 latencies differ across shard "
-                f"counts/drivers {p99s} (sharded determinism break)")
-        if min_speedup <= 0:
-            continue
-        # Wall speedup across shard counts, legacy (driver-less) records
-        # only: throughput records have their own driver-vs-driver gate.
-        by_shards = {c[0]: r for c, r in by_config.items() if not c[1]}
-        if len(by_shards) < 2:
-            continue
-        low, high = min(by_shards), max(by_shards)
-        hw = by_shards[high].get("hw_threads", 0)
-        if hw < high:
-            print(f"bench_diff: {name} {point} speedup check skipped "
-                  f"({hw} hw thread(s) < {high} shards)")
-            continue
-        wall_low = by_shards[low]["wall_time_ms"]
-        wall_high = by_shards[high]["wall_time_ms"]
-        if wall_high <= 0 or wall_low < wall_high * min_speedup:
-            failures.append(
-                f"{name}: {point} wall speedup at {high} shards is "
-                f"{wall_low / wall_high if wall_high > 0 else 0:.2f}x "
-                f"(< required {min_speedup:.2f}x; "
-                f"{wall_low:.1f} -> {wall_high:.1f} ms)")
-        else:
-            print(f"bench_diff: {name} {point} {high}-shard speedup "
-                  f"{wall_low / wall_high:.2f}x (>= {min_speedup:.2f}x)")
+                f"{label} {counter} regressed {value} -> {fresh[counter]}")
+        elif fresh[counter] != value:
+            failures.append(f"{label} {counter} changed {value} -> "
+                            f"{fresh[counter]} (determinism break)")
+    for counter in fresh.keys() - base.keys():
+        failures.append(f"{label} {counter} not pinned (no baseline value)")
 
 
-def check_driver_records(name, fresh, min_driver_speedup, failures):
-    """Throughput-mode rules: parallel-vs-serial wall throughput and the
-    pooled-allocation reduction, both within the fresh run only."""
-    # Driver speedup: same (op, algo, network, ranks, bytes, shards), the
-    # parallel driver against the serial one at the highest shard count.
-    families = {}
-    for key, r in fresh.items():
-        if key[6]:  # driver field present
-            families.setdefault(key[:5], {}).setdefault(key[5], {})[key[6]] = r
-    for point, by_shards in sorted(families.items()):
-        if min_driver_speedup <= 0 or not by_shards:
-            break
-        high = max(by_shards)
-        drivers = by_shards[high]
-        if "serial" not in drivers or "parallel" not in drivers:
+def diff_file(name, base_path, fresh_path, wall_tolerance, failures,
+              improvements):
+    cost, base = load_records(base_path, failures)
+    _, fresh = load_records(fresh_path, failures)
+    base_wall = 0.0
+    fresh_wall = 0.0
+    for identity, b in base.items():
+        label = f"{name}: {fmt_key(b['key'])}"
+        f = fresh.get(identity)
+        if f is None:
+            failures.append(f"{label} missing from fresh run")
             continue
-        hw = drivers["parallel"].get("hw_threads", 0)
-        if hw < high:
-            print(f"bench_diff: {name} {point} driver speedup check "
-                  f"skipped ({hw} hw thread(s) < {high} shards)")
-            continue
-        serial_cps = drivers["serial"].get("coll_per_sec", 0)
-        parallel_cps = drivers["parallel"].get("coll_per_sec", 0)
-        if serial_cps <= 0 or parallel_cps < serial_cps * min_driver_speedup:
-            failures.append(
-                f"{name}: {point} parallel driver throughput at {high} "
-                f"shards is "
-                f"{parallel_cps / serial_cps if serial_cps > 0 else 0:.2f}x "
-                f"serial (< required {min_driver_speedup:.2f}x; "
-                f"{serial_cps:.0f} -> {parallel_cps:.0f} coll/s)")
-        else:
-            print(f"bench_diff: {name} {point} parallel driver "
-                  f"{parallel_cps / serial_cps:.2f}x serial throughput "
-                  f"(>= {min_driver_speedup:.2f}x)")
+        if "wall_time_ms" in b:
+            base_wall += b["wall_time_ms"]
+            fresh_wall += f["wall_time_ms"]
+        diff_counters(label, cost, b["counters"], f["counters"], failures,
+                      improvements)
+    for identity, f in fresh.items():
+        if identity not in base:
+            failures.append(f"{name}: {fmt_key(f['key'])} not pinned "
+                            f"(no baseline record)")
 
-    # Pool reduction: every "pooled" record must allocate strictly fewer
-    # payload buffers than the matching "no-pool" reference.
-    points = {}
-    for key, r in fresh.items():
-        if key[6] and key[1] in ("pooled", "no-pool"):
-            group = (key[0], key[2], key[3], key[4])
-            points.setdefault(group, {}).setdefault(key[1], []).append(r)
-    for group, by_algo in sorted(points.items()):
-        if "pooled" not in by_algo or "no-pool" not in by_algo:
-            continue
-        pooled_max = max(r["payload_allocs"] for r in by_algo["pooled"])
-        plain_min = min(r["payload_allocs"] for r in by_algo["no-pool"])
-        if pooled_max >= plain_min:
-            failures.append(
-                f"{name}: {group} pooled payload_allocs {pooled_max} not "
-                f"below the no-pool reference {plain_min}")
-        else:
-            print(f"bench_diff: {name} {group} pooling cuts payload_allocs "
-                  f"{plain_min} -> {pooled_max}")
-
-
-def check_pipeline_records(name, fresh, min_pipeline_speedup, failures):
-    """Sliding-window and striping claims over segmented-pipeline records.
-
-    Both rules compare simulated medians within the fresh run, so they are
-    deterministic and never hardware-gated."""
-    if min_pipeline_speedup <= 0:
-        return
-    # Pipelining: per (op, algo, network, ranks) at the largest payload,
-    # lockstep (min window) vs pipelined (max window).  Single-lane records
-    # only: with striping the lanes already overlap ack latencies, so the
-    # window has little left to win and the ratio claim belongs to lane 1.
-    families = {}
-    for key, r in fresh.items():
-        if key[7] and key[8] == 1:  # window present, single lane
-            family = (key[0], key[1], key[2], key[3])
-            families.setdefault(family, {}).setdefault(key[4], {})[key[7]] = r
-    for family, by_bytes in sorted(families.items()):
-        top = max(by_bytes)
-        by_window = by_bytes[top]
-        if len(by_window) < 2:
-            continue
-        low, high = min(by_window), max(by_window)
-        lockstep = by_window[low]["sim_time_us"]
-        pipelined = by_window[high]["sim_time_us"]
-        if pipelined <= 0 or lockstep < pipelined * min_pipeline_speedup:
-            failures.append(
-                f"{name}: {family} at {top} B: window-{high} pipeline is "
-                f"{lockstep / pipelined if pipelined > 0 else 0:.2f}x over "
-                f"window-{low} (< required {min_pipeline_speedup:.2f}x; "
-                f"{lockstep:.1f} vs {pipelined:.1f} us)")
-        else:
-            print(f"bench_diff: {name} {family} at {top} B: window-{high} "
-                  f"pipeline {lockstep / pipelined:.2f}x over window-{low} "
-                  f"(>= {min_pipeline_speedup:.2f}x)")
-    # Striping: per (op, algo, network, ranks) at window 1 and the largest
-    # payload, more lanes must be strictly faster than one lane.
-    lane_families = {}
-    for key, r in fresh.items():
-        if key[7] == 1 and key[8]:
-            family = (key[0], key[1], key[2], key[3])
-            lane_families.setdefault(family, {}).setdefault(key[4], {})[
-                key[8]] = r
-    for family, by_bytes in sorted(lane_families.items()):
-        top = max(by_bytes)
-        by_lanes = by_bytes[top]
-        if len(by_lanes) < 2:
-            continue
-        low, high = min(by_lanes), max(by_lanes)
-        single = by_lanes[low]["sim_time_us"]
-        striped = by_lanes[high]["sim_time_us"]
-        if striped >= single:
-            failures.append(
-                f"{name}: {family} at {top} B: {high} lanes ({striped:.1f} "
-                f"us) not strictly faster than {low} lane(s) "
-                f"({single:.1f} us) at window 1")
-        else:
-            print(f"bench_diff: {name} {family} at {top} B: {high} lanes "
-                  f"{single / striped:.2f}x over {low} lane(s) at window 1")
-
-
-def check_loss_records(name, fresh, min_loss_advantage, failures):
-    """Loss-crossover claim over fault-injection records: at >= 1% injected
-    link loss, the receiver-driven NACK protocol's simulated median must be
-    no worse than 1/R of the sender-driven ACK protocol's.  Simulated
-    medians only — deterministic, never hardware-gated."""
-    if min_loss_advantage <= 0:
-        return
-    points = {}
-    for key, r in fresh.items():
-        if key[9] is None:
-            continue
-        loss_label = key[9]
-        if not loss_label.endswith("%"):
-            continue  # "0" and named profiles (e.g. "bursty") are not gated
-        if float(loss_label[:-1]) / 100.0 < 0.01:
-            continue
-        if key[10]:
-            # The ack-vs-nack claim is the paper's single-segment one; the
-            # multi-segment (slow-trunk) sweep is gated by the FEC rule.
-            continue
-        group = (key[0], key[2], key[3], key[4], loss_label)
-        points.setdefault(group, {})[key[1]] = r
-    for group, by_algo in sorted(points.items()):
-        if "ack-mcast" not in by_algo or "nack-mcast" not in by_algo:
-            continue
-        ack = by_algo["ack-mcast"]["sim_time_us"]
-        nack = by_algo["nack-mcast"]["sim_time_us"]
-        if nack <= 0 or ack < nack * min_loss_advantage:
-            failures.append(
-                f"{name}: {group} nack-mcast is only "
-                f"{ack / nack if nack > 0 else 0:.2f}x over ack-mcast "
-                f"(< required {min_loss_advantage:.2f}x; "
-                f"{ack:.1f} vs {nack:.1f} us)")
-        else:
-            print(f"bench_diff: {name} {group} nack-mcast "
-                  f"{ack / nack:.2f}x over ack-mcast "
-                  f"(>= {min_loss_advantage:.2f}x)")
-
-
-def check_fec_records(name, fresh, min_fec_advantage, failures):
-    """FEC-crossover claim over fault-injection records: at >= 5% injected
-    loss on a multi-segment (slow-trunk) topology, the best-configured
-    FEC variant's simulated median must be no worse than 1/R of the NACK
-    protocol's — zero-round-trip in-window recovery beats waiting out a
-    NACK round trip on the trunk.  Simulated medians only — deterministic,
-    never hardware-gated."""
-    if min_fec_advantage <= 0:
-        return
-    points = {}
-    for key, r in fresh.items():
-        loss_label = key[9]
-        if loss_label is None or not loss_label.endswith("%"):
-            continue
-        if float(loss_label[:-1]) / 100.0 < 0.05:
-            continue
-        if not key[10]:  # single-segment records are not gated
-            continue
-        group = (key[0], key[2], key[3], key[4], loss_label, key[10])
-        points.setdefault(group, {})[key[1]] = r
-    for group, by_algo in sorted(points.items()):
-        fec_medians = {algo: r["sim_time_us"] for algo, r in by_algo.items()
-                       if algo.startswith("fec-mcast")}
-        if "nack-mcast" not in by_algo or not fec_medians:
-            continue
-        nack = by_algo["nack-mcast"]["sim_time_us"]
-        fec_algo, fec = min(fec_medians.items(), key=lambda kv: kv[1])
-        if fec <= 0 or nack < fec * min_fec_advantage:
-            failures.append(
-                f"{name}: {group} {fec_algo} is only "
-                f"{nack / fec if fec > 0 else 0:.2f}x over nack-mcast "
-                f"(< required {min_fec_advantage:.2f}x; "
-                f"{nack:.1f} vs {fec:.1f} us)")
-        else:
-            print(f"bench_diff: {name} {group} {fec_algo} "
-                  f"{nack / fec:.2f}x over nack-mcast "
-                  f"(>= {min_fec_advantage:.2f}x)")
-
-
-def check_hier_records(name, fresh, min_hier_speedup, failures):
-    """Hierarchical-collective crossover claim over segmented-topology
-    records: past the paper-style threshold (>= 4 segments and >= 256
-    ranks) the hierarchical algorithm's simulated median must be >= R x
-    faster than the flat multicast tree's at the same point.  Simulated
-    medians only — deterministic, never hardware-gated."""
-    if min_hier_speedup <= 0:
-        return
-    points = {}
-    for key, r in fresh.items():
-        if key[10]:  # segments field present and non-zero
-            group = (key[0], key[2], key[3], key[4], key[10])
-            points.setdefault(group, {})[key[1]] = r
-    for group, by_algo in sorted(points.items()):
-        op, network, ranks, nbytes, segments = group
-        if segments < 4 or ranks < 256:
-            continue
-        if "mcast-binary" not in by_algo or "hier-mcast" not in by_algo:
-            continue
-        flat = by_algo["mcast-binary"]["sim_time_us"]
-        hier = by_algo["hier-mcast"]["sim_time_us"]
-        if hier <= 0 or flat < hier * min_hier_speedup:
-            failures.append(
-                f"{name}: {group} hier-mcast is only "
-                f"{flat / hier if hier > 0 else 0:.2f}x over flat "
-                f"mcast-binary (< required {min_hier_speedup:.2f}x; "
-                f"{flat:.1f} vs {hier:.1f} us)")
-        else:
-            print(f"bench_diff: {name} {group} hier-mcast "
-                  f"{flat / hier:.2f}x over flat mcast-binary "
-                  f"(>= {min_hier_speedup:.2f}x)")
+    if base_wall > 0 and fresh_wall > base_wall * (1.0 + wall_tolerance):
+        failures.append(
+            f"{name}: aggregate wall time regressed "
+            f"{base_wall:.1f} -> {fresh_wall:.1f} ms "
+            f"(> {wall_tolerance:.0%} tolerance)")
+    elif base_wall > 0:
+        delta = (fresh_wall - base_wall) / base_wall
+        print(f"bench_diff: {name} wall {base_wall:.1f} -> "
+              f"{fresh_wall:.1f} ms ({delta:+.1%})")
 
 
 def main():
@@ -404,38 +121,6 @@ def main():
                         help="bench file name that must exist in the fresh "
                              "dir (e.g. BENCH_perf_bcast_64k.json); may be "
                              "repeated")
-    parser.add_argument("--min-shard-speedup", type=float, default=0.0,
-                        help="required wall-clock speedup of the highest "
-                             "shard count over the lowest, per sharded "
-                             "record group; checked only when the run's "
-                             "hw_threads covers the shard count (0 = off)")
-    parser.add_argument("--min-driver-speedup", type=float, default=0.0,
-                        help="required wall-clock collectives/sec ratio of "
-                             "the parallel shard driver over the serial one "
-                             "at the highest shard count of each "
-                             "throughput-record family; hw-gated like "
-                             "--min-shard-speedup (0 = off)")
-    parser.add_argument("--min-loss-advantage", type=float, default=0.0,
-                        help="required simulated-median ratio of ack-mcast "
-                             "over nack-mcast on fault-injection records at "
-                             ">= 1%% injected loss (0 = off)")
-    parser.add_argument("--min-fec-advantage", type=float, default=0.0,
-                        help="required simulated-median ratio of nack-mcast "
-                             "over the best fec-mcast variant on "
-                             "fault-injection records at >= 5%% injected "
-                             "loss behind a multi-segment trunk (0 = off)")
-    parser.add_argument("--min-pipeline-speedup", type=float, default=0.0,
-                        help="required simulated-median ratio of the "
-                             "lockstep (smallest window) over the pipelined "
-                             "(largest window) segmented run at each record "
-                             "family's largest payload; also enforces that "
-                             "striping strictly helps at window 1 (0 = off)")
-    parser.add_argument("--min-hier-speedup", type=float, default=0.0,
-                        help="required simulated-median ratio of the flat "
-                             "multicast tree (mcast-binary) over the "
-                             "hierarchical bcast (hier-mcast) on segmented "
-                             "records at >= 4 segments and >= 256 ranks "
-                             "(0 = off)")
     args = parser.parse_args()
 
     baseline_files = sorted(f for f in os.listdir(args.baseline)
@@ -459,67 +144,8 @@ def main():
             # other baselines are skipped (they gate full manual sweeps).
             continue
         compared_files += 1
-        base = load_records(os.path.join(args.baseline, name))
-        fresh = load_records(fresh_path)
-        check_shard_records(name, fresh, args.min_shard_speedup, failures)
-        check_driver_records(name, fresh, args.min_driver_speedup, failures)
-        check_pipeline_records(name, fresh, args.min_pipeline_speedup,
-                               failures)
-        check_loss_records(name, fresh, args.min_loss_advantage, failures)
-        check_fec_records(name, fresh, args.min_fec_advantage, failures)
-        check_hier_records(name, fresh, args.min_hier_speedup, failures)
-
-        base_wall = 0.0
-        fresh_wall = 0.0
-        for key, b in base.items():
-            f = fresh.get(key)
-            if f is None:
-                failures.append(f"{name}: {fmt_key(key)} missing from fresh run")
-                continue
-            base_wall += b["wall_time_ms"]
-            fresh_wall += f["wall_time_ms"]
-
-            if f["sim_time_us"] != b["sim_time_us"]:
-                failures.append(
-                    f"{name}: {fmt_key(key)} simulated median changed "
-                    f"{b['sim_time_us']} -> {f['sim_time_us']} us "
-                    f"(determinism break)")
-            # Deterministic throughput figures compare exactly, like the
-            # simulated median (coll_per_sec and wall stay host-local).
-            # Fault-injection schedules are deterministic by construction,
-            # so the injected/recovery counters compare exactly too.
-            for exact in ("p99_us", "collectives", "frames_dropped",
-                          "frames_duplicated", "frames_reordered",
-                          "nacks_sent", "nacks_suppressed", "retransmits",
-                          "parity_sent", "parity_used", "fec_decodes",
-                          "fec_fallbacks"):
-                if exact in b and exact in f and f[exact] != b[exact]:
-                    failures.append(
-                        f"{name}: {fmt_key(key)} {exact} changed "
-                        f"{b[exact]} -> {f[exact]} (determinism break)")
-            for counter in ("payload_allocs", "payload_copies",
-                            "events_scheduled", "handoffs",
-                            "event_pool_misses"):
-                if counter not in b or counter not in f:
-                    continue
-                if f[counter] > b[counter]:
-                    failures.append(
-                        f"{name}: {fmt_key(key)} {counter} regressed "
-                        f"{b[counter]} -> {f[counter]}")
-                elif f[counter] < b[counter]:
-                    improvements.append(
-                        f"{name}: {fmt_key(key)} {counter} improved "
-                        f"{b[counter]} -> {f[counter]}")
-
-        if base_wall > 0 and fresh_wall > base_wall * (1.0 + args.wall_tolerance):
-            failures.append(
-                f"{name}: aggregate wall time regressed "
-                f"{base_wall:.1f} -> {fresh_wall:.1f} ms "
-                f"(> {args.wall_tolerance:.0%} tolerance)")
-        elif base_wall > 0:
-            delta = (fresh_wall - base_wall) / base_wall
-            print(f"bench_diff: {name} wall {base_wall:.1f} -> "
-                  f"{fresh_wall:.1f} ms ({delta:+.1%})")
+        diff_file(name, os.path.join(args.baseline, name), fresh_path,
+                  args.wall_tolerance, failures, improvements)
 
     if compared_files == 0:
         print("bench_diff: no fresh BENCH_*.json matched any baseline",
