@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "coll/hier.hpp"
 #include "coll/tuning.hpp"
 #include "common/assert.hpp"
 
@@ -234,7 +233,8 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     world_->proc(i).set_network_lossy(faults.lossy());
   }
   if (!config_.coll_tuning.empty()) {
-    world_->set_coll_tuning(coll::TuningTable::parse(config_.coll_tuning));
+    world_->set_coll_tuning(
+        coll::TuningTable::with_defaults(config_.coll_tuning));
   }
   if (config_.num_segments > 1) {
     // Snooping-bridge multicast scoping: when a derived communicator's
@@ -264,15 +264,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
                                  }
                                });
         });
-  }
-  if (config_.num_segments > 1) {
-    // Topology knob for the hierarchical algorithms' analytic cost hints:
-    // one trunk crossing in units of intra-segment frame times (~125 us
-    // per full frame at 100 Mb/s).  Advisory only — never semantics.
-    const double trunk_us =
-        static_cast<double>(config_.trunk_latency.count()) / 1000.0;
-    coll::set_hier_cost_hint(config_.num_segments,
-                             std::max(1.0, trunk_us / 125.0));
   }
 
   // Background cross-traffic flows: pure wire load, paced by a forked

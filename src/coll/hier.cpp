@@ -1,6 +1,5 @@
 #include "coll/hier.hpp"
 
-#include <atomic>
 #include <cstring>
 #include <utility>
 
@@ -14,12 +13,6 @@ using mpi::Comm;
 using mpi::Proc;
 
 namespace {
-
-/// Cost-hint topology knobs (set_hier_cost_hint).  Advisory analytics only
-/// — they never influence semantics, and kAuto consults the tuning table
-/// before any hint.
-std::atomic<int> g_segments_hint{2};
-std::atomic<double> g_trunk_cost_hint{4.0};
 
 int segment_of_comm_rank(const Comm& comm, int comm_rank) {
   return comm.proc()->world().segment_of(comm.world_rank_of(comm_rank));
@@ -212,21 +205,6 @@ bool hier_applicable_contiguous(const Comm& comm) {
     prev = seg;
   }
   return true;
-}
-
-void set_hier_cost_hint(int segments, double trunk_frame_cost) {
-  g_segments_hint.store(segments < 2 ? 2 : segments,
-                        std::memory_order_relaxed);
-  g_trunk_cost_hint.store(trunk_frame_cost < 1.0 ? 1.0 : trunk_frame_cost,
-                          std::memory_order_relaxed);
-}
-
-int hier_segments_hint() {
-  return g_segments_hint.load(std::memory_order_relaxed);
-}
-
-double hier_trunk_cost_hint() {
-  return g_trunk_cost_hint.load(std::memory_order_relaxed);
 }
 
 void bcast_hier(Proc& p, const Comm& comm, Buffer& buffer, int root) {

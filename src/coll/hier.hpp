@@ -78,14 +78,6 @@ int hier_segment_span(const mpi::Comm& comm);
 /// hier_applicable plus contiguous segment blocks (allreduce:hier).
 bool hier_applicable_contiguous(const mpi::Comm& comm);
 
-/// Installs the topology the analytic cost hints assume (segments in the
-/// topology and the relative frame-cost of one trunk crossing).  Called by
-/// the cluster layer at construction; defaults to 2 segments / 4x trunks.
-/// Advisory only — kAuto consults the tuning table first.
-void set_hier_cost_hint(int segments, double trunk_frame_cost);
-int hier_segments_hint();
-double hier_trunk_cost_hint();
-
 /// Broadcast: root -> remote segment leaders over the trunks (isend, so the
 /// root's own intra phase overlaps the trunk transfers), then an intra
 /// bcast per segment (kAuto -> multicast engines at size).

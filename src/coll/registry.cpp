@@ -1,7 +1,5 @@
 #include "coll/registry.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -45,16 +43,6 @@ std::string to_string(CollOp op) {
 }
 
 namespace {
-
-/// Frames needed for an M-byte payload at T = 1472 payload bytes per frame
-/// (the paper's floor(M/T) + 1).
-double frames(std::size_t bytes) {
-  return std::floor(static_cast<double>(bytes) / 1472.0) + 1.0;
-}
-
-double log2n(int ranks) {
-  return ranks > 1 ? std::ceil(std::log2(static_cast<double>(ranks))) : 0.0;
-}
 
 bool always(const mpi::Comm&, std::size_t) { return true; }
 
@@ -108,12 +96,6 @@ void bcast_preset(mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
   bcast_stream(p, comm, buffer, root, kPreset);
 }
 
-/// ~64 KiB chunks of the segmented pipeline for an M-byte stream — the
-/// per-chunk overheads (ack collection) scale with this.
-double chunk_count(std::size_t bytes) {
-  return std::floor(static_cast<double>(bytes) / 65536.0) + 1.0;
-}
-
 void register_builtins(Registry& r) {
   // ----------------------------------------------------------- broadcast
   r.add(CollAlgorithm{
@@ -121,9 +103,6 @@ void register_builtins(Registry& r) {
       .op = CollOp::kBcast,
       .description = "MPICH binomial tree over point-to-point (Fig. 2)",
       .applicable = always,
-      // Paper §3.1: every tree edge carries a full copy.
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) { return frames(bytes) * (ranks - 1); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
       .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
                   int root) { bcast_mpich(p, comm, buffer, root); }});
@@ -132,9 +111,6 @@ void register_builtins(Registry& r) {
       .op = CollOp::kBcast,
       .description = "binomial scout gather, then one IP multicast (Fig. 3)",
       .applicable = fits_mcast_datagram,
-      // (N-1) scouts in log2 N pipelined steps + the payload once.
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) { return log2n(ranks) + frames(bytes); },
       .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
                   int root) { bcast_mcast_binary(p, comm, buffer, root); }});
   r.add(CollAlgorithm{
@@ -142,9 +118,6 @@ void register_builtins(Registry& r) {
       .op = CollOp::kBcast,
       .description = "linear scout gather, then one IP multicast (Fig. 4)",
       .applicable = fits_mcast_datagram,
-      // N-1 sequential scout receives at the root + the payload once.
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) { return (ranks - 1) + frames(bytes); },
       .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
                   int root) { bcast_mcast_linear(p, comm, buffer, root); }});
   r.add(CollAlgorithm{
@@ -153,12 +126,6 @@ void register_builtins(Registry& r) {
       .description =
           "multicast first, resend until all ACK (ORNL/PVM negative result)",
       .applicable = fits_mcast_datagram,
-      // Payload once + N-1 serial ACKs; unready receivers cost whole-payload
-      // retransmissions, folded in as a constant penalty.
-      .cost_hint =
-          [](std::size_t bytes, int ranks) {
-            return 1.5 * frames(bytes) + (ranks - 1);
-          },
       .loss_tolerant = true,  // resends until every receiver ACKs
       .bcast = bcast_preset<StreamPreset::kAck>});
   r.add(CollAlgorithm{
@@ -167,10 +134,6 @@ void register_builtins(Registry& r) {
       .description =
           "sequencer-ordered multicast with NACK recovery (Orca-style)",
       .applicable = fits_mcast_datagram,
-      // One handoff to the sequencer + the payload once; no readiness
-      // handshake (receiver lag is detected only by NACK timeout).
-      .cost_hint = [](std::size_t bytes,
-                      int ranks [[maybe_unused]]) { return 1 + frames(bytes); },
       .loss_tolerant = true,  // gap detection + NACK to the sequencer
       .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
                   int root) { bcast_sequencer(p, comm, buffer, root); }});
@@ -181,13 +144,6 @@ void register_builtins(Registry& r) {
                      "receivers NACK gaps, sender retransmits with "
                      "aggregation/suppression (SRM-style)",
       .applicable = fits_mcast_datagram,
-      // The payload once with no readiness handshake and no per-receiver
-      // ACKs: on a clean wire it is the cheapest reliable multicast; the
-      // constant folds in the root's sink installation handshake.
-      .cost_hint = [](std::size_t bytes,
-                      int ranks [[maybe_unused]]) {
-        return 1.5 + frames(bytes);
-      },
       .loss_tolerant = true,  // the point: NACK-driven retransmission
       .bcast = bcast_preset<StreamPreset::kNack>});
   r.add(CollAlgorithm{
@@ -198,14 +154,6 @@ void register_builtins(Registry& r) {
                      "recovery round trips up to r losses, NACK fallback "
                      "beyond (adaptive parity under observed loss)",
       .applicable = fits_fec_blast,
-      // The payload once PLUS its parity ratio (default 1/8) with no
-      // readiness handshake: strictly dearer than nack-mcast on a clean
-      // wire — by design, that is the premium for zero-RTT recovery — so
-      // kAuto only reaches it through a lossy-gated tuning rule.
-      .cost_hint = [](std::size_t bytes,
-                      int ranks [[maybe_unused]]) {
-        return 1.5 + 1.125 * frames(bytes);
-      },
       .loss_tolerant = true,  // the point: in-window erasure recovery
       .bcast = bcast_preset<StreamPreset::kFec>});
   r.add(CollAlgorithm{
@@ -214,10 +162,6 @@ void register_builtins(Registry& r) {
       .description =
           "scatter + ring allgather for long messages (van de Geijn)",
       .applicable = always,
-      // Every byte crosses each link at most ~2x; the ring runs on N
-      // disjoint links in parallel — critical path ~2 payload images.
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) { return 2.0 * frames(bytes) + (ranks - 1); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
       .bcast =
           [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer, int root) {
@@ -230,14 +174,6 @@ void register_builtins(Registry& r) {
                      "ack window, optional multi-lane striping — no payload "
                      "size ceiling",
       .applicable = always,
-      // Scout sync + the payload once on the wire, plus per-chunk ack
-      // collection — strictly dearer than a single-shot multicast below
-      // the datagram ceiling, the only multicast option above it.
-      .cost_hint =
-          [](std::size_t bytes, int ranks) {
-            return log2n(ranks) + frames(bytes) +
-                   chunk_count(bytes) * (ranks - 1);
-          },
       .loss_tolerant = true,  // per-chunk acks + timeout retransmission
       .bcast = bcast_preset<StreamPreset::kSegmented>});
   r.add(CollAlgorithm{
@@ -247,14 +183,6 @@ void register_builtins(Registry& r) {
                      "once, then per-segment multicast (MagPIe-style)",
       .applicable = [](const mpi::Comm& comm,
                        std::size_t) { return hier_applicable(comm); },
-      // One trunk image per remote segment (overlapped, so ~one trunk cost
-      // on the critical path) + the intra phase at segment size.
-      .cost_hint =
-          [](std::size_t bytes, int ranks) {
-            const int segs = hier_segments_hint();
-            return hier_trunk_cost_hint() * frames(bytes) +
-                   log2n(std::max(ranks / segs, 2)) + frames(bytes);
-          },
       .loss_tolerant = true,  // reliable trunks; intra kAuto stays tolerant
       .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
                   int root) { bcast_hier(p, comm, buffer, root); }});
@@ -265,12 +193,6 @@ void register_builtins(Registry& r) {
       .op = CollOp::kBarrier,
       .description = "MPICH three-phase point-to-point barrier (Fig. 5)",
       .applicable = always,
-      .cost_hint =
-          [](std::size_t, int ranks) {
-            const double k = std::pow(2.0, std::floor(std::log2(
-                                                std::max(ranks, 1))));
-            return 2.0 * (ranks - k) + k * std::log2(k);
-          },
       .loss_tolerant = true,  // pure p2p over the reliable transport
       .barrier = [](mpi::Proc& p,
                     const mpi::Comm& comm) { barrier_mpich(p, comm); }});
@@ -279,7 +201,6 @@ void register_builtins(Registry& r) {
       .op = CollOp::kBarrier,
       .description = "scout reduction + one multicast release (§3.2)",
       .applicable = always,
-      .cost_hint = [](std::size_t, int ranks) { return ranks - 1 + 1.0; },
       .barrier = [](mpi::Proc& p,
                     const mpi::Comm& comm) { barrier_mcast(p, comm); }});
   r.add(CollAlgorithm{
@@ -289,14 +210,6 @@ void register_builtins(Registry& r) {
                      "trunk rounds among leaders, intra release",
       .applicable = [](const mpi::Comm& comm,
                        std::size_t) { return hier_applicable(comm); },
-      // Two binomial intra phases + exactly two trunk crossings,
-      // independent of the segment count.
-      .cost_hint =
-          [](std::size_t, int ranks) {
-            const int segs = hier_segments_hint();
-            return 2.0 * hier_trunk_cost_hint() +
-                   2.0 * log2n(std::max(ranks / segs, 2));
-          },
       .loss_tolerant = true,  // pure p2p over the reliable transport
       .barrier = [](mpi::Proc& p,
                     const mpi::Comm& comm) { barrier_hier(p, comm); }});
@@ -317,13 +230,6 @@ void register_builtins(Registry& r) {
             [stage](const mpi::Comm& comm, std::size_t bytes) {
               return std::string_view(stage) == "mpich" ||
                      fits_mcast_datagram(comm, bytes);
-            },
-        .cost_hint =
-            [stage](std::size_t bytes, int ranks) {
-              const double reduce = frames(bytes) * log2n(ranks);
-              return reduce + Registry::instance()
-                                  .get(CollOp::kBcast, stage)
-                                  .cost_hint(bytes, ranks);
             },
         // Tolerant exactly when the broadcast stage is (the reduce stage is
         // always p2p over the reliable transport).
@@ -353,15 +259,6 @@ void register_builtins(Registry& r) {
           [](const mpi::Comm& comm, std::size_t) {
             return hier_applicable_contiguous(comm);
           },
-      // Intra reduce + ~2 overlapped trunk images + intra broadcast.
-      .cost_hint =
-          [](std::size_t bytes, int ranks) {
-            const int segs = hier_segments_hint();
-            const double intra = log2n(std::max(ranks / segs, 2));
-            return frames(bytes) * intra + 2.0 * hier_trunk_cost_hint() *
-                                               frames(bytes) +
-                   intra + frames(bytes);
-          },
       .loss_tolerant = true,  // reliable trunks; intra kAuto stays tolerant
       .allreduce = [](mpi::Proc& p, const mpi::Comm& comm,
                       std::span<const std::uint8_t> data, mpi::Op op,
@@ -375,9 +272,6 @@ void register_builtins(Registry& r) {
       .op = CollOp::kAllgather,
       .description = "point-to-point ring allgather (N-1 shift steps)",
       .applicable = always,
-      // N(N-1) block-hops in total, N-1 steps on the critical path.
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) { return frames(bytes) * (ranks - 1); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
       .allgather = [](mpi::Proc& p, const mpi::Comm& comm,
                       std::span<const std::uint8_t> data) {
@@ -389,9 +283,6 @@ void register_builtins(Registry& r) {
       .description =
           "each block multicast once, in rank order behind one barrier",
       .applicable = fits_mcast_datagram,
-      // Every block crosses the wire exactly once, serialized by rounds.
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) { return frames(bytes) * ranks + ranks; },
       .allgather = [](mpi::Proc& p, const mpi::Comm& comm,
                       std::span<const std::uint8_t> data) {
         return allgather_mcast(p, comm, data, AllgatherMode::kLockstep).blocks;
@@ -402,8 +293,6 @@ void register_builtins(Registry& r) {
       .description = "every rank multicasts at once — fastest pacing, may "
                      "drop blocks to receiver overrun (§2/§5 hazard)",
       .applicable = fits_mcast_datagram,
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) { return frames(bytes) + 2.0 * ranks; },
       .lossy = true,
       .allgather = [](mpi::Proc& p, const mpi::Comm& comm,
                       std::span<const std::uint8_t> data) {
@@ -415,14 +304,6 @@ void register_builtins(Registry& r) {
       .description = "N rank-ordered segmented pipelined multicast streams — "
                      "no block size ceiling",
       .applicable = always,
-      // N fully acked streams: each pays scout sync + its block once +
-      // per-chunk ack collection.
-      .cost_hint =
-          [](std::size_t bytes, int ranks) {
-            return static_cast<double>(ranks) *
-                   (log2n(ranks) + frames(bytes) +
-                    chunk_count(bytes) * (ranks - 1));
-          },
       .loss_tolerant = true,  // per-chunk acks + timeout retransmission
       .allgather = [](mpi::Proc& p, const mpi::Comm& comm,
                       std::span<const std::uint8_t> data) {
@@ -436,17 +317,6 @@ void register_builtins(Registry& r) {
                      "each trunk once), intra release broadcast",
       .applicable = [](const mpi::Comm& comm,
                        std::size_t) { return hier_applicable(comm); },
-      // Intra gather of one block + the full result over the trunk once +
-      // the assembled bundle broadcast intra.
-      .cost_hint =
-          [](std::size_t bytes, int ranks) {
-            const int segs = hier_segments_hint();
-            const int per_seg = std::max(ranks / segs, 2);
-            const double result_frames =
-                frames(bytes) * static_cast<double>(ranks);
-            return frames(bytes) * (per_seg - 1) +
-                   hier_trunk_cost_hint() * result_frames + result_frames;
-          },
       .loss_tolerant = true,  // reliable trunks; intra kAuto stays tolerant
       .allgather = [](mpi::Proc& p, const mpi::Comm& comm,
                       std::span<const std::uint8_t> data) {
@@ -459,10 +329,6 @@ void register_builtins(Registry& r) {
       .op = CollOp::kReduce,
       .description = "binomial-tree reduction over point-to-point",
       .applicable = always,
-      // log2 N combining rounds, a full payload per tree edge on the
-      // critical path.
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) { return frames(bytes) * log2n(ranks); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
       .reduce = [](mpi::Proc& p, const mpi::Comm& comm,
                    std::span<const std::uint8_t> data, mpi::Op op,
@@ -478,14 +344,6 @@ void register_builtins(Registry& r) {
           [](const mpi::Comm& comm, std::size_t bytes) {
             return fits_eager(comm, bytes) && fits_mcast_datagram(comm, bytes);
           },
-      // N lockstep multicasts + the partial slices (~one payload image in
-      // total) scouted to the root.
-      .cost_hint =
-          [](std::size_t bytes, int ranks) {
-            return frames(bytes) * ranks + (ranks - 1) +
-                   frames(bytes / static_cast<std::size_t>(
-                                      std::max(ranks, 1)));
-          },
       .reduce = [](mpi::Proc& p, const mpi::Comm& comm,
                    std::span<const std::uint8_t> data, mpi::Op op,
                    mpi::Datatype type, int root) {
@@ -498,12 +356,6 @@ void register_builtins(Registry& r) {
       .op = CollOp::kGather,
       .description = "linear gather over blocking point-to-point sends",
       .applicable = always,
-      // N-1 serial receives at the root, plus the senders' blocking send
-      // overheads.
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) {
-        return (frames(bytes) + 1.0) * (ranks - 1);
-      },
       .loss_tolerant = true,  // pure p2p over the reliable transport
       .gather = [](mpi::Proc& p, const mpi::Comm& comm,
                    std::span<const std::uint8_t> data,
@@ -514,10 +366,6 @@ void register_builtins(Registry& r) {
       .description = "fire-and-forget data scouts, aggregate charged "
                      "collection at the root",
       .applicable = fits_eager,
-      // The same N-1 serial receive charges, but senders never block and
-      // the root wakes once.
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) { return frames(bytes) * (ranks - 1); },
       .gather = [](mpi::Proc& p, const mpi::Comm& comm,
                    std::span<const std::uint8_t> data, int root) {
         return gather_scout_combining(p, comm, data, root);
@@ -529,8 +377,6 @@ void register_builtins(Registry& r) {
       .op = CollOp::kScatter,
       .description = "linear scatter over blocking point-to-point sends",
       .applicable = always,
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) { return frames(bytes) * (ranks - 1); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
       .scatter = [](mpi::Proc& p, const mpi::Comm& comm,
                     const std::vector<Buffer>& chunks,
@@ -549,12 +395,6 @@ void register_builtins(Registry& r) {
                 comm, bytes * static_cast<std::size_t>(comm.size()) +
                           scatter_table_bytes(comm.size()));
           },
-      // Scout synchronization + the whole payload once.
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) {
-        return log2n(ranks) +
-               frames(bytes * static_cast<std::size_t>(std::max(ranks, 1)));
-      },
       .scatter = [](mpi::Proc& p, const mpi::Comm& comm,
                     const std::vector<Buffer>& chunks, int root) {
         return scatter_mcast_slice(p, comm, chunks, root);
@@ -565,16 +405,6 @@ void register_builtins(Registry& r) {
       .description = "segmented pipelined multicast of [table ‖ blocks]; "
                      "receivers keep their range — no payload size ceiling",
       .applicable = always,
-      // Scout sync + the concatenated stream once + per-chunk acks;
-      // `bytes` is the per-rank chunk size, as for mcast-slice.
-      .cost_hint =
-          [](std::size_t bytes, int ranks) {
-            const std::size_t total =
-                bytes * static_cast<std::size_t>(std::max(ranks, 1)) +
-                scatter_table_bytes(ranks);
-            return log2n(ranks) + frames(total) +
-                   chunk_count(total) * (ranks - 1);
-          },
       .scatter = [](mpi::Proc& p, const mpi::Comm& comm,
                     const std::vector<Buffer>& chunks, int root) {
         return scatter_stream(p, comm, chunks, root,
@@ -587,10 +417,6 @@ void register_builtins(Registry& r) {
       .op = CollOp::kAlltoall,
       .description = "pairwise-shift alltoall over point-to-point sendrecv",
       .applicable = always,
-      // N-1 exchange steps on the critical path, one block each way per
-      // step; `bytes` is the per-destination block size throughout.
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) { return 2.0 * frames(bytes) * (ranks - 1); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
       .alltoall = [](mpi::Proc& p, const mpi::Comm& comm,
                      const std::vector<Buffer>& to_each) {
@@ -609,15 +435,6 @@ void register_builtins(Registry& r) {
                 comm, bytes * static_cast<std::size_t>(comm.size()) +
                           alltoall_table_bytes(comm.size()));
           },
-      // Barrier + N serialized rounds, each one datagram of N blocks; the
-      // per-rank saving is N-1 sends folded into one.
-      .cost_hint =
-          [](std::size_t bytes, int ranks) {
-            return ranks +
-                   frames(bytes * static_cast<std::size_t>(
-                                      std::max(ranks, 1))) *
-                       ranks;
-          },
       .alltoall = [](mpi::Proc& p, const mpi::Comm& comm,
                      const std::vector<Buffer>& to_each) {
         return alltoall_mcast_rr(p, comm, to_each);
@@ -629,8 +446,6 @@ void register_builtins(Registry& r) {
       .op = CollOp::kScan,
       .description = "linear-chain inclusive prefix (MPICH 1.x)",
       .applicable = always,
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) { return frames(bytes) * (ranks - 1); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
       .scan = [](mpi::Proc& p, const mpi::Comm& comm,
                  std::span<const std::uint8_t> data, mpi::Op op,
@@ -642,8 +457,6 @@ void register_builtins(Registry& r) {
       .description =
           "recursive-doubling prefix over binomial segments (log2 N rounds)",
       .applicable = always,
-      .cost_hint = [](std::size_t bytes,
-                      int ranks) { return frames(bytes) * log2n(ranks); },
       .loss_tolerant = true,  // pure p2p over the reliable transport
       .scan = [](mpi::Proc& p, const mpi::Comm& comm,
                  std::span<const std::uint8_t> data, mpi::Op op,

@@ -6,10 +6,11 @@
 /// scout variants, the related-work ack-mcast/sequencer protocols, the van
 /// de Geijn scatter-allgather extension, the multicast allgather pacing
 /// disciplines — registers one uniform CollAlgorithm entry: a run function
-/// per operation, an applicability predicate, and an analytic cost hint.
-/// Benches and tests sweep the registry instead of hardcoded enum lists, so
-/// a newly registered algorithm is swept, tested and selectable for free;
-/// the kAuto policy (tuning.hpp) resolves over the same entries.
+/// per operation, an applicability predicate, and the lossy /
+/// loss_tolerant flags.  Benches and tests sweep the registry instead of
+/// hardcoded enum lists, so a newly registered algorithm is swept and
+/// tested for free; the kAuto policy (tuning.hpp) picks among the same
+/// entries by name, from one rule table.
 ///
 /// Registration is open: link-time plugins (or tests) may add entries via
 /// Registry::instance().add().  The built-in set is registered on first use
@@ -60,14 +61,9 @@ struct CollAlgorithm {
   /// selection of an inapplicable algorithm is a precondition violation.
   std::function<bool(const mpi::Comm&, std::size_t bytes)> applicable;
 
-  /// Analytic cost hint in frame-equivalents (lower is cheaper) for an
-  /// M-byte payload on N ranks; advisory — kAuto consults the tuning table
-  /// first and uses the hint only to order equally-tuned candidates.
-  std::function<double(std::size_t bytes, int ranks)> cost_hint;
-
   /// Algorithms that may drop payload under load (blast allgather) are
-  /// never picked by kAuto and are only correctness-checked on the blocks
-  /// they deliver.
+  /// never picked by kAuto — TuningTable::parse rejects a rule naming one
+  /// — and are only correctness-checked on the blocks they deliver.
   bool lossy = false;
 
   /// Recovers from dropped / reordered / duplicated frames (reliable p2p

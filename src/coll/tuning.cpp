@@ -77,6 +77,12 @@ TuningTable TuningTable::defaults() {
   // multicast variants' predicates reject (rendezvous-sized blocks, the
   // datagram ceiling) — an inapplicable tuned pick falls through to the
   // next matching rule.
+  // Topology: on a communicator spanning >= 2 segments the hierarchical
+  // algorithms cross each trunk once instead of O(log N) / O(N) times.
+  // Their min_segments-gated rules sit after the 2-rank and small-payload
+  // point-to-point rules (one trunk send beats leader machinery at those
+  // sizes); single-segment communicators fail every gate and fall through
+  // to the flat rules.
   // The segmented pipeline is the trailing multicast rule for bcast /
   // allgather / scatter: the single-shot variants' predicates reject
   // jumbo payloads (the ~512 KiB datagram ceiling, the receive buffer),
@@ -88,14 +94,17 @@ TuningTable TuningTable::defaults() {
   // first dropped frame — with in-window erasure recovery.  Payloads too
   // big for fec-mcast's single-window blast fall through to the segmented
   // pipeline, whose FEC recovery mode is a config knob, not a rule.
+  // Every op ends in an always-applicable, loss-tolerant algorithm; the
+  // barrier and scatter multicasts are not loss-tolerant, so on a lossy
+  // network those two ops end on mpich.
   return parse(
-      "bcast,*,2,mpich; bcast,1024,*,mpich; bcast,*,*,fec-mcast,0,lossy;"
-      "bcast,*,*,mcast-binary;"
+      "bcast,*,2,mpich; bcast,1024,*,mpich; bcast,*,*,hier-mcast,2;"
+      "bcast,*,*,fec-mcast,0,lossy; bcast,*,*,mcast-binary;"
       "bcast,*,*,mcast-segmented;"
-      "barrier,*,*,mcast;"
-      "allreduce,*,2,mpich; allreduce,1024,*,mpich;"
+      "barrier,*,*,hier,2; barrier,*,*,mcast; barrier,*,*,mpich;"
+      "allreduce,*,2,mpich; allreduce,1024,*,mpich; allreduce,*,*,hier,2;"
       "allreduce,*,*,mcast-binary; allreduce,*,*,mpich;"
-      "allgather,*,2,ring; allgather,2048,*,ring;"
+      "allgather,*,2,ring; allgather,2048,*,ring; allgather,*,*,hier,2;"
       "allgather,*,*,mcast-lockstep; allgather,*,*,mcast-segmented;"
       "reduce,*,2,mpich; reduce,1024,*,mpich;"
       "reduce,*,*,mcast-scout; reduce,*,*,mpich;"
@@ -103,26 +112,17 @@ TuningTable TuningTable::defaults() {
       "gather,*,*,scout-combining; gather,*,*,mpich;"
       "scatter,*,2,mpich; scatter,1024,*,mpich;"
       "scatter,*,*,mcast-slice; scatter,*,*,mcast-segmented;"
+      "scatter,*,*,mpich;"
       "scan,*,2,mpich; scan,1024,*,mpich; scan,*,*,binomial;"
       "alltoall,*,2,mpich; alltoall,2048,*,mpich;"
       "alltoall,*,*,mcast-rr; alltoall,*,*,mpich");
 }
 
-TuningTable TuningTable::hier_defaults() {
-  // Topology-aware prefix: on a communicator spanning >= 2 segments the
-  // hierarchical algorithms cross each trunk once instead of O(log N) /
-  // O(N) times.  The 2-rank and small-payload point-to-point rules still
-  // come first (one trunk send beats leader machinery at those sizes);
-  // single-segment communicators fail every min_segments gate and fall
-  // through to the classic table appended below.
-  TuningTable hier = parse(
-      "bcast,*,2,mpich; bcast,1024,*,mpich; bcast,*,*,hier-mcast,2;"
-      "barrier,*,*,hier,2;"
-      "allreduce,*,2,mpich; allreduce,1024,*,mpich; allreduce,*,*,hier,2;"
-      "allgather,*,2,ring; allgather,2048,*,ring; allgather,*,*,hier,2");
-  TuningTable table = defaults();
-  table.rules_.insert(table.rules_.begin(), hier.rules_.begin(),
-                      hier.rules_.end());
+TuningTable TuningTable::with_defaults(const std::string& spec) {
+  TuningTable table = parse(spec);
+  const TuningTable tail = defaults();
+  table.rules_.insert(table.rules_.end(), tail.rules_.begin(),
+                      tail.rules_.end());
   return table;
 }
 
@@ -176,11 +176,19 @@ TuningTable TuningTable::parse(const std::string& spec) {
       rule.lossy_only = true;
     }
     // Fail at parse time, not at the first collective inside a running
-    // simulation: the named algorithm must exist.
+    // simulation: the named algorithm must exist, and must not be one that
+    // may drop payload.
+    const CollAlgorithm* algo = nullptr;
     try {
-      (void)Registry::instance().get(rule.op, rule.algo);
+      algo = &Registry::instance().get(rule.op, rule.algo);
     } catch (const std::exception& e) {
       throw std::invalid_argument(ctx.where(4) + ": " + e.what());
+    }
+    if (algo->lossy) {
+      throw std::invalid_argument(ctx.where(4) + ": " + parts[0] + ':' +
+                                  rule.algo +
+                                  " is lossy (may drop payload); kAuto "
+                                  "never picks it");
     }
     table.rules_.push_back(std::move(rule));
   }
@@ -226,32 +234,9 @@ std::string TuningTable::select(CollOp op, std::size_t bytes, int ranks,
       return rule.algo;
     }
   }
-  // No rule matched (partial table, or the tuned pick is inapplicable
-  // here): cheapest applicable non-lossy entry by cost hint.
-  const CollAlgorithm* best = nullptr;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (const CollAlgorithm& algo : Registry::instance().entries()) {
-    if (algo.op != op || algo.lossy) {
-      continue;
-    }
-    if (lossy_net && !algo.loss_tolerant) {
-      continue;
-    }
-    if (algo.applicable && !algo.applicable(comm, bytes)) {
-      continue;
-    }
-    const double cost =
-        algo.cost_hint ? algo.cost_hint(bytes, ranks) : best_cost;
-    if (best == nullptr || cost < best_cost) {
-      best = &algo;
-      best_cost = cost;
-    }
-  }
-  if (best == nullptr) {
-    throw std::invalid_argument("no applicable " + coll::to_string(op) +
-                                " algorithm registered");
-  }
-  return best->name;
+  throw std::invalid_argument("no tuning rule matches " + coll::to_string(op) +
+                              " at " + std::to_string(bytes) + " B on " +
+                              std::to_string(ranks) + " ranks");
 }
 
 std::string TuningTable::to_string() const {

@@ -22,20 +22,25 @@
 /// algorithms like bcast:fec-mcast are tuned in without perturbing any
 /// clean-network schedule.  Use `0` for min_segments to gate on loss alone.
 /// Excerpt of the default table (TuningTable::defaults() carries the full
-/// set for all eight ops, including doubled fall-through rules for
-/// reduce/gather/scatter whose multicast variants have applicability
-/// limits):
+/// set for all nine ops, including doubled fall-through rules for ops whose
+/// multicast variants have applicability limits or are not loss-tolerant):
 ///
-///     bcast,*,2,mpich; bcast,1024,*,mpich; bcast,*,*,mcast-binary;
-///     barrier,*,*,mcast;
+///     bcast,*,2,mpich; bcast,1024,*,mpich; bcast,*,*,hier-mcast,2;
+///     bcast,*,*,fec-mcast,0,lossy; bcast,*,*,mcast-binary; ...
+///     barrier,*,*,hier,2; barrier,*,*,mcast; barrier,*,*,mpich;
 ///     reduce,*,2,mpich; reduce,1024,*,mpich;
 ///     reduce,*,*,mcast-scout; reduce,*,*,mpich; ...
 ///
-/// A rule whose algorithm is inapplicable for the actual (comm, bytes)
-/// falls through to the next matching rule.
+/// A rule whose algorithm is inapplicable for the actual (comm, bytes), or
+/// not loss-tolerant on a lossy network, falls through to the next matching
+/// rule.  The defaults are total: every op ends in an unbounded, ungated
+/// rule naming an always-applicable, loss-tolerant algorithm, so kAuto
+/// always resolves.
 ///
-/// Override precedence (cluster::Cluster wiring): ClusterConfig::coll_tuning
-/// beats the MCMPI_COLL_TUNING environment variable beats the defaults.
+/// Overrides (ClusterConfig::coll_tuning, else the MCMPI_COLL_TUNING
+/// environment variable) install their own rules followed by the defaults
+/// (with_defaults): a partial override falls through to the defaults for
+/// whatever it does not match.
 
 #include <string>
 #include <vector>
@@ -61,24 +66,24 @@ struct TuningRule {
 
 class TuningTable {
  public:
-  /// The built-in table encoding the paper's crossover points.
+  /// The built-in table encoding the paper's crossover points, with the
+  /// min_segments-gated hierarchical rules (bcast:hier-mcast, barrier:hier,
+  /// allreduce:hier, allgather:hier) at the payload sizes where the trunk
+  /// saving dominates.  Total for every op.
   static TuningTable defaults();
 
-  /// defaults() plus topology-aware rules: communicators spanning >= 2
-  /// segments prefer the hierarchical algorithms (bcast:hier-mcast,
-  /// barrier:hier, allreduce:hier, allgather:hier) at the payload sizes
-  /// where the trunk saving dominates.  Not the ambient default — install
-  /// via ClusterConfig::coll_tuning / MCMPI_COLL_TUNING — so existing
-  /// single-table baselines keep their committed schedules.
-  static TuningTable hier_defaults();
-
   /// Parses the rule syntax above; throws std::invalid_argument on
-  /// malformed rules, unknown ops, or algorithms absent from the registry.
+  /// malformed rules, unknown ops, algorithms absent from the registry, or
+  /// lossy algorithms.  The result holds exactly the parsed rules.
   static TuningTable parse(const std::string& spec);
 
-  /// First matching rule's algorithm.  Falls back to the cheapest
-  /// applicable registry entry (by cost hint; lossy entries excluded) when
-  /// no rule matches — so a table need not be total.
+  /// parse(spec)'s rules followed by defaults()' — the installed form of
+  /// an override, total like the defaults.
+  static TuningTable with_defaults(const std::string& spec);
+
+  /// First matching rule's algorithm.  Throws std::invalid_argument naming
+  /// the op and byte count when no rule matches (reachable only with a
+  /// bare parse() table, never with defaults() or with_defaults()).
   std::string select(CollOp op, std::size_t bytes, int ranks,
                      const mpi::Comm& comm) const;
 

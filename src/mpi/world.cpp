@@ -11,10 +11,13 @@ namespace mcmpi::mpi {
 World::World(sim::Simulator& sim, const std::vector<RankResources>& ranks)
     : sim_(sim) {
   MC_EXPECTS_MSG(!ranks.empty(), "world needs at least one rank");
+  // kAuto's one table: the defaults (whose min_segments rules pick the
+  // hierarchical algorithms on communicators spanning >= 2 segments), or an
+  // MCMPI_COLL_TUNING override's rules followed by the defaults.
   const char* env_tuning = std::getenv("MCMPI_COLL_TUNING");
   coll_tuning_ = std::make_shared<coll::TuningTable>(
       env_tuning != nullptr && *env_tuning != '\0'
-          ? coll::TuningTable::parse(env_tuning)
+          ? coll::TuningTable::with_defaults(env_tuning)
           : coll::TuningTable::defaults());
   world_info_ = std::make_shared<CommInfo>(
       alloc_context(), Group::world(static_cast<int>(ranks.size())));
@@ -29,15 +32,6 @@ World::World(sim::Simulator& sim, const std::vector<RankResources>& ranks)
     num_segments_ = std::max(num_segments_, r.segment + 1);
     procs_.push_back(std::make_unique<Proc>(*this, static_cast<Rank>(i),
                                             *r.udp, *r.rdp, *r.costs));
-  }
-  // Topology-aware kAuto: a multi-segment world prepends the min_segments
-  // rules that pick the hierarchical algorithms for communicators spanning
-  // >= 2 segments.  Single-segment worlds keep the classic table (and the
-  // hier table's classic tail makes single-segment communicators select
-  // identically anyway); an MCMPI_COLL_TUNING override always wins.
-  if ((env_tuning == nullptr || *env_tuning == '\0') && num_segments_ >= 2) {
-    coll_tuning_ = std::make_shared<coll::TuningTable>(
-        coll::TuningTable::hier_defaults());
   }
 }
 

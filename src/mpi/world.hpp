@@ -82,9 +82,10 @@ class World {
 
   /// Tuned collective auto-selection rules (coll/tuning.hpp) consulted by
   /// the kAuto policy of comm.coll().  Construction installs the
-  /// MCMPI_COLL_TUNING environment table when set, the paper-crossover
-  /// defaults otherwise; ClusterConfig::coll_tuning overrides via the
-  /// setter.
+  /// MCMPI_COLL_TUNING environment rules followed by the defaults when set,
+  /// the defaults otherwise; ClusterConfig::coll_tuning overrides via the
+  /// setter (same with_defaults form).  The setter installs `table`
+  /// verbatim.
   const coll::TuningTable& coll_tuning() const { return *coll_tuning_; }
   void set_coll_tuning(coll::TuningTable table);
 

@@ -66,8 +66,6 @@ TEST(Registry, CarriesTheFullAlgorithmSet) {
   // Every entry carries the uniform metadata.
   for (const coll::CollAlgorithm& a : r.entries()) {
     EXPECT_TRUE(static_cast<bool>(a.applicable)) << a.name;
-    EXPECT_TRUE(static_cast<bool>(a.cost_hint)) << a.name;
-    EXPECT_GT(a.cost_hint(1024, 4), 0.0) << a.name;
   }
 }
 
@@ -100,7 +98,6 @@ TEST(Registry, PluggedInAlgorithmIsDispatchable) {
   noop.op = CollOp::kBarrier;
   noop.description = "registered by coll_registry_test";
   noop.applicable = [](const mpi::Comm&, std::size_t) { return true; };
-  noop.cost_hint = [](std::size_t, int) { return 1e9; };  // never auto-picked
   noop.barrier = [](mpi::Proc&, const mpi::Comm&) {};
   r.add(noop);
   {
@@ -407,9 +404,9 @@ TEST(TuningTable, ClusterConfigOverridesTheDefaults) {
     coll::Coll coll = p.comm_world().coll();
     EXPECT_EQ(coll.resolve(CollOp::kBcast, 64 * 1024), "sequencer");
     EXPECT_EQ(coll.resolve(CollOp::kBcast, 1), "sequencer");
-    // Ops the override table does not cover fall back to the cheapest
-    // applicable non-lossy entry by cost hint.
+    // Ops the override table does not cover fall through to the defaults.
     EXPECT_EQ(coll.resolve(CollOp::kBarrier, 0), "mcast");
+    EXPECT_EQ(coll.resolve(CollOp::kAllgather, 64 * 1024), "mcast-lockstep");
   });
 }
 
@@ -441,6 +438,9 @@ TEST(TuningTable, ParseRejectsMalformedSpecs) {
   EXPECT_THROW(coll::TuningTable::parse("bcast,xyz,*,mpich"),
                std::invalid_argument);
   EXPECT_THROW(coll::TuningTable::parse("bcast,*,*,no-such-algo"),
+               std::invalid_argument);
+  // A lossy entry may drop payload: kAuto never picks it.
+  EXPECT_THROW(coll::TuningTable::parse("allgather,*,*,mcast-blast"),
                std::invalid_argument);
   // Round-trip of a valid table.
   const coll::TuningTable table =
@@ -477,6 +477,102 @@ TEST(TuningTable, ParseErrorsNameTheRuleFieldAndToken) {
   EXPECT_NE(gate.find("offending token 'sloppy'"), std::string::npos) << gate;
   const std::string algo = message("bcast,*,*,no-such-algo");
   EXPECT_NE(algo.find("field 4"), std::string::npos) << algo;
+  const std::string lossy =
+      message("bcast,*,*,mpich; allgather,*,*,mcast-blast");
+  EXPECT_NE(lossy.find("tuning rule 2 ('allgather,*,*,mcast-blast'), field 4"),
+            std::string::npos)
+      << lossy;
+  EXPECT_NE(lossy.find("allgather:mcast-blast is lossy"), std::string::npos)
+      << lossy;
+}
+
+TEST(TuningTable, DefaultsEndInATotalRulePerOp) {
+  // kAuto always resolves: every op's last default rule is unbounded,
+  // ungated, and names an always-applicable, loss-tolerant entry.
+  ClusterConfig multi = config_for(16);
+  multi.num_segments = 2;
+  multi.hosts = cluster::make_uniform_hosts(16);
+  Cluster flat(config_for(9));
+  Cluster split(multi);
+  const auto& rules = coll::TuningTable::defaults().rules();
+  for (const CollOp op : coll::kAllCollOps) {
+    const coll::TuningRule* last = nullptr;
+    for (const coll::TuningRule& rule : rules) {
+      if (rule.op == op) {
+        last = &rule;
+      }
+    }
+    ASSERT_NE(last, nullptr) << coll::to_string(op);
+    EXPECT_EQ(last->max_bytes, -1) << coll::to_string(op);
+    EXPECT_EQ(last->max_ranks, -1) << coll::to_string(op);
+    EXPECT_EQ(last->min_segments, 0) << coll::to_string(op);
+    EXPECT_FALSE(last->lossy_only) << coll::to_string(op);
+    const coll::CollAlgorithm& algo = Registry::instance().get(op, last->algo);
+    EXPECT_TRUE(algo.loss_tolerant) << coll::to_string(op) << ':' << algo.name;
+    for (Cluster* c : {&flat, &split}) {
+      const mpi::Comm world = c->world().proc(0).comm_world();
+      for (const std::size_t bytes :
+           {std::size_t{0}, std::size_t{1} << 20, std::size_t{1} << 28}) {
+        EXPECT_TRUE(!algo.applicable || algo.applicable(world, bytes))
+            << coll::to_string(op) << ':' << algo.name << " at " << bytes
+            << " B on " << world.size() << " ranks";
+      }
+    }
+  }
+}
+
+TEST(TuningTable, LossyNetworksFallThroughToPointToPoint) {
+  // The barrier and scatter multicasts are not loss-tolerant: on a lossy
+  // network their trailing mpich rules catch the pick.
+  ClusterConfig config = config_for(9);
+  config.faults.link.loss = 0.01;
+  Cluster cluster(config);
+  coll::Coll coll = cluster.world().proc(0).comm_world().coll();
+  EXPECT_EQ(coll.resolve(CollOp::kBarrier, 0), "mpich");
+  EXPECT_EQ(coll.resolve(CollOp::kScatter, 16 * 1024), "mpich");
+  EXPECT_EQ(coll.resolve(CollOp::kScatter, 1 << 20), "mpich");
+}
+
+TEST(TuningTable, LossyMultiSegmentBarrierPicksHierOnlyAcrossSegments) {
+  constexpr int kProcs = 16;
+  ClusterConfig config = config_for(kProcs);
+  config.num_segments = 2;
+  config.hosts = cluster::make_uniform_hosts(kProcs);
+  config.faults.link.loss = 0.01;
+  Cluster cluster(config);
+  std::string world_pick;
+  std::string segment_pick;
+  cluster.world().run([&](mpi::Proc& p) {
+    const mpi::Comm world = p.comm_world();
+    const mpi::Comm segment =
+        p.split(world, p.world().segment_of(p.rank()), p.rank());
+    if (p.rank() == 0) {
+      world_pick = world.coll().resolve(CollOp::kBarrier, 0);
+      segment_pick = segment.coll().resolve(CollOp::kBarrier, 0);
+    }
+  });
+  EXPECT_EQ(world_pick, "hier");
+  EXPECT_EQ(segment_pick, "mpich");
+}
+
+TEST(TuningTable, OverridesPrependToTheDefaultsAndBareTablesThrow) {
+  const auto defaults = coll::TuningTable::defaults();
+  const auto table = coll::TuningTable::with_defaults("bcast,*,*,mpich");
+  ASSERT_EQ(table.rules().size(), defaults.rules().size() + 1);
+  EXPECT_EQ(table.to_string(), "bcast,*,*,mpich; " + defaults.to_string());
+
+  // Only a bare parsed table can run out of rules; the error names the op
+  // and the byte count.
+  Cluster cluster(config_for(4));
+  const mpi::Comm world = cluster.world().proc(0).comm_world();
+  const auto bare = coll::TuningTable::parse("bcast,*,*,mpich");
+  try {
+    (void)bare.select(CollOp::kBarrier, 0, world.size(), world);
+    FAIL() << "a bare table without a barrier rule must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("barrier at 0 B"), std::string::npos) << what;
+  }
 }
 
 TEST(TuningTable, LossyGatedRulesRoundTrip) {

@@ -155,7 +155,7 @@ struct Trace {
 };
 
 /// One hierarchical mixed-collective run: kAuto bcast/allreduce/barrier
-/// under the hier_defaults tuning table plus an explicit hier allgather,
+/// under the default tuning table plus an explicit hier allgather,
 /// over non-uniform per-pair trunk latencies (so the adaptive lookahead
 /// matrix is actually in play).
 Trace run_hier_workload(NetworkType network, int procs, int segments,
@@ -170,7 +170,6 @@ Trace run_hier_workload(NetworkType network, int procs, int segments,
   config.shard_driver = driver;
   config.sim_backend = backend;
   config.seed = 19;
-  config.coll_tuning = coll::TuningTable::hier_defaults().to_string();
   config.trunk_latency_of = [](int a, int b) {
     // Asymmetric mesh: the (0, 1) trunk is fast, pairs touching the last
     // segment are slow, everything else uses the uniform default.

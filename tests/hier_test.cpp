@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstring>
+#include <memory>
 #include <numeric>
 
 #include "cluster/cluster.hpp"
@@ -387,7 +388,7 @@ TEST(HierComms, InterleavedSplitIsNonContiguousButBcastStillWorks) {
     if (mixed.rank() == 0) {
       applicable = coll::hier_applicable(mixed);
       contiguous = coll::hier_applicable_contiguous(mixed);
-      auto_pick = coll::TuningTable::hier_defaults().select(
+      auto_pick = coll::TuningTable::defaults().select(
           coll::CollOp::kAllreduce, 16384, mixed.size(), mixed);
     }
     Buffer data;
@@ -462,10 +463,11 @@ TEST(HierTuning, MinSegmentsFieldParsesAndRoundTrips) {
                 .rules()[0]
                 .min_segments,
             0);
-  // The full hier table round-trips through its own string form.
-  const auto hier = coll::TuningTable::hier_defaults();
-  EXPECT_EQ(coll::TuningTable::parse(hier.to_string()).to_string(),
-            hier.to_string());
+  // The default table (hier rules included) round-trips through its own
+  // string form.
+  const auto defaults = coll::TuningTable::defaults();
+  EXPECT_EQ(coll::TuningTable::parse(defaults.to_string()).to_string(),
+            defaults.to_string());
 }
 
 TEST(HierTuning, RejectsMalformedMinSegments) {
@@ -477,11 +479,11 @@ TEST(HierTuning, RejectsMalformedMinSegments) {
                std::invalid_argument);
 }
 
-TEST(HierTuning, HierDefaultsPickHierOnlyAcrossSegments) {
+TEST(HierTuning, DefaultsPickHierOnlyAcrossSegments) {
   // 2 segments of 4 ranks: the intra comms are big enough (> 2 ranks)
-  // that the classic table's multicast rules apply inside a segment.
+  // that the flat multicast rules apply inside a segment.
   Cluster cluster(config_for(8, 2));
-  const auto table = coll::TuningTable::hier_defaults();
+  const auto table = coll::TuningTable::defaults();
   std::string big_bcast;
   std::string tiny_bcast;
   std::string barrier;
@@ -508,37 +510,39 @@ TEST(HierTuning, HierDefaultsPickHierOnlyAcrossSegments) {
   EXPECT_EQ(barrier, "hier");
   EXPECT_EQ(allgather, "hier");
   EXPECT_EQ(intra_bcast, "mcast-binary")
-      << "the intra comm spans one segment: classic rules apply";
+      << "the intra comm spans one segment: flat rules apply";
 }
 
-TEST(HierTuning, HierDefaultsOnSingleSegmentMatchClassicDefaults) {
-  Cluster cluster(config_for(4, 1));
-  const auto hier = coll::TuningTable::hier_defaults();
-  const auto classic = coll::TuningTable::defaults();
-  bool all_equal = true;
-  cluster.world().run([&](mpi::Proc& p) {
-    const mpi::Comm world = p.comm_world();
-    if (p.rank() != 0) {
-      return;
-    }
-    for (const coll::CollOp op :
-         {coll::CollOp::kBcast, coll::CollOp::kBarrier,
-          coll::CollOp::kAllreduce, coll::CollOp::kAllgather}) {
-      for (const std::size_t bytes : {std::size_t{256}, std::size_t{16384}}) {
-        all_equal &= hier.select(op, bytes, world.size(), world) ==
-                     classic.select(op, bytes, world.size(), world);
-      }
-    }
-  });
-  EXPECT_TRUE(all_equal)
-      << "every min_segments gate must fail on a single segment";
+TEST(HierTuning, SelectionDoesNotLeakAcrossClusters) {
+  // Two 16-rank, 2-segment clusters with the same partial override and
+  // different trunks: constructing the second must not change what the
+  // first one's kAuto picks.  The override does not match barrier, which
+  // falls through to the defaults' min_segments rule.
+  const auto make = [](SimTime trunk) {
+    ClusterConfig config;
+    config.num_procs = 16;
+    config.num_segments = 2;
+    config.network = NetworkType::kSwitch;
+    config.hosts = cluster::make_uniform_hosts(16);
+    config.trunk_latency = trunk;
+    config.coll_tuning = "bcast,*,*,mpich";
+    return std::make_unique<Cluster>(config);
+  };
+  const auto barrier_pick = [](Cluster& c) {
+    return c.world().proc(0).comm_world().coll().resolve(
+        coll::CollOp::kBarrier, 0);
+  };
+  const auto fast = make(microseconds(100));
+  EXPECT_EQ(barrier_pick(*fast), "hier");
+  const auto slow = make(milliseconds(2));
+  EXPECT_EQ(barrier_pick(*fast), "hier")
+      << "a later Cluster changed an earlier Cluster's kAuto pick";
+  EXPECT_EQ(barrier_pick(*slow), "hier");
 }
 
-TEST(HierTuning, InstalledViaClusterConfigDrivesKAuto) {
+TEST(HierTuning, DefaultsDriveKAutoAcrossSegments) {
   constexpr int kProcs = 8;
-  ClusterConfig config = config_for(kProcs, 4);
-  config.coll_tuning = coll::TuningTable::hier_defaults().to_string();
-  Cluster cluster(config);
+  Cluster cluster(config_for(kProcs, 4));
   std::vector<int> ok(kProcs, 1);
   cluster.world().run([&](mpi::Proc& p) {
     auto& good = ok[static_cast<std::size_t>(p.rank())];
