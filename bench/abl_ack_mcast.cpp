@@ -4,14 +4,14 @@
 //       is sent (the paper's contribution);
 //   ack-mcast — ORNL/PVM style: send first, retransmit whole payloads until
 //       everyone ACKs ("did not produce improvement in performance");
-//   sequencer — Orca-style ordered multicast with NACK recovery (related
-//       work; wins in steady state, pays on cold starts).
+//   sequencer — Orca-style ordered multicast: a handoff to rank 0, which
+//       broadcasts as nack-mcast (related work; wins in steady state, pays
+//       on cold starts).
 //
 // Two experiments: (a) a well-synchronized broadcast sweep, (b) the same
 // broadcast with one receiver entering `--stagger_us` late — the case that
 // makes the ACK protocol retransmit full payloads while scouts just wait.
 #include "coll/mcast_stream.hpp"
-#include "coll/sequencer.hpp"
 
 #include <map>
 #include <stdexcept>

@@ -1,12 +1,12 @@
 // Loss-crossover sweep: the recovery schemes of every loss-tolerant
 // single-datagram broadcast against rising link loss.
 //
-// Six protocols — ack-mcast (sender-initiated, ORNL style), nack-mcast
-// (receiver-driven SRM style), the sequencer (token-ordered with NACK
-// recovery), the segmented pipeline (per-chunk acks, window 4) and the
-// FEC-coded multicast at two parity overheads (1/8 and 1/4) — each
-// measured at five link-fault profiles: a clean wire, 0.1%, 1% and 5%
-// independent loss, and a Gilbert–Elliott bursty profile.  Two topologies
+// Five protocols — ack-mcast (sender-initiated, ORNL style), nack-mcast
+// (receiver-driven SRM style), the segmented pipeline (per-chunk acks,
+// window 4) and the FEC-coded multicast at two parity overheads (1/8 and
+// 1/4) — each measured at five link-fault profiles: a clean wire, 0.1%,
+// 1% and 5% independent loss, and a Gilbert–Elliott bursty profile.  The
+// sequencer has no column: rooted at rank 0 it is nack-mcast.  Two topologies
 // per rank count (9 and 16 switched hosts): the paper's single switch, and
 // a 2-segment cluster joined by a 2 ms trunk — the high-latency regime
 // where any recovery round trip costs four orders of magnitude more than a
@@ -89,17 +89,13 @@ std::vector<LossProfile> loss_profiles() {
 /// trunk makes the protocols' 2 ms LAN defaults exactly too tight).
 /// Idempotent; called at the top of every repetition.
 void configure_recovery(mpi::Proc& p, const Variant& v, SimTime silence) {
-  coll::StreamPreset preset;
+  coll::StreamPreset preset = coll::StreamPreset::kFec;
   if (v.engine == "ack-mcast") {
     preset = coll::StreamPreset::kAck;
   } else if (v.engine == "nack-mcast") {
     preset = coll::StreamPreset::kNack;
   } else if (v.engine == "mcast-segmented") {
     preset = coll::StreamPreset::kSegmented;
-  } else if (v.engine == "fec-mcast") {
-    preset = coll::StreamPreset::kFec;
-  } else {
-    return;  // the sequencer already defaults to a backed-off, capped timer
   }
   coll::StreamConfig config = coll::preset_config(preset);
   config.timeout = silence;
@@ -178,14 +174,13 @@ Measured measure_loss(int procs, const Topology& topo, const LossProfile& lp,
 int run(int argc, char** argv) {
   const BenchOptions options = BenchOptions::parse(
       argc, argv,
-      "Loss crossover: ack-mcast vs nack-mcast vs sequencer vs segmented "
-      "vs fec-mcast broadcast under rising link loss");
+      "Loss crossover: ack-mcast vs nack-mcast vs segmented vs fec-mcast "
+      "broadcast under rising link loss");
 
   const std::vector<LossProfile> profiles = loss_profiles();
   const std::vector<Variant> variants = {
       {"ack-mcast", "ack-mcast", "ack-mcast"},
       {"nack-mcast", "nack-mcast", "nack-mcast"},
-      {"sequencer", "sequencer", "sequencer"},
       {"seg w4", "mcast-segmented", "mcast-segmented"},
       {"fec 1/8", "fec-mcast-1/8", "fec-mcast", 0.125},
       {"fec 1/4", "fec-mcast-1/4", "fec-mcast", 0.25},
@@ -230,7 +225,7 @@ int run(int argc, char** argv) {
     all.push_back(std::move(by_ranks));
   }
 
-  constexpr std::size_t kAck = 0, kNack = 1, kFec8 = 4, kFec4 = 5;
+  constexpr std::size_t kAck = 0, kNack = 1, kFec8 = 3, kFec4 = 4;
 
   // Zero-loss sanity: the fault path's default really is zero faults,
   // nack-mcast's clean-wire claim (no control traffic at all) holds, and

@@ -1,9 +1,9 @@
 // Example: a replicated key-value log over sequencer-ordered multicast —
 // the Orca-style usage the paper's related work points at.  Every rank
 // issues updates; the sequencer (rank 0) stamps a total order and
-// multicasts once; every replica applies the same operations in the same
-// order, so all replicas converge to identical state without any
-// per-update readiness handshake.
+// multicasts once as nack-mcast (receivers NACK what they miss); every
+// replica applies the same operations in the same order, so all replicas
+// converge to identical state without any per-update readiness handshake.
 //
 //   $ ./replicated_log [--procs=5] [--updates=4]
 #include <cstring>
@@ -12,7 +12,6 @@
 
 #include "cluster/cluster.hpp"
 #include "coll/facade.hpp"
-#include "coll/sequencer.hpp"
 #include "common/bytes.hpp"
 #include "common/flags.hpp"
 

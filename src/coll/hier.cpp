@@ -47,7 +47,9 @@ Buffer pack_blocks(const std::vector<Buffer>& blocks) {
     const auto len = static_cast<std::uint64_t>(b.size());
     std::memcpy(out.data() + at, &len, sizeof(len));
     at += sizeof(len);
-    std::memcpy(out.data() + at, b.data(), b.size());
+    if (!b.empty()) {  // an empty block's data() may be null
+      std::memcpy(out.data() + at, b.data(), b.size());
+    }
     at += b.size();
   }
   return out;

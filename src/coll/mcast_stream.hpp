@@ -14,6 +14,10 @@
 ///   fec-mcast         total / k   8   1     nack     1/8    none
 ///   mcast-segmented   64 KiB      4   1     ack      0      scout gather
 ///
+/// The registry's `sequencer` (Orca-style) is no preset of its own: the root
+/// hands its payload over point-to-point to comm rank 0, which broadcasts
+/// it as nack-mcast (same configuration, history and stats).
+///
 ///   * CHUNK — the payload is cut into chunks (chunk_bytes, or total / k
 ///     when chunk_bytes is 0), each multicast with a 32 B sub-header after
 ///     the usual 16 B (context, root, seq) framing.  Every header carries

@@ -13,7 +13,6 @@
 #include "coll/mcast_stream.hpp"
 #include "coll/mpich.hpp"
 #include "coll/scatter_allgather.hpp"
-#include "coll/sequencer.hpp"
 #include "common/assert.hpp"
 
 namespace mcmpi::coll {
@@ -131,12 +130,25 @@ void register_builtins(Registry& r) {
   r.add(CollAlgorithm{
       .name = "sequencer",
       .op = CollOp::kBcast,
-      .description =
-          "sequencer-ordered multicast with NACK recovery (Orca-style)",
+      .description = "sequencer-ordered multicast (Orca-style): hand off "
+                     "to rank 0, which orders it as nack-mcast",
       .applicable = fits_mcast_datagram,
-      .loss_tolerant = true,  // gap detection + NACK to the sequencer
-      .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
-                  int root) { bcast_sequencer(p, comm, buffer, root); }});
+      .loss_tolerant = true,  // nack-mcast recovery from the sequencer
+      // The root hands its payload to the sequencer (comm rank 0) over
+      // point-to-point; the sequencer multicasts it as nack-mcast, and the
+      // root takes its own broadcast back as an ordinary receiver (the Orca
+      // "commit": the order is only fixed once it comes back).
+      .bcast =
+          [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer, int root) {
+            if (root != 0 && comm.rank() == root) {
+              p.send(comm, 0, mpi::kTagSequencer, buffer,
+                     net::FrameKind::kData, mpi::CostTier::kRaw);
+            } else if (root != 0 && comm.rank() == 0) {
+              buffer = p.recv(comm, root, mpi::kTagSequencer, nullptr,
+                              mpi::CostTier::kRaw);
+            }
+            bcast_stream(p, comm, buffer, /*root=*/0, StreamPreset::kNack);
+          }});
   r.add(CollAlgorithm{
       .name = "nack-mcast",
       .op = CollOp::kBcast,

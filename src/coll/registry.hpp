@@ -3,8 +3,9 @@
 /// String-keyed algorithm registry for the collective layer.
 ///
 /// Every collective algorithm — the paper's mpich baseline and multicast
-/// scout variants, the related-work ack-mcast/sequencer protocols, the van
-/// de Geijn scatter-allgather extension, the multicast allgather pacing
+/// scout variants, the related-work ack-mcast protocol and sequencer (a
+/// point-to-point handoff in front of nack-mcast), the van de Geijn
+/// scatter-allgather extension, the multicast allgather pacing
 /// disciplines — registers one uniform CollAlgorithm entry: a run function
 /// per operation, an applicability predicate, and the lossy /
 /// loss_tolerant flags.  Benches and tests sweep the registry instead of

@@ -100,9 +100,9 @@ class Engine {
   /// Async sink: eager messages carrying internal tag `tag` (<
   /// kFirstInternalTag) on context `context` are handed to `handler` the
   /// moment they arrive, bypassing matching.  Used by protocols that must
-  /// service requests while the owning rank is busy elsewhere (e.g. the
-  /// sequencer answering retransmission NACKs).  The payload is a zero-copy
-  /// view of the transport message.
+  /// service requests while the owning rank is busy elsewhere (e.g. a
+  /// nack-mcast root answering retransmission NACKs).  The payload is a
+  /// zero-copy view of the transport message.
   using SinkHandler = std::function<void(Rank src_world, PayloadRef data)>;
   void set_sink(std::uint32_t context, Tag tag, SinkHandler handler);
   void clear_sink(std::uint32_t context, Tag tag);

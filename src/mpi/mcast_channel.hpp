@@ -38,7 +38,7 @@ class McastChannel {
   /// frame back to the sending NIC, so the sender's own socket does NOT see
   /// it (equivalent to IP_MULTICAST_LOOP disabled, which is how the paper's
   /// implementation avoids the root consuming its own broadcast).
-  /// Re-sending a retained PayloadRef (sequencer history, ACK-protocol
+  /// Re-sending a retained PayloadRef (NACK-mode history, ACK-mode
   /// retransmits) reuses the framed bytes instead of rebuilding them.
   void send(const PayloadRef& payload, net::FrameKind kind) {
     socket_->sendto(group_, port_, payload.view(), kind);

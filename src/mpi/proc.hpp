@@ -177,8 +177,8 @@ class Proc {
   bool network_lossy() const { return network_lossy_; }
 
   /// Per-communicator protocol state for collective implementations
-  /// (e.g. the sequencer's history buffer).  One T per (communicator,
-  /// type); default-constructed on first access.
+  /// (e.g. the stream engine's retransmission history).  One T per
+  /// (communicator, type); default-constructed on first access.
   template <typename T>
   T& coll_state(const Comm& comm) {
     auto& slot = coll_state_[{comm.context(), std::type_index(typeid(T))}];

@@ -21,8 +21,7 @@ inline constexpr Tag kFirstInternalTag = -100;
 inline constexpr Tag kTagScout = -101;      // multicast readiness scouts
 inline constexpr Tag kTagBarrier = -102;    // MPICH barrier messages
 inline constexpr Tag kTagCollective = -103; // tree collectives over p2p
-inline constexpr Tag kTagSequencer = -105;  // Orca-style sequencer protocol
-inline constexpr Tag kTagSeqNack = -106;    // sequencer retransmission NACKs
+inline constexpr Tag kTagSequencer = -105;  // Orca-style sequencer handoff
 inline constexpr Tag kTagReducePartial = -107;  // mcast-scout reduce partials
 inline constexpr Tag kTagGatherBlock = -108;    // scout-combining gather blocks
 inline constexpr Tag kTagChunkAck = -109;       // stream engine chunk acks

@@ -3,7 +3,7 @@
 /// Adversarial-network fault injection: per-link fault models.
 ///
 /// The paper's entire reliability story (ack-mcast's ORNL ack discipline,
-/// the sequencer's NACK recovery, the segmented pipeline's per-chunk
+/// nack-mcast's receiver-driven recovery, the segmented pipeline's per-chunk
 /// retransmission) exists because UDP multicast is lossy — this layer makes
 /// the simulated network actually adversarial so those recovery paths are
 /// exercised, tested and benchmarked instead of shipping dead.

@@ -494,7 +494,8 @@ TEST(TuningTable, DefaultsEndInATotalRulePerOp) {
   multi.hosts = cluster::make_uniform_hosts(16);
   Cluster flat(config_for(9));
   Cluster split(multi);
-  const auto& rules = coll::TuningTable::defaults().rules();
+  const coll::TuningTable defaults = coll::TuningTable::defaults();
+  const auto& rules = defaults.rules();
   for (const CollOp op : coll::kAllCollOps) {
     const coll::TuningRule* last = nullptr;
     for (const coll::TuningRule& rule : rules) {

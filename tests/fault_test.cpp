@@ -280,6 +280,62 @@ TEST(NackMcast, TotalLossIsAHardErrorNotAHang) {
       std::runtime_error);
 }
 
+// The sequencer is a point-to-point handoff to rank 0 in front of
+// nack-mcast, so a non-zero root's broadcasts recover through the stream
+// engine and its NACKs and re-multicasts land in the scheduler counters.
+TEST(Sequencer, NonZeroRootRecoversAndCountsNacks) {
+  constexpr int kProcs = 9;
+  constexpr int kRoot = 2;
+  constexpr std::size_t kBytes = 4000;
+  Cluster cluster(
+      faulty_config(kProcs, NetworkType::kSwitch, FaultProfile{.loss = 0.05}));
+  for (int i = 0; i < 4; ++i) {
+    const auto seed = static_cast<std::uint64_t>(40 + i);
+    std::vector<int> ok(kProcs, 0);
+    cluster.world().run([&](mpi::Proc& p) {
+      Buffer data;
+      if (p.rank() == kRoot) {
+        data = pattern_payload(seed, kBytes);
+      }
+      p.comm_world().coll().bcast(data, kRoot, "sequencer");
+      ok[static_cast<std::size_t>(p.rank())] =
+          data.size() == kBytes && check_pattern(seed, data);
+    });
+    for (int r = 0; r < kProcs; ++r) {
+      EXPECT_TRUE(ok[static_cast<std::size_t>(r)]) << "bcast " << i
+                                                   << " rank " << r;
+    }
+  }
+  const sim::SchedCounters sched = cluster.simulator().sched_counters();
+  EXPECT_GT(sched.frames_dropped, 0u);
+  EXPECT_GT(sched.nacks_sent, 0u);
+  EXPECT_GT(sched.retransmits, 0u);
+}
+
+TEST(Sequencer, TotalLossIsAHardErrorNotAHang) {
+  Cluster cluster(
+      faulty_config(4, NetworkType::kSwitch, FaultProfile{.loss = 1.0}));
+  try {
+    cluster.world().run([&](mpi::Proc& p) {
+      coll::StreamConfig cfg = coll::preset_config(coll::StreamPreset::kNack);
+      cfg.timeout = milliseconds(1);
+      cfg.max_retries = 3;
+      coll::set_stream_config(p, p.comm_world(), coll::StreamPreset::kNack,
+                              cfg);
+      Buffer data;
+      if (p.rank() == 1) {
+        data = pattern_payload(1, 500);
+      }
+      p.comm_world().coll().bcast(data, 1, "sequencer");
+    });
+    FAIL() << "total loss must end in a hard error";
+  } catch (const std::runtime_error& e) {
+    // The error names the engine that gave up.
+    EXPECT_NE(std::string(e.what()).find("nack-mcast"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(NackMcast, BoundedHistoryOverflowIsAHardError) {
   // A fire-and-forget root racing three broadcasts past a one-frame
   // retransmission history: a receiver that lost frame 0 NACKs into a

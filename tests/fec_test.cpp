@@ -21,7 +21,6 @@
 #include "cluster/cluster.hpp"
 #include "coll/facade.hpp"
 #include "common/assert.hpp"
-#include "coll/fec.hpp"
 #include "coll/gf256.hpp"
 #include "coll/registry.hpp"
 #include "coll/mcast_stream.hpp"
@@ -222,20 +221,22 @@ TEST(Gf256Codec, RandomizedEncodeEraseDecodeRoundTrips) {
 
 // ------------------------------------------------------ plan and config
 
-TEST(FecPlanGeometry, CoversEmptySmallAndJumboTotals) {
-  const coll::FecConfig cfg;  // the fec-mcast preset: k = 8, overhead = 1/8
-  const coll::FecPlan empty = coll::fec_plan(0, cfg);
+TEST(StreamPlanGeometry, CoversEmptySmallAndJumboTotals) {
+  // The fec-mcast preset (k = 8, overhead = 1/8), planned with no receive
+  // buffer clamp.
+  const coll::StreamConfig cfg;
+  const coll::StreamPlan empty = coll::stream_plan(0, cfg, SIZE_MAX);
   EXPECT_EQ(empty.chunk_bytes, 1u);
   EXPECT_EQ(empty.n_data, 1);
   EXPECT_EQ(empty.windows, 1);
 
-  const coll::FecPlan one = coll::fec_plan(1, cfg);
+  const coll::StreamPlan one = coll::stream_plan(1, cfg, SIZE_MAX);
   EXPECT_EQ(one.chunk_bytes, 1u);
   EXPECT_EQ(one.n_data, 1);
   EXPECT_EQ(one.windows, 1);
   EXPECT_GT(one.wire_bytes, 1u);  // headers + at least one parity chunk
 
-  const coll::FecPlan mid = coll::fec_plan(100000, cfg);
+  const coll::StreamPlan mid = coll::stream_plan(100000, cfg, SIZE_MAX);
   EXPECT_EQ(mid.chunk_bytes, 12500u);
   EXPECT_EQ(mid.n_data, 8);
   EXPECT_EQ(mid.windows, 1);
@@ -243,16 +244,17 @@ TEST(FecPlanGeometry, CoversEmptySmallAndJumboTotals) {
 
   // A total past the datagram ceiling clamps the chunk and spills into
   // multiple windows of k.
-  const coll::FecPlan jumbo = coll::fec_plan(8u << 20, cfg);
+  const coll::StreamPlan jumbo = coll::stream_plan(8u << 20, cfg, SIZE_MAX);
   EXPECT_GE(static_cast<std::size_t>(jumbo.n_data) * jumbo.chunk_bytes,
             8u << 20);
   EXPECT_EQ(jumbo.windows, (jumbo.n_data + cfg.k - 1) / cfg.k);
   EXPECT_GT(jumbo.windows, 1);
 
   // Adaptive plans budget the receive buffer for the ratchet's ceiling.
-  coll::FecConfig adaptive = cfg;
+  coll::StreamConfig adaptive = cfg;
   adaptive.adaptive = true;
-  EXPECT_GT(coll::fec_plan(100000, adaptive).wire_bytes, mid.wire_bytes);
+  EXPECT_GT(coll::stream_plan(100000, adaptive, SIZE_MAX).wire_bytes,
+            mid.wire_bytes);
 }
 
 ClusterConfig faulty_config(int procs, NetworkType net,
@@ -325,7 +327,7 @@ TEST(StreamConfig, RejectsOutOfRangeValues) {
                                             StreamPreset::kSegmented, wide));
     // The defaults themselves round-trip.
     coll::set_stream_config(p, p.comm_world(), StreamPreset::kFec,
-                            coll::FecConfig{});
+                            coll::StreamConfig{});
     EXPECT_EQ(
         coll::stream_config(p, p.comm_world(), StreamPreset::kFec).k, 8);
   });

@@ -365,7 +365,7 @@ TEST(Engine, SinkReceivesInternalTagTraffic) {
   cluster.world().run([&](mpi::Proc& p) {
     const mpi::Comm comm = p.comm_world();
     if (p.rank() == 1) {
-      p.engine().set_sink(comm.context(), mpi::kTagSeqNack,
+      p.engine().set_sink(comm.context(), mpi::kTagChunkNack,
                           [&](mpi::Rank src, PayloadRef data) {
                             sunk.emplace_back(src, data.size());
                           });
@@ -373,9 +373,9 @@ TEST(Engine, SinkReceivesInternalTagTraffic) {
     // Make sure the sink is installed before rank 0 sends.
     comm.coll().barrier("mcast");
     if (p.rank() == 0) {
-      p.send(comm, 1, mpi::kTagSeqNack, pattern_payload(1, 24),
+      p.send(comm, 1, mpi::kTagChunkNack, pattern_payload(1, 24),
              net::FrameKind::kControl);
-      p.send(comm, 1, mpi::kTagSeqNack, pattern_payload(2, 48),
+      p.send(comm, 1, mpi::kTagChunkNack, pattern_payload(2, 48),
              net::FrameKind::kControl);
     } else {
       // Rank 1 never posts a receive: the sink must consume both while the

@@ -7,7 +7,6 @@
 #include "cluster/experiment.hpp"
 #include "coll/facade.hpp"
 #include "coll/mcast_stream.hpp"
-#include "coll/sequencer.hpp"
 #include "common/bytes.hpp"
 #include "net/hub.hpp"
 
@@ -155,7 +154,8 @@ TEST(LossInjection, AckMcastSurvivesMulticastLoss) {
   EXPECT_EQ(dropped, 2);
 }
 
-// The sequencer protocol recovers via receiver NACKs.
+// The sequencer (a handoff to rank 0 in front of nack-mcast) recovers via
+// receiver NACKs.
 TEST(LossInjection, SequencerRecoversViaNack) {
   constexpr int kProcs = 4;
   Cluster cluster(config_for(kProcs));
@@ -177,10 +177,10 @@ TEST(LossInjection, SequencerRecoversViaNack) {
     if (p.rank() == 1) {
       data = pattern_payload(5, 700);
     }
-    coll::bcast_sequencer(p, p.comm_world(), data, 1);
+    p.comm_world().coll().bcast(data, 1, "sequencer");
     ok[static_cast<std::size_t>(p.rank())] = check_pattern(5, data);
     if (p.rank() == 2) {
-      nacks = coll::sequencer_stats(p, p.comm_world()).nacks_sent;
+      nacks = coll::stream_stats(p, p.comm_world()).nacks_sent;
     }
   });
   for (int r = 0; r < kProcs; ++r) {
