@@ -25,8 +25,8 @@
 /// set for all nine ops, including doubled fall-through rules for ops whose
 /// multicast variants have applicability limits or are not loss-tolerant):
 ///
-///     bcast,*,2,mpich; bcast,1024,*,mpich; bcast,*,*,hier-mcast,2;
-///     bcast,*,*,fec-mcast,0,lossy; bcast,*,*,mcast-binary; ...
+///     bcast,*,2,mpich; bcast,1024,*,mpich; bcast,*,*,fec-mcast,0,lossy;
+///     bcast,*,*,hier-mcast,2; bcast,*,*,mcast-binary; ...
 ///     barrier,*,*,hier,2; barrier,*,*,mcast; barrier,*,*,mpich;
 ///     reduce,*,2,mpich; reduce,1024,*,mpich;
 ///     reduce,*,*,mcast-scout; reduce,*,*,mpich; ...

@@ -11,6 +11,7 @@
 
 #include "cluster/cluster.hpp"
 #include "coll/facade.hpp"
+#include "coll/mcast_stream.hpp"
 #include "common/bytes.hpp"
 
 namespace mcmpi {
@@ -554,6 +555,37 @@ TEST(TuningTable, LossyMultiSegmentBarrierPicksHierOnlyAcrossSegments) {
   });
   EXPECT_EQ(world_pick, "hier");
   EXPECT_EQ(segment_pick, "mpich");
+}
+
+TEST(TuningTable, LossyMultiSegmentBcastRidesTheFlatFecStream) {
+  // The trunk bridges forward multicast, so under loss one flat FEC stream
+  // beats hier-mcast's store-and-forward relay whenever the payload fits
+  // one FEC window; larger payloads, and clean networks, keep hier-mcast.
+  constexpr int kProcs = 16;
+  ClusterConfig config = config_for(kProcs);
+  config.num_segments = 2;
+  config.hosts = cluster::make_uniform_hosts(kProcs);
+  const ClusterConfig clean_config = config;
+  config.faults.link.loss = 0.01;
+  Cluster lossy(config);
+  Cluster clean(clean_config);
+  mpi::Proc& p = lossy.world().proc(0);
+  const coll::Coll coll = p.comm_world().coll();
+  // The blast must fit the receive socket buffer with its parity, so a
+  // payload as large as the buffer itself is past the FEC window.
+  const coll::StreamConfig fec = coll::preset_config(coll::StreamPreset::kFec);
+  const std::size_t past_window = p.mcast_recv_buffer();
+  ASSERT_GT(coll::stream_plan(past_window, fec, past_window).wire_bytes,
+            past_window);
+
+  EXPECT_EQ(coll.resolve(CollOp::kBcast, 1024), "mpich");
+  for (const std::size_t bytes : {2048, 16 * 1024, 64 * 1024}) {
+    EXPECT_EQ(coll.resolve(CollOp::kBcast, bytes), "fec-mcast") << bytes;
+  }
+  EXPECT_EQ(coll.resolve(CollOp::kBcast, past_window), "hier-mcast");
+  EXPECT_EQ(clean.world().proc(0).comm_world().coll().resolve(
+                CollOp::kBcast, 16 * 1024),
+            "hier-mcast");
 }
 
 TEST(TuningTable, OverridesPrependToTheDefaultsAndBareTablesThrow) {
