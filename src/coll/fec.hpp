@@ -1,9 +1,9 @@
 #pragma once
 /// \file fec.hpp
 /// The fec-mcast preset by name: the stream engine's one configuration at
-/// its defaults (k = 8, overhead = 1/8, chunks of total / k, NACK
-/// feedback) and its geometry, for callers such as perfbench that size
-/// GF(256) work like fec-mcast does.  See mcast_stream.hpp.
+/// its defaults (k = 8, overhead = 1/8, chunks of
+/// total / min(k, frames filled), NACK feedback) and its geometry, for
+/// callers such as perfbench that size GF(256) work like fec-mcast does.  See mcast_stream.hpp.
 
 #include <cstddef>
 #include <limits>

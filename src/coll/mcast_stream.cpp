@@ -18,6 +18,7 @@
 #include "coll/mcast.hpp"
 #include "coll/mcast_scatter.hpp"
 #include "common/assert.hpp"
+#include "inet/udp.hpp"
 #include "sim/simulator.hpp"
 
 namespace mcmpi::coll {
@@ -140,13 +141,25 @@ int parity_rows(int k, double overhead) {
   return std::clamp(want, 1, gf256::max_parity(k));
 }
 
+/// Most chunk data one Ethernet frame carries under the stream framing.
+constexpr std::size_t kFrameChunkBytes =
+    static_cast<std::size_t>(inet::UdpStack::kMaxPayloadPerFrame) -
+    kFrameBytes;
+
 /// Nominal chunk size of a `total`-byte stream carrying r parity frames
 /// per generation.
 std::size_t plan_chunk(std::size_t total, const StreamConfig& cfg, int r,
                        std::size_t rcvbuf_bytes) {
   const auto k = static_cast<std::size_t>(cfg.k);
-  std::size_t chunk =
-      cfg.chunk_bytes != 0 ? cfg.chunk_bytes : (total + k - 1) / k;
+  std::size_t chunk = cfg.chunk_bytes;
+  if (chunk == 0) {
+    // The payload splits into min(k, frames it fills) chunks: below one
+    // frame a smaller chunk adds no loss independence (it is one frame
+    // either way) but still pays a whole per-message software cost.
+    const std::size_t n = std::clamp<std::size_t>(
+        (total + kFrameChunkBytes - 1) / kFrameChunkBytes, 1, k);
+    chunk = (total + n - 1) / n;
+  }
   // The framed chunk must clear the fragment-offset datagram ceiling…
   chunk = std::min(chunk, kMaxMcastDatagram - kFrameBytes);
   // …and fit the receive buffer: in ACK mode a full window of framed

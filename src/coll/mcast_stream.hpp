@@ -8,18 +8,21 @@
 /// three parameters (a window, lanes, and a recovery policy), and the
 /// registry's reliable broadcasts are presets of it:
 ///
-///   preset            chunking    k   lanes feedback parity readiness
-///   ack-mcast         whole       1   1     ack      0      none
-///   nack-mcast        whole       1   1     nack     0      none
-///   fec-mcast         total / k   8   1     nack     1/8    none
-///   mcast-segmented   64 KiB      4   1     ack      0      scout gather
+///   preset            chunking         k   lanes feedback parity readiness
+///   ack-mcast         whole            1   1     ack      0      none
+///   nack-mcast        whole            1   1     nack     0      none
+///   fec-mcast         total / min(k,   8   1     nack     1/8    none
+///                     frames filled)
+///   mcast-segmented   64 KiB           4   1     ack      0      scout gather
 ///
 /// The registry's `sequencer` (Orca-style) is no preset of its own: the root
 /// hands its payload over point-to-point to comm rank 0, which broadcasts
 /// it as nack-mcast (same configuration, history and stats).
 ///
-///   * CHUNK — the payload is cut into chunks (chunk_bytes, or total / k
-///     when chunk_bytes is 0), each multicast with a 32 B sub-header after
+///   * CHUNK — the payload is cut into chunks (chunk_bytes, or
+///     total / min(k, frames filled) when chunk_bytes is 0: a chunk below
+///     one Ethernet frame adds no loss independence but pays a whole
+///     per-message cost), each multicast with a 32 B sub-header after
 ///     the usual 16 B (context, root, seq) framing.  Every header carries
 ///     the stream geometry (chunk count, nominal chunk size, generation,
 ///     k, r, total), so a receiver takes ALL geometry from the wire, never
@@ -93,7 +96,9 @@ const char* to_string(StreamPreset preset);
 /// preset) and must be identical on every rank of the communicator — it is
 /// protocol policy, like a datatype.
 struct StreamConfig {
-  /// Requested chunk payload bytes; 0 splits the payload into k chunks.
+  /// Requested chunk payload bytes; 0 splits the payload into
+  /// min(k, Ethernet frames it fills) chunks, so a payload below k frames
+  /// costs one datagram per frame, not k sub-frame datagrams.
   /// The engine clamps it to the datagram ceiling and to the receive
   /// buffer (ACK mode: a window of frames per lane; NACK mode: one frame).
   std::size_t chunk_bytes = 0;

@@ -99,7 +99,7 @@ TuningTable TuningTable::defaults() {
   // runs a point-to-point size round before its leader multicasts again.
   // One lossless 8 KiB bcast on 16 ranks, 2 segments, 2 ms trunk: the
   // remote leader holds the payload at +3.47 ms, its size round ends at
-  // +4.15 ms and the last rank returns at +5.88 ms, against +4.34 ms for
+  // +4.15 ms and the last rank returns at +5.88 ms, against +4.07 ms for
   // the flat stream (17.9 against 8.5 ms at 64 KiB, where the root
   // segment's size round queues behind the root's trunk unicast).  Clean
   // networks keep hier-mcast.  Payloads too big for fec-mcast's

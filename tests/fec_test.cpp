@@ -1,11 +1,13 @@
 // Reliable-multicast stream engine tests (coll/mcast_stream.hpp): GF(256)
 // algebra (inverses, the all-ones XOR row, any-k-subset invertibility of
 // the stacked generator), randomized encode/erase/decode round-trips with
-// ragged tails, stream geometry and config validation, ONE conformance
+// ragged tails, stream geometry (below k frames of payload, one chunk per
+// frame it fills) and config validation, ONE conformance
 // matrix against mpich over every preset (ack-mcast, nack-mcast, fec-mcast,
 // mcast-segmented) x topologies x loss modes x sizes x roots, the adaptive
 // parity ratchet (and that it reads only evidence the root can see), the
-// NACK fallback and its hard-error cap, the presets' separate
+// NACK fallback and its hard-error cap, a small payload's frame count and
+// latency against nack-mcast, the presets' separate
 // retransmission histories, lossy-gated auto-selection, parity
 // generations in an ack-feedback stream (clean-wire parity accounting,
 // jumbo reconstruction under loss), and receivers that take the stream
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/experiment.hpp"
 #include "coll/facade.hpp"
 #include "common/assert.hpp"
 #include "coll/gf256.hpp"
@@ -221,6 +224,8 @@ TEST(Gf256Codec, RandomizedEncodeEraseDecodeRoundTrips) {
 
 // ------------------------------------------------------ plan and config
 
+using coll::StreamPreset;
+
 TEST(StreamPlanGeometry, CoversEmptySmallAndJumboTotals) {
   // The fec-mcast preset (k = 8, overhead = 1/8), planned with no receive
   // buffer clamp.
@@ -250,6 +255,28 @@ TEST(StreamPlanGeometry, CoversEmptySmallAndJumboTotals) {
   EXPECT_EQ(jumbo.windows, (jumbo.n_data + cfg.k - 1) / cfg.k);
   EXPECT_GT(jumbo.windows, 1);
 
+  // Below k full frames the payload splits into the frames it fills, not
+  // into k sub-frame chunks: one frame carries 1472 - 48 = 1424 B of chunk.
+  // From k * 1424 B on the chunk is total / k again.
+  struct Row {
+    std::size_t total;
+    int n_data;
+    std::size_t chunk_bytes;
+  };
+  for (const Row& row : {Row{1424, 1, 1424}, Row{1425, 2, 713},
+                         Row{2048, 2, 1024}, Row{8192, 6, 1366},
+                         Row{11392, 8, 1424}, Row{11393, 8, 1425}}) {
+    const coll::StreamPlan plan = coll::stream_plan(row.total, cfg, SIZE_MAX);
+    EXPECT_EQ(plan.n_data, row.n_data) << row.total << " B";
+    EXPECT_EQ(plan.chunk_bytes, row.chunk_bytes) << row.total << " B";
+    EXPECT_EQ(plan.windows, 1) << row.total << " B";
+  }
+  // A k = 1 preset (nack-mcast) sends the payload whole.
+  const coll::StreamPlan nack = coll::stream_plan(
+      8192, coll::preset_config(StreamPreset::kNack), SIZE_MAX);
+  EXPECT_EQ(nack.n_data, 1);
+  EXPECT_EQ(nack.chunk_bytes, 8192u);
+
   // Adaptive plans budget the receive buffer for the ratchet's ceiling.
   coll::StreamConfig adaptive = cfg;
   adaptive.adaptive = true;
@@ -267,8 +294,6 @@ ClusterConfig faulty_config(int procs, NetworkType net,
   config.faults.link = link;
   return config;
 }
-
-using coll::StreamPreset;
 
 /// The mcast-segmented preset with the given geometry and parity, tuned
 /// for a lossy wire (backed-off 2 ms timer, finite retry cap).
@@ -393,6 +418,11 @@ TEST(StreamConformance, EveryPresetMatchesMpichAcrossRanksTopologiesLossRoots) {
     // 64 KiB; the segmented preset also streams past the datagram ceiling,
     // ending in a ragged chunk.
     std::vector<std::size_t> sizes = {0, 1, 1024, 10007, 65536};
+    if (preset == StreamPreset::kFec) {
+      // Just past one and two frames of chunk: ragged last chunks in
+      // streams cut into fewer than k chunks.
+      sizes.insert(sizes.end(), {1425, 4097});
+    }
     if (preset == StreamPreset::kSegmented) {
       sizes.push_back((1u << 20) + 4097);
     }
@@ -522,6 +552,43 @@ TEST(FecMcast, EmptyBroadcastDelivers) {
       p.comm_world().coll().bcast(data, 0, "fec-mcast");
       EXPECT_EQ(data.size(), 0u);
     });
+  }
+}
+
+TEST(FecMcast, SmallPayloadSendsOneFramePerChunk) {
+  // On a clean switch a sub-window payload costs one data frame per
+  // Ethernet frame it fills plus one parity frame, so its latency stays
+  // near nack-mcast's single datagram instead of paying k per-message
+  // costs for k sub-frame chunks.
+  constexpr int kReps = 5;
+  const auto measure = [](const std::string& algo, std::size_t bytes) {
+    Cluster cluster(faulty_config(9, NetworkType::kSwitch, FaultProfile{}));
+    cluster::ExperimentConfig exp;
+    exp.reps = kReps;
+    return cluster::measure_collective(
+        cluster, exp, [&](mpi::Proc& p, int rep) {
+          Buffer data(bytes);
+          if (p.rank() == 0) {
+            data = pattern_payload(rep, bytes);
+          }
+          p.comm_world().coll().bcast(data, 0, algo);
+          EXPECT_TRUE(check_pattern(rep, data)) << algo << ", rank "
+                                                << p.rank();
+        });
+  };
+  struct Case {
+    std::size_t bytes;
+    std::uint64_t frames;  // data chunks + 1 parity frame
+    double max_vs_nack;
+  };
+  for (const Case& c : {Case{1024, 2, 1.05}, Case{2048, 3, 1.15}}) {
+    const auto fec = measure("fec-mcast", c.bytes);
+    const auto nack = measure("nack-mcast", c.bytes);
+    EXPECT_EQ(fec.net_delta.host_tx_frames, kReps * c.frames)
+        << c.bytes << " B";
+    EXPECT_LE(fec.latencies_us.median(),
+              c.max_vs_nack * nack.latencies_us.median())
+        << c.bytes << " B";
   }
 }
 
