@@ -14,11 +14,16 @@
 //   - on 100 us trunks, kAuto's median is <= 0.9x hier-mcast's, and
 //     <= 0.7x at 64 KiB;
 //   - on 2 ms trunks, it is <= 0.8x at 64 KiB, and the geometric mean of
-//     the kAuto/hier-mcast ratios is <= 0.75.  A NACK round there crosses
-//     the slow trunk twice, so a point's median can land on a recovery
-//     round: at 64 ranks on 4 segments, the 2 and 16 KiB ratios ranged
-//     from 0.4 to 1.1 over 16 seeds, so those points are not gated one by
-//     one.
+//     the kAuto/hier-mcast ratios is <= 0.75.  Receivers do not NACK
+//     before the blast has crossed the trunk (they learn their distance
+//     to the root), and they NACK a gap as soon as the stream's last
+//     frame is in, so the 64 KiB gate holds over seeds 2000-2011 (worst
+//     0.795x).  A
+//     genuine repair still crosses the slow trunk twice, and when the
+//     stream's last frame is itself lost the receiver still waits for
+//     silence, so a point's median can land on a recovery round: the 64
+//     ranks / 2 segments / 16 KiB point reads 0.92x at seed 2000.  The 2
+//     and 16 KiB points are therefore not gated one by one.
 // Points with 1-2 ranks per segment leave the relay almost no
 // intra-segment work to save, so they are gated only at <= 1.0x: the flat
 // stream must not lose.  Its closest point is 2 KiB on a 2 ms trunk, at

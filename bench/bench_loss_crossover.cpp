@@ -86,7 +86,10 @@ std::vector<LossProfile> loss_profiles() {
 /// hanging the bench.  `silence` is the base timer before any recovery
 /// action — it must clear the topology's worst-case delivery delay, or the
 /// remote segment's receivers fire spurious NACKs on a clean wire (2 ms of
-/// trunk makes the protocols' 2 ms LAN defaults exactly too tight).
+/// trunk makes the protocols' 2 ms LAN defaults exactly too tight).  The
+/// fec-mcast variants would also manage without it (their receivers learn
+/// their distance to the root and start the first silence wait only when
+/// the first frame is due); the ack and nack presets still need it.
 /// Idempotent; called at the top of every repetition.
 void configure_recovery(mpi::Proc& p, const Variant& v, SimTime silence) {
   coll::StreamPreset preset = coll::StreamPreset::kFec;
@@ -140,6 +143,8 @@ Measured measure_loss(int procs, const Topology& topo, const LossProfile& lp,
   // Clear the worst-case delivery delay: on the trunk topology a remote
   // receiver sees nothing until the blast crosses the 2 ms trunk, so the
   // LAN-tuned 2 ms silence timer would NACK spuriously on a clean wire.
+  // This topology-scaled timer remains for the ack and nack presets, whose
+  // timers do not learn a root's distance.
   const SimTime silence = topo.segments > 1
                               ? topo.trunk_latency * 3
                               : milliseconds(2);

@@ -252,6 +252,10 @@ struct StreamState {
   // (a NACK-mode root may start its next stream before a receiver has
   // finished this one).
   std::array<std::map<std::uint64_t, Stashed>, kMaxLanes> stash;
+  // Receiver side, parity streams in NACK mode: per root (comm rank), this
+  // rank's observed distance to it — an EWMA of the time from its own
+  // recv_stream entry to the first frame of the root's operation.
+  std::map<int, SimTime> first_frame_distance;
 };
 
 std::size_t slot(StreamPreset p) { return static_cast<std::size_t>(p); }
@@ -614,6 +618,11 @@ using ChunkSink = std::function<void(std::size_t, std::size_t, PayloadRef)>;
 /// `timeout` of silence, backing off, until max_retries rounds in a row
 /// make no progress.
 ///
+/// A NACK stream with parity also decides from evidence, not only from the
+/// timer: its first silence wait starts when the first frame is due (this
+/// rank's learned distance to the root after entry), and once the lane's
+/// final slot has arrived a still-blocked cursor requests its gap at once.
+///
 /// Charging: a frame pays its receive overhead when it advances the
 /// cursor — it is the chunk the cursor waits for, or, in a stream with
 /// parity, any new data or parity row of the cursor's generation (the
@@ -826,6 +835,46 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
   const SimTime start = p.self().now();
   SimTime timeout = cfg.timeout;
   int retries = 0;
+  // Distance-scaled first deadline (SRM's request timer): with parity a
+  // lone lost frame is rebuilt from later ones, so silence before the
+  // first frame is evidence of distance, not of loss.  The estimate is an
+  // EWMA with gain 1/8 (RFC 6298's SRTT constant), seeded by its first
+  // sample; a frame stashed before entry samples 0.  Without parity a lost
+  // whole-payload datagram is total silence, and the early NACK is what
+  // recovers it, so those presets keep the plain timer.
+  const bool distance_scaled = nack && cfg.overhead > 0.0;
+  SimTime first_due = start;
+  if (const auto it = st.first_frame_distance.find(root);
+      distance_scaled && it != st.first_frame_distance.end()) {
+    first_due += it->second;
+  }
+  const auto learn_distance = [&](SimTime heard) {
+    const SimTime sample = heard - start;
+    const auto [it, fresh] = st.first_frame_distance.try_emplace(root, sample);
+    if (!fresh) {
+      it->second += (sample - it->second) / 8;
+    }
+  };
+  if (distance_scaled && known) {
+    learn_distance(start);
+  }
+  // Gap NACK: once the lane's final slot (its last generation's last
+  // parity frame, or its last data row when r = 0) has arrived, whatever
+  // the cursor still lacks is lost, not late.  Once per stream.
+  bool gap_nacked = false;
+  const auto tail_heard = [&](std::uint32_t lane) {
+    const std::uint32_t g = (lane_chunks(geo.count, lanes, lane) - 1) / geo.k;
+    const std::uint64_t last = op_base[lane] +
+                               std::uint64_t{g} * (geo.k + geo.r) +
+                               rows_of(lane, g) + geo.r - 1;
+    if (st.stash[lane].contains(last)) {
+      return true;
+    }
+    const GenState& gs = gens[lane];
+    return geo.r > 0 && gs.gen == static_cast<std::int64_t>(g) &&
+           std::any_of(gs.parity.begin(), gs.parity.end(),
+                       [&](const auto& e) { return e.first == geo.r - 1; });
+  };
   // NACK round for the cursor's chunk and, once the geometry is known,
   // every other missing data row of its generation.
   const auto request_missing = [&](std::uint32_t i, mpi::McastChannel& ch) {
@@ -895,6 +944,10 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
       if (known && geo.r > 0 && try_reconstruct(i, ch)) {
         break;
       }
+      if (nack && known && !gap_nacked && tail_heard(lane)) {
+        gap_nacked = true;
+        request_missing(i, ch);
+      }
       const auto price = [&](const inet::UdpDatagram& dg) -> SimTime {
         const auto h = stream_header(dg.data);
         if (!h || !advances(*h, lane, i)) {
@@ -904,13 +957,23 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
             static_cast<std::int64_t>(dg.data.size() - kMcastFrameHeaderBytes),
             mpi::CostTier::kMcastData);
       };
-      // Only NACK receivers time out; ACK receivers wait for the root.
-      const auto got = ch.socket().recv_until_charged(
-          p.self(), nack ? p.self().now() + timeout : kTimeInfinity, price);
+      // Only NACK receivers time out; ACK receivers wait for the root.  The
+      // first silence wait of a distance-scaled stream starts no earlier
+      // than the first frame is due.
+      SimTime deadline = kTimeInfinity;
+      if (nack) {
+        const bool first_wait = distance_scaled && !known && retries == 0;
+        deadline = (first_wait ? std::max(p.self().now(), first_due)
+                               : p.self().now()) +
+                   timeout;
+      }
+      const auto got =
+          ch.socket().recv_until_charged(p.self(), deadline, price);
       if (!got.has_value()) {
         request_missing(i, ch);
         continue;
       }
+      const SimTime heard = p.self().now();
       const auto header = stream_header(got->datagram.data);
       if (!header) {
         continue;  // foreign traffic on the channel
@@ -947,6 +1010,9 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
         continue;  // a later operation's frame
       }
       if (!known) {
+        if (distance_scaled) {
+          learn_distance(heard);
+        }
         geo = h;
         known = true;
         if (geo.r > 0) {
