@@ -13,17 +13,16 @@
 // Claims, at every point with at least 4 ranks per segment:
 //   - on 100 us trunks, kAuto's median is <= 0.9x hier-mcast's, and
 //     <= 0.7x at 64 KiB;
-//   - on 2 ms trunks, it is <= 0.8x at 64 KiB, and the geometric mean of
-//     the kAuto/hier-mcast ratios is <= 0.75.  Receivers do not NACK
-//     before the blast has crossed the trunk (they learn their distance
-//     to the root), and they NACK a gap as soon as the stream's last
-//     frame is in, so the 64 KiB gate holds over seeds 2000-2011 (worst
-//     0.795x).  A
-//     genuine repair still crosses the slow trunk twice, and when the
-//     stream's last frame is itself lost the receiver still waits for
-//     silence, so a point's median can land on a recovery round: the 64
-//     ranks / 2 segments / 16 KiB point reads 0.92x at seed 2000.  The 2
-//     and 16 KiB points are therefore not gated one by one.
+//   - on 2 ms trunks, it is <= 0.9x, and <= 0.8x at 64 KiB, and the
+//     geometric mean of the kAuto/hier-mcast ratios is <= 0.75.
+//     Receivers do not NACK before the blast has crossed the trunk (they
+//     learn their distance to the root), they NACK a gap as soon as the
+//     stream's last frame is in, and a remote receiver's NACK goes to its
+//     segment's leader, which re-multicasts what it holds, so a repair
+//     the leader holds never crosses the trunk.  Over seeds 2000-2011 the
+//     worst 2 ms point reads 0.79x at 2 KiB, 0.70x at 16 KiB and 0.63x at
+//     64 KiB; with every repair from the root, the 64 ranks / 2 segments /
+//     16 KiB point read 0.92x at seed 2000.
 // Points with 1-2 ranks per segment leave the relay almost no
 // intra-segment work to save, so they are gated only at <= 1.0x: the flat
 // stream must not lose.  Its closest point is 2 KiB on a 2 ms trunk, at
@@ -146,8 +145,6 @@ int main(int argc, char** argv) {
             }
             if (bytes >= 64 * 1024) {
               bound = slow_trunk ? 0.8 : 0.7;
-            } else if (slow_trunk) {
-              continue;  // gated through the geometric mean below
             }
           }
           // automatic <= bound * hier, as hier >= automatic / bound.

@@ -19,6 +19,7 @@
 #include "coll/mcast_scatter.hpp"
 #include "common/assert.hpp"
 #include "inet/udp.hpp"
+#include "mpi/world.hpp"
 #include "sim/simulator.hpp"
 
 namespace mcmpi::coll {
@@ -244,8 +245,8 @@ struct StreamState {
   }
   std::array<PresetState, kStreamPresets> presets;
   StreamStats stats;
-  // Root side, NACK mode: the sink (installed by the first NACK-mode
-  // stream this rank roots) and the channels it re-multicasts on.
+  // NACK mode: the sink (installed by the first NACK-mode stream this
+  // rank sends or receives) and the channels it re-multicasts on.
   bool sink_installed = false;
   std::array<mpi::McastChannel*, kMaxLanes> channels{};
   // Receiver side: frames ahead of the cursor, per lane, kept across calls
@@ -297,54 +298,179 @@ double working_overhead(PresetState& ps, StreamStats& stats) {
   return rt.working;
 }
 
-/// Root-side NACK service: kernel-level (uncharged), alive for the
-/// communicator's lifetime — it serves receivers after the root has left
-/// the collective, which is what lets a NACK-mode root return at once.
-void install_sink(Proc& p, const Comm& comm, StreamState& st) {
+/// Segment-local repair, kept per communicator beside its StreamState: the
+/// segment of every comm rank and, on a leader or deputy, the framed data
+/// frames of the NACK stream it is receiving, by (lane, seq), dropped at
+/// its next NACK-stream receive entry, and when its sink last forwarded
+/// each (lane, seq) to the root.
+struct RepairState {
+  std::vector<int> seg_of;
+  std::map<HistoryKey, Retained> held;
+  std::map<HistoryKey, SimTime> forwarded;
+};
+
+/// The communicator's repair state; null in a one-segment world, which
+/// never allocates one.
+RepairState* repair_state(Proc& p, const Comm& comm) {
+  if (p.world().num_segments() < 2) {
+    return nullptr;
+  }
+  RepairState& rs = p.coll_state<RepairState>(comm);
+  if (rs.seg_of.empty()) {
+    for (int r = 0; r < comm.size(); ++r) {
+      rs.seg_of.push_back(p.world().segment_of(comm.world_rank_of(r)));
+    }
+  }
+  return &rs;
+}
+
+/// This rank's place in the repair chain of `root`'s NACK streams
+/// (segment-local repair, after RMTP's designated receivers).  Each remote
+/// segment's members — comm ranks ascending, root excluded — elect their
+/// leader m0 and its deputy m1 without wire traffic, as hier does.  A
+/// receiver in the root's segment NACKs the root; a remote receiver NACKs
+/// m0, and m0 NACKs m1 (the root when the segment has no m1).  A
+/// repairer's sink serves what it holds and forwards the rest to the root.
+struct Chain {
+  int nack_to = 0;        // where this rank's own NACKs go
+  bool repairer = false;  // m0 or m1: keeps the stream's frames
+};
+
+Chain chain_of(const Comm& comm, const RepairState* rs, int root) {
+  if (rs == nullptr) {
+    return {root, false};  // one segment
+  }
+  const auto seg = [rs](int r) {
+    return rs->seg_of[static_cast<std::size_t>(r)];
+  };
+  const int me = comm.rank();
+  if (seg(me) == seg(root)) {
+    return {root, false};
+  }
+  int m[2] = {-1, -1};
+  for (int r = 0, n = 0; r < comm.size() && n < 2; ++r) {
+    if (r != root && seg(r) == seg(me)) {
+      m[n++] = r;
+    }
+  }
+  if (me == m[0]) {
+    return {m[1] >= 0 ? m[1] : root, true};
+  }
+  return {m[0], me == m[1]};
+}
+
+/// A NACK for `seqs` of `lane`, served from `preset`'s history.  One sent
+/// to a repairer carries the stream's root (`root` >= 0, flagged in bit 7
+/// of the preset byte), so the repairer knows where to forward what it
+/// lacks; one sent to the root (`root` < 0) keeps the bytes it always had.
+constexpr std::uint8_t kNackCarriesRoot = 0x80;
+
+Buffer nack_message(int preset, int lane, int root,
+                    std::span<const std::uint64_t> seqs) {
+  Buffer msg;
+  ByteWriter w(msg);
+  w.u8(static_cast<std::uint8_t>(preset | (root < 0 ? 0 : kNackCarriesRoot)));
+  w.u8(static_cast<std::uint8_t>(lane));
+  w.u16(static_cast<std::uint16_t>(seqs.size()));
+  if (root >= 0) {
+    w.i32(root);
+  }
+  for (const std::uint64_t seq : seqs) {
+    w.u64(seq);
+  }
+  return msg;
+}
+
+/// NACK service: kernel-level (uncharged), alive for the communicator's
+/// lifetime — at a root it serves receivers after the root has left the
+/// collective, which is what lets a NACK-mode root return at once; at a
+/// repairer it re-multicasts what the rank holds of the stream it is
+/// receiving and forwards the rest to the root, each frame at most once
+/// per aggregation window.  Installed by every rank that sends or
+/// receives a NACK stream, on `lanes` channels.
+void install_sink(Proc& p, const Comm& comm, StreamState& st, int lanes) {
+  for (int lane = 0; lane < lanes; ++lane) {
+    st.channels[static_cast<std::size_t>(lane)] = &p.mcast_channel(comm, lane);
+  }
   if (st.sink_installed) {
     return;
   }
   st.sink_installed = true;
   StreamState* s = &st;
+  RepairState* repair = repair_state(p, comm);
+  mpi::Engine* engine = &p.engine();
   // The sink always executes on the NACK's receiving rank — this rank — so
   // the shard captured here is the one whose counters it may touch.
   sim::Shard* shard = &p.self().shard();
-  p.engine().set_sink(
-      comm.context(), mpi::kTagChunkNack,
-      [s, shard](mpi::Rank /*src*/, PayloadRef data) {
-        ByteReader r(data);
-        const int preset = r.u8();
-        const int lane = r.u8();
-        const int wanted = r.u16();
-        if (preset >= kStreamPresets) {
-          return;  // not a NACK this engine sent
-        }
-        PresetState& ps = s->presets[static_cast<std::size_t>(preset)];
-        ++ps.recovery_requests;
-        for (int i = 0; i < wanted; ++i) {
-          const auto it = ps.history.find({lane, r.u64()});
-          if (it == ps.history.end()) {
-            ++s->stats.nacks_unserved;
-            continue;
-          }
-          // Aggregation: a re-multicast inside the window is already on
-          // the wire and serves every receiver that missed the frame.
-          Retained& e = it->second;
-          const SimTime now = shard->now();
-          if (e.last_resend &&
-              now - *e.last_resend < ps.config.aggregation_window) {
-            ++s->stats.nacks_suppressed;
-            ++shard->counters().nacks_suppressed;
-            continue;
-          }
-          e.last_resend = now;
+  const auto sink = [s, repair, engine, info = comm.info(), shard](
+                        mpi::Rank /*src*/, PayloadRef data) {
+    ByteReader r(data);
+    const int head = r.u8();
+    const int preset = head & ~kNackCarriesRoot;
+    const int lane = r.u8();
+    const int wanted = r.u16();
+    if (preset >= kStreamPresets) {
+      return;  // not a NACK this engine sent
+    }
+    PresetState& ps = s->presets[static_cast<std::size_t>(preset)];
+    const SimTime now = shard->now();
+    // Aggregation: a re-multicast inside the window is already on the wire
+    // and serves every receiver that missed the frame.
+    const auto resend = [&](Retained& e) {
+      if (e.last_resend &&
+          now - *e.last_resend < ps.config.aggregation_window) {
+        ++s->stats.nacks_suppressed;
+        ++shard->counters().nacks_suppressed;
+        return false;
+      }
+      e.last_resend = now;
+      ++s->stats.retransmits;
+      ++shard->counters().retransmits;
+      s->channels[static_cast<std::size_t>(lane)]->send(e.frame,
+                                                        net::FrameKind::kData);
+      return true;
+    };
+    if ((head & kNackCarriesRoot) == 0) {  // this rank is the stream's root
+      ++ps.recovery_requests;
+      for (int i = 0; i < wanted; ++i) {
+        const auto it = ps.history.find({lane, r.u64()});
+        if (it == ps.history.end()) {
+          ++s->stats.nacks_unserved;
+        } else if (resend(it->second)) {
           ++s->stats.nacks_served;
-          ++s->stats.retransmits;
-          ++shard->counters().retransmits;
-          s->channels[static_cast<std::size_t>(lane)]->send(
-              e.frame, net::FrameKind::kData);
         }
-      });
+      }
+      return;
+    }
+    const int root = r.i32();
+    RepairState& rs = *repair;  // NACKs carry a root only across segments
+    std::vector<std::uint64_t> lacking;
+    for (int i = 0; i < wanted; ++i) {
+      const HistoryKey key{lane, r.u64()};
+      if (const auto it = rs.held.find(key); it != rs.held.end()) {
+        if (resend(it->second)) {
+          ++s->stats.repairs_served;
+        }
+        continue;
+      }
+      const auto [it, fresh] = rs.forwarded.try_emplace(key, now);
+      if (fresh || now - it->second >= ps.config.aggregation_window) {
+        it->second = now;
+        lacking.push_back(key.second);
+      }
+    }
+    if (!lacking.empty()) {
+      ++s->stats.nacks_forwarded;
+      engine->start_send(info, root, mpi::kTagChunkNack,
+                         nack_message(preset, lane, -1, lacking),
+                         net::FrameKind::kControl);
+    }
+  };
+  // NACKs that reached this rank before its sink existed.
+  for (auto& m : engine->drain_unexpected(comm.context(), mpi::kTagChunkNack)) {
+    sink(m.src_world, std::move(m.data));
+  }
+  engine->set_sink(comm.context(), mpi::kTagChunkNack, sink);
 }
 
 void retain(PresetState& ps, const HistoryKey& key, PayloadRef frame) {
@@ -382,10 +508,7 @@ void send_stream(Proc& p, const Comm& comm, int root,
   const auto k = static_cast<std::uint32_t>(cfg.k);
   sim::SchedCounters& counters = p.self().shard().counters();
   if (nack) {
-    install_sink(p, comm, st);
-    for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-      st.channels[lane] = &p.mcast_channel(comm, static_cast<int>(lane));
-    }
+    install_sink(p, comm, st, cfg.lanes);
   }
 
   ChunkHeader proto;
@@ -660,6 +783,28 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
     auto& stash = st.stash[lane];
     stash.erase(stash.begin(), stash.lower_bound(op_base[lane]));
   }
+  // Segment-local repair: a repairer keeps the data frames of this stream
+  // that it takes off the wire or rebuilds, as they are (zero-copy), for
+  // its sink to re-multicast, and drops the previous stream's.
+  RepairState* repair = nullptr;
+  if (nack) {
+    install_sink(p, comm, st, cfg.lanes);
+    repair = repair_state(p, comm);
+  }
+  if (repair != nullptr) {
+    repair->held.clear();
+    repair->forwarded.clear();
+  }
+  const Chain chain = chain_of(comm, repair, root);
+  const auto hold = [&](std::uint32_t lane, std::uint64_t seq,
+                        PayloadRef frame) {
+    auto& held = repair->held;
+    held.try_emplace({static_cast<int>(lane), seq},
+                     Retained{std::move(frame), std::nullopt});
+    if (held.size() > cfg.history_frames) {
+      held.erase(held.begin());
+    }
+  };
   // Only lane 0 teaches the geometry: it carries chunk 0 of every stream,
   // while a lane this stream leaves empty may already hold a later
   // stream's frames at the same base.
@@ -803,6 +948,9 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
     std::vector<gf256::ParityRow> prows;
     std::vector<ChunkHeader> hs(missing.size(), geo);
     std::vector<Buffer> rebuilt(missing.size());
+    // A repairer decodes straight into framed buffers its sink can
+    // re-multicast as they are.
+    std::vector<PooledBuffer> framed(chain.repairer ? missing.size() : 0);
     std::vector<std::span<std::uint8_t>> outs(missing.size());
     for (std::size_t t = 0; t < missing.size(); ++t) {
       prows.push_back({gs.parity[t].first, gs.parity[t].second.view()});
@@ -813,8 +961,16 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
       hh.gen = g;
       hh.length = static_cast<std::uint32_t>(
           std::min<std::size_t>(geo.chunk, geo.total - hh.offset()));
-      rebuilt[t].resize(hh.length);
-      outs[t] = rebuilt[t];
+      if (chain.repairer) {
+        framed[t] = acquire_payload_buffer(kFrameBytes + hh.length);
+        ByteWriter w(framed[t].bytes);
+        write_header(w, hh);
+        framed[t].bytes.resize(kFrameBytes + hh.length);
+        outs[t] = std::span(framed[t].bytes).subspan(kFrameBytes);
+      } else {
+        rebuilt[t].resize(hh.length);
+        outs[t] = rebuilt[t];
+      }
     }
     if (geo.total > 0) {  // an empty stream's lone row needs no decode
       gf256::decode(dspans, prows, missing, outs);
@@ -822,7 +978,14 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
       counters.parity_used += missing.size();
     }
     for (std::size_t t = 0; t < missing.size(); ++t) {
-      PayloadRef body{std::move(rebuilt[t])};
+      PayloadRef body;
+      if (chain.repairer) {
+        PayloadRef frame = PayloadRef::adopt(std::move(framed[t]));
+        body = frame.slice(kFrameBytes);
+        hold(lane, hs[t].seq, std::move(frame));
+      } else {
+        body = PayloadRef{std::move(rebuilt[t])};
+      }
       if (static_cast<std::uint32_t>(missing[t]) == pos) {
         consume(hs[t], std::move(body), ch, i);
       } else {
@@ -908,16 +1071,10 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
         }
       }
     }
-    Buffer nack_msg;
-    ByteWriter w(nack_msg);
-    w.u8(static_cast<std::uint8_t>(preset));  // whose history serves it
-    w.u8(static_cast<std::uint8_t>(lane));
-    w.u16(static_cast<std::uint16_t>(want.size()));
-    for (const std::uint64_t seq : want) {
-      w.u64(seq);
-    }
-    p.send(comm, root, mpi::kTagChunkNack, nack_msg, net::FrameKind::kControl,
-           mpi::CostTier::kRaw);
+    p.send(comm, chain.nack_to, mpi::kTagChunkNack,
+           nack_message(static_cast<int>(preset), static_cast<int>(lane),
+                        chain.nack_to == root ? -1 : root, want),
+           net::FrameKind::kControl, mpi::CostTier::kRaw);
     const auto scaled = static_cast<std::int64_t>(
         static_cast<double>(timeout.count()) * cfg.backoff);
     timeout = std::min(SimTime{scaled}, cfg.timeout_cap);
@@ -1026,6 +1183,9 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
           stash.try_emplace(h.seq, Stashed{h, std::move(body), false});
         }
         continue;
+      }
+      if (chain.repairer) {
+        hold(lane, h.seq, got->datagram.data);
       }
       if (h.seq > ch.expected_seq()) {
         stash.try_emplace(h.seq, Stashed{h, std::move(body), useful});

@@ -8,7 +8,9 @@
 // parity ratchet (and that it reads only evidence the root can see), the
 // NACK fallback and its hard-error cap, the per-root learned first-frame
 // deadline across a slow trunk and the gap NACK on the stream's final
-// slot, a small payload's frame count and
+// slot, segment-local repair (only a remote segment's leader and deputy
+// serve repairs, every forward ends at the root, and one segment or a
+// clean wire never enters the chain), a small payload's frame count and
 // latency against nack-mcast, the presets' separate
 // retransmission histories, lossy-gated auto-selection, parity
 // generations in an ack-feedback stream (clean-wire parity accounting,
@@ -814,6 +816,146 @@ TEST(FecMcast, TailArrivalNacksWithoutWaitingForSilence) {
   };
   EXPECT_LE(median("fec-mcast"), 4400.0);
   EXPECT_NEAR(median("nack-mcast"), 16025.751, 0.001);
+}
+
+// ------------------------------------------------ segment-local repair
+
+/// 16 hosts in two segments behind a 2 ms trunk: ranks 0-7 and 8-15.
+ClusterConfig two_segments(double loss) {
+  ClusterConfig config =
+      faulty_config(16, NetworkType::kSwitch, FaultProfile{.loss = loss});
+  config.num_segments = 2;
+  config.trunk_latency = milliseconds(2);
+  config.hosts = cluster::make_uniform_hosts(16);
+  return config;
+}
+
+/// Each rank's stream statistics on the world communicator after `reps`
+/// `algo` bcasts of `bytes` from rank 0, every rank checking the payload.
+/// A non-zero `silence` replaces the nack and fec presets' timeout.
+std::vector<coll::StreamStats> bcast_stats(Cluster& cluster,
+                                           const std::string& algo,
+                                           std::size_t bytes, int reps,
+                                           SimTime silence = SimTime{}) {
+  std::vector<coll::StreamStats> stats(
+      static_cast<std::size_t>(cluster.config().num_procs));
+  cluster::ExperimentConfig exp;
+  exp.warmup_reps = 0;
+  exp.reps = reps;
+  exp.rep_interval = milliseconds(200);
+  cluster::measure_collective(cluster, exp, [&](mpi::Proc& p, int rep) {
+    if (silence > SimTime{}) {
+      for (const StreamPreset preset :
+           {StreamPreset::kNack, StreamPreset::kFec}) {
+        coll::StreamConfig cfg = coll::preset_config(preset);
+        cfg.timeout = silence;
+        coll::set_stream_config(p, p.comm_world(), preset, cfg);
+      }
+    }
+    Buffer data(bytes);
+    if (p.rank() == 0) {
+      data = pattern_payload(rep, bytes);
+    }
+    p.comm_world().coll().bcast(data, 0, algo);
+    EXPECT_TRUE(check_pattern(rep, data))
+        << algo << ", rep " << rep << ", rank " << p.rank();
+    stats[static_cast<std::size_t>(p.rank())] =
+        coll::stream_stats(p, p.comm_world());
+  });
+  return stats;
+}
+
+TEST(SegmentRepair, OnlyTheRemoteLeaderAndDeputyServeRepairs) {
+  // Root 0's segment holds ranks 0-7.  In the other segment rank 8 is the
+  // leader and rank 9 its deputy: the remote receivers NACK rank 8, rank 8
+  // NACKs rank 9, and each re-multicasts what it holds.  Nobody else keeps
+  // frames, so nobody else serves a repair.
+  Cluster cluster(two_segments(0.01));
+  const std::vector<coll::StreamStats> stats =
+      bcast_stats(cluster, "fec-mcast", 64 * 1024, 40);
+  for (std::size_t r = 0; r < stats.size(); ++r) {
+    if (r == 8 || r == 9) {
+      EXPECT_GT(stats[r].repairs_served, 0u) << "rank " << r;
+    } else {
+      EXPECT_EQ(stats[r].repairs_served, 0u) << "rank " << r;
+      EXPECT_EQ(stats[r].nacks_forwarded, 0u) << "rank " << r;
+    }
+  }
+  EXPECT_GT(stats[0].nacks_served, 0u);  // the root still serves its segment
+}
+
+TEST(SegmentRepair, EveryForwardChainEndsAtTheRoot) {
+  // Sub-communicators of the root's segment plus one or two ranks of the
+  // other: a lone remote leader NACKs the root itself; with two members
+  // the leader NACKs its deputy, the deputy NACKs the leader, and each
+  // forwards what it lacks to the root.  At 5% loss every chain is walked,
+  // and every bcast still delivers the root's bytes.
+  Cluster cluster(two_segments(0.05));
+  std::vector<std::uint64_t> forwarded(3, 0);
+  std::vector<std::uint64_t> nacked(3, 0);
+  cluster.world().run([&](mpi::Proc& p) {
+    for (const int remote : {1, 2}) {
+      const bool member = p.rank() < 8 + remote;
+      const mpi::Comm part =
+          p.split(p.comm_world(), member ? 0 : -1, p.rank());
+      if (!member) {
+        continue;
+      }
+      const mpi::Comm sub = remote == 1 ? part : p.dup(part);
+      // No readiness handshake: join the group before the first blast.
+      (void)p.mcast_channel(sub);
+      sub.coll().barrier("mpich");
+      int tag = 0;
+      for (const char* algo : {"nack-mcast", "fec-mcast"}) {
+        for (int i = 0; i < 6; ++i, ++tag) {
+          Buffer data;
+          if (sub.rank() == 0) {
+            data = pattern_payload(tag, 16 * 1024);
+          }
+          sub.coll().bcast(data, 0, algo);
+          EXPECT_TRUE(check_pattern(tag, data))
+              << algo << ", " << remote << " remote, rank " << p.rank();
+        }
+      }
+      const coll::StreamStats& st = coll::stream_stats(p, sub);
+      if (p.rank() >= 8) {
+        forwarded[static_cast<std::size_t>(remote)] += st.nacks_forwarded;
+        nacked[static_cast<std::size_t>(remote)] += st.nacks_sent;
+      }
+      sub.coll().barrier("mpich");
+    }
+  });
+  EXPECT_GT(nacked[1], 0u);
+  EXPECT_EQ(forwarded[1], 0u);  // a lone leader has no one to serve
+  EXPECT_GT(nacked[2], 0u);
+  EXPECT_GT(forwarded[2], 0u);
+}
+
+TEST(SegmentRepair, CleanWireOrOneSegmentNeverEntersTheChain) {
+  const auto expect_no_chain = [](const std::vector<coll::StreamStats>& stats,
+                                  const std::string& what) {
+    for (std::size_t r = 0; r < stats.size(); ++r) {
+      EXPECT_EQ(stats[r].repairs_served, 0u) << what << ", rank " << r;
+      EXPECT_EQ(stats[r].nacks_forwarded, 0u) << what << ", rank " << r;
+    }
+  };
+  for (const char* algo : {"nack-mcast", "fec-mcast"}) {
+    // One segment at 5% loss: recovery runs, all of it at the root.
+    Cluster lossy(
+        faulty_config(9, NetworkType::kSwitch, FaultProfile{.loss = 0.05}));
+    const auto one = bcast_stats(lossy, algo, 16 * 1024, 10);
+    EXPECT_GT(one[0].nacks_served, 0u) << algo;
+    expect_no_chain(one, std::string(algo) + ", one lossy segment");
+
+    // Two segments on a clean wire, with a silence timer that clears the
+    // trunk: nothing is lost, so nothing is NACKed or forwarded.
+    Cluster clean(two_segments(0.0));
+    const auto two = bcast_stats(clean, algo, 16 * 1024, 10, milliseconds(6));
+    for (const coll::StreamStats& st : two) {
+      EXPECT_EQ(st.nacks_sent, 0u) << algo;
+    }
+    expect_no_chain(two, std::string(algo) + ", two clean segments");
+  }
 }
 
 TEST(FecMcast, AdaptiveRatchetRaisesOverheadUnderLossOnly) {
