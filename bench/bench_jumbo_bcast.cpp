@@ -1,14 +1,14 @@
-// Jumbo-message broadcast sweep: the segmented/pipelined/striped multicast
-// engine (the mcast-segmented preset of coll/mcast_stream.hpp) against the MPICH point-to-point baseline at
-// payloads far past the single-datagram ceiling.
+// Jumbo-message broadcast sweep: the segmented/pipelined multicast engine
+// (the mcast-segmented preset of coll/mcast_stream.hpp) against the MPICH
+// point-to-point baseline at payloads far past the single-datagram ceiling.
 //
 // Two topologies: the paper's 9-machine switched segment, and a 16-machine
 // two-segment switched fabric joined by a trunk.  Three payloads
 // {1, 4, 16 MiB} x {mpich, mcast-segmented at window 1 (lockstep) and
-// window 4 (pipelined)} x lane counts {1, 2, 4}.  The machine-readable
-// records are keyed by the window/lane knobs and carry the engine's chunk
-// counters; the bench's claims are that pipelining beats lockstep by
-// >= 1.3x on both topologies and that striping strictly helps at window 1.
+// window 4 (pipelined)}.  The machine-readable records are keyed by the
+// window and carry the engine's chunk counters; the bench's claims are
+// that pipelining beats lockstep by >= 1.3x on both topologies and that
+// the window-4 run keeps several chunks in flight.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -24,13 +24,12 @@ using cluster::Cluster;
 using cluster::ClusterConfig;
 using cluster::NetworkType;
 
-/// One measured variant: a registry algorithm, plus the segmented knobs
-/// (window = 0 marks a non-segmented baseline algorithm).
+/// One measured variant: a registry algorithm, plus the segmented window
+/// (0 marks a non-segmented baseline algorithm).
 struct Variant {
   std::string label;
   std::string algo;
   int window = 0;
-  int lanes = 0;
 };
 
 struct Topology {
@@ -69,7 +68,6 @@ Measured measure_jumbo(const Topology& topo, const Variant& v,
           coll::StreamConfig cfg =
               coll::preset_config(coll::StreamPreset::kSegmented);
           cfg.k = v.window;
-          cfg.lanes = v.lanes;
           coll::set_stream_config(p, p.comm_world(),
                                   coll::StreamPreset::kSegmented, cfg);
         }
@@ -88,8 +86,8 @@ Measured measure_jumbo(const Topology& topo, const Variant& v,
              {"network", cluster::to_string(config.network)},
              {"ranks", topo.procs},
              {"bytes", bytes}};
-  if (v.window > 0) {  // the segmented engine's knobs
-    key.insert(key.end(), {{"window", v.window}, {"lanes", v.lanes}});
+  if (v.window > 0) {  // the segmented engine's window
+    key.emplace_back("window", v.window);
   }
   meter.record(std::move(key), m.point.median_us, cluster.simulator());
   return m;
@@ -98,23 +96,17 @@ Measured measure_jumbo(const Topology& topo, const Variant& v,
 int run(int argc, char** argv) {
   const BenchOptions options = BenchOptions::parse(
       argc, argv,
-      "Jumbo broadcast: segmented/pipelined/striped multicast vs MPICH "
+      "Jumbo broadcast: segmented/pipelined multicast vs MPICH "
       "point-to-point at 1-16 MiB");
 
   const std::vector<std::size_t> sizes = {1u << 20, 4u << 20, 16u << 20};
   const std::vector<Variant> variants = {
-      {"mpich", "mpich", 0, 0},
-      {"seg w1 l1", "mcast-segmented", 1, 1},
-      {"seg w1 l4", "mcast-segmented", 1, 4},
-      {"seg w4 l1", "mcast-segmented", 4, 1},
-      {"seg w4 l2", "mcast-segmented", 4, 2},
-      {"seg w4 l4", "mcast-segmented", 4, 4},
+      {"mpich", "mpich", 0},
+      {"seg w1", "mcast-segmented", 1},
+      {"seg w4", "mcast-segmented", 4},
   };
   const Topology switch9{"switch, 9 procs, 1 segment", 9, 1};
-  // The two-segment fabric only needs the headline comparison.
   const Topology dual16{"switch, 16 procs, 2 segments", 16, 2};
-  const std::vector<Variant> dual_variants = {variants[0], variants[1],
-                                              variants[3]};
 
   // Indexed [variant][size] for the shape checks below.
   std::vector<std::vector<Measured>> nine;
@@ -141,10 +133,10 @@ int run(int argc, char** argv) {
   print_table("jumbo bcast — " + switch9.title, table, options);
 
   std::vector<Measured> dual;
-  for (const Variant& v : dual_variants) {
+  for (const Variant& v : variants) {
     dual.push_back(measure_jumbo(dual16, v, sizes.back(), options));
   }
-  Table dual_table({"MiB", "mpich us", "seg w1 l1 us", "seg w4 l1 us"});
+  Table dual_table({"MiB", "mpich us", "seg w1 us", "seg w4 us"});
   dual_table.add_row({std::to_string(sizes.back() >> 20),
                       Table::num(dual[0].point.median_us),
                       Table::num(dual[1].point.median_us),
@@ -154,24 +146,18 @@ int run(int argc, char** argv) {
   // The qualitative claims, checked at the largest payload (chunk count
   // dwarfs the fixed scout/ack overheads).
   const std::size_t last = sizes.size() - 1;
-  const double w1 = nine[1][last].point.median_us;   // seg w1 l1
-  const double w1l4 = nine[2][last].point.median_us; // seg w1 l4
-  const double w4 = nine[3][last].point.median_us;   // seg w4 l1
+  const double w1 = nine[1][last].point.median_us;
+  const double w4 = nine[2][last].point.median_us;
   shape_check({.text = "pipelining beats lockstep at 16 MiB, 9 procs (w1 " +
                        Table::num(w1) + " us vs w4 " + Table::num(w4) + " us)",
                .lhs = w1,
                .rhs = w4,
                .min_ratio = 1.3});
-  shape_check({.text = "4 lanes strictly beat 1 lane at window 1, 16 MiB (" +
-                       Table::num(w1l4) + " us vs " + Table::num(w1) + " us)",
-               .lhs = w1,
-               .rhs = w1l4,
-               .strict = true});
   shape_check({.text = "window-4 run overlaps chunks in flight (peak window " +
-                       std::to_string(nine[3][last].sched.chunk_peak_window) +
+                       std::to_string(nine[2][last].sched.chunk_peak_window) +
                        ")",
                .lhs = static_cast<double>(
-                   nine[3][last].sched.chunk_peak_window),
+                   nine[2][last].sched.chunk_peak_window),
                .rhs = 1.0,
                .strict = true});
   shape_check({.text = "pipelining also wins across the two-segment trunk, "

@@ -10,7 +10,7 @@
 //   * runs differing only in shard count have IDENTICAL per-repetition
 //     latencies — sharded execution is bit-exact against the 1-shard
 //     result;
-//   * with >= 4 hardware threads, wall(1 shard) / wall(4 shards) >= 2.0
+//   * with >= 4 usable CPUs, wall(1 shard) / wall(4 shards) >= 2.0
 //     (skipped on hosts that cannot physically run the shards in
 //     parallel, e.g. single-core CI runners).
 // Against the committed baseline, tools/bench_diff.py pins every

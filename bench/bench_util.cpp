@@ -1,5 +1,7 @@
 #include "bench_util.hpp"
 
+#include <sched.h>
+
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -79,6 +81,17 @@ constexpr const char* kCostCounters[] = {"events_scheduled", "handoffs",
 
 /// Set by the first failed claim; claims_exit_code() reports it.
 bool any_claim_failed = false;
+
+/// CPUs this process may run on: its affinity mask, which taskset or a
+/// cpuset narrows below the host's hardware threads.
+unsigned usable_cpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof mask, &mask) != 0) {
+    return std::thread::hardware_concurrency();
+  }
+  return static_cast<unsigned>(CPU_COUNT(&mask));
+}
 
 /// Appends a record to the JSON dump.
 void record_bench(BenchRecord record) {
@@ -305,11 +318,11 @@ void print_table(const std::string& title, const Table& table,
 }
 
 void shape_check(const Claim& claim) {
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  if (hw_threads < claim.min_hw_threads) {
+  const unsigned cpus = usable_cpus();
+  if (cpus < claim.min_hw_threads) {
     std::cout << "SHAPE CHECK skip — " << claim.text << " (needs >= "
-              << claim.min_hw_threads << " hardware threads, host has "
-              << hw_threads << ")\n";
+              << claim.min_hw_threads << " usable CPUs, process may use "
+              << cpus << ")\n";
     return;
   }
   const double bound = claim.min_ratio * claim.rhs;

@@ -56,7 +56,7 @@ using Fields = std::vector<std::pair<std::string, JsonValue>>;
 /// baseline (bench/baselines/README.md).
 struct BenchRecord {
   /// What was measured: op, algo, network, ranks, bytes, plus whatever
-  /// axis the bench sweeps (shards, driver, window, lanes, loss, segments).
+  /// axis the bench sweeps (shards, driver, window, loss, segments).
   Fields key;
   /// Deterministic results: the simulated latency, the scheduler load,
   /// every SchedCounters field, payload allocs and copies, and any
@@ -141,8 +141,9 @@ struct Claim {
   double rhs = 0;
   double min_ratio = 1.0;
   bool strict = false;
-  /// Hardware threads the claim needs (wall-clock parallel speedups); on a
-  /// smaller host it is skipped and the reason printed.
+  /// CPUs the claim needs (wall-clock parallel speedups), counted in the
+  /// process's affinity mask; with fewer it is skipped and the reason
+  /// printed.
   unsigned min_hw_threads = 0;
 };
 

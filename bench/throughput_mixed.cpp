@@ -11,7 +11,7 @@
 //   * payload pooling does not change virtual timing, only allocation:
 //     the "no-pool" run agrees on every latency while its payload_allocs
 //     figure is strictly larger than every pooled run's;
-//   * with >= 4 hardware threads, the parallel driver at 4 shards clears
+//   * with >= 4 usable CPUs, the parallel driver at 4 shards clears
 //     1.5x the serial driver's wall-clock collectives/sec (collectives per
 //     WALL second — compared within one run only, never against the
 //     committed baseline).

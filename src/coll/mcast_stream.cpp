@@ -29,8 +29,6 @@ using mpi::Proc;
 
 namespace {
 
-constexpr int kMaxLanes = mpi::CommInfo::kMaxMcastLanes;
-
 /// Full framing of a stream datagram: the 16 B (context, root, seq)
 /// multicast header followed by the 32 B chunk sub-header.
 constexpr std::size_t kFrameBytes = kMcastFrameHeaderBytes + kChunkHeaderBytes;
@@ -40,24 +38,17 @@ constexpr std::size_t kFrameBytes = kMcastFrameHeaderBytes + kChunkHeaderBytes;
 /// below 2^31 chunks).
 constexpr std::uint32_t kParityIndexBit = 0x80000000u;
 
-/// Adaptive parity ratchet: the ceiling of the working overhead, the
-/// recovery requests (since the root's previous operation) that raise it,
-/// and the calm operations before it steps back down.
-constexpr double kMaxAdaptiveOverhead = 0.5;
-constexpr std::uint64_t kRaiseThreshold = 1;
-constexpr int kCalmOps = 8;
-
 /// One stream datagram's framing.  A data chunk's byte offset is
 /// index × chunk; a parity frame's sequence slots follow its generation's
-/// data slots on the lane.
+/// data slots.
 struct ChunkHeader {
   std::uint32_t context = 0;
   std::int32_t root_world = 0;
-  std::uint64_t seq = 0;      // per-lane channel sequence
+  std::uint64_t seq = 0;      // channel sequence
   std::uint32_t index = 0;    // chunk number, or kParityIndexBit | row
   std::uint32_t count = 0;    // data chunks in the stream
   std::uint32_t chunk = 0;    // nominal chunk bytes
-  std::uint32_t gen = 0;      // generation on the frame's lane
+  std::uint32_t gen = 0;      // generation (k data chunks each)
   std::uint32_t length = 0;   // payload bytes of this frame
   std::uint16_t k = 0;        // data chunks per generation
   std::uint16_t r = 0;        // parity frames per generation
@@ -107,30 +98,21 @@ std::optional<ChunkHeader> stream_header(const PayloadRef& data) {
   return h;
 }
 
-/// Data chunks a lane carries in a `count`-chunk stream.
-std::uint32_t lane_chunks(std::uint32_t count, std::uint32_t lanes,
-                          std::uint32_t lane) {
-  return lane < count ? (count - lane + lanes - 1) / lanes : 0;
-}
-
-/// Data rows of generation `g` on a lane carrying `n` chunks.
+/// Data rows of generation `g` in a stream of `n` chunks.
 std::uint32_t gen_rows(std::uint32_t n, std::uint32_t k, std::uint32_t g) {
   return std::min(k, n - g * k);
 }
 
-/// Lane-sequence distance of frame `h` (received on `lane`) from the first
-/// frame of its operation on that lane: each generation occupies its data
-/// rows, then its r parity slots.  h.seq minus this is the operation's
-/// base sequence, so every frame names the operation it belongs to.
-std::uint64_t op_offset(const ChunkHeader& h, std::uint32_t lanes,
-                        std::uint32_t lane) {
+/// Sequence distance of frame `h` from the first frame of its operation:
+/// each generation occupies its data rows, then its r parity slots.  h.seq
+/// minus this is the operation's base sequence, so every frame names the
+/// operation it belongs to.
+std::uint64_t op_offset(const ChunkHeader& h) {
   const std::uint64_t span = std::uint64_t{h.k} + h.r;
   if (!h.parity()) {
-    const std::uint32_t j = h.index / lanes;
-    return (j / h.k) * span + j % h.k;
+    return (h.index / h.k) * span + h.index % h.k;
   }
-  return h.gen * span +
-         gen_rows(lane_chunks(h.count, lanes, lane), h.k, h.gen) +
+  return h.gen * span + gen_rows(h.count, h.k, h.gen) +
          static_cast<std::uint64_t>(h.row());
 }
 
@@ -164,7 +146,7 @@ std::size_t plan_chunk(std::size_t total, const StreamConfig& cfg, int r,
   // The framed chunk must clear the fragment-offset datagram ceiling…
   chunk = std::min(chunk, kMaxMcastDatagram - kFrameBytes);
   // …and fit the receive buffer: in ACK mode a full window of framed
-  // chunks plus the generation's parity share one lane's buffer (or the
+  // chunks plus the generation's parity share the buffer (or the
   // pipeline would overrun the very buffer it paces); in NACK mode at
   // least one framed chunk must be enqueueable.
   const std::size_t frames =
@@ -216,24 +198,13 @@ struct Retained {
   std::optional<SimTime> last_resend;  // unset until first re-multicast
 };
 
-struct Ratchet {
-  double working = -1.0;  // < 0: no adaptive operation yet
-  std::uint64_t seen = 0;  // recovery requests at the previous operation
-  int calm = 0;
-};
-
-using HistoryKey = std::pair<int, std::uint64_t>;  // (lane, seq)
-
 /// What one preset keeps per communicator, so running or tuning it never
-/// changes another preset: its configuration and ratchet and, root side,
-/// its NACK history (oldest evicted first) and the recovery requests its
-/// streams provoked (NACKs, ack timeouts) — the ratchet's only evidence.
+/// changes another preset: its configuration and, root side, its NACK
+/// history by sequence (oldest evicted first).
 struct PresetState {
   StreamConfig config;
-  Ratchet ratchet;
-  std::map<HistoryKey, Retained> history;
-  std::deque<HistoryKey> history_order;
-  std::uint64_t recovery_requests = 0;
+  std::map<std::uint64_t, Retained> history;
+  std::deque<std::uint64_t> history_order;
 };
 
 struct StreamState {
@@ -245,14 +216,13 @@ struct StreamState {
   }
   std::array<PresetState, kStreamPresets> presets;
   StreamStats stats;
-  // NACK mode: the sink (installed by the first NACK-mode stream this
-  // rank sends or receives) and the channels it re-multicasts on.
+  // NACK mode: the sink, installed by the first NACK-mode stream this rank
+  // sends or receives.
   bool sink_installed = false;
-  std::array<mpi::McastChannel*, kMaxLanes> channels{};
-  // Receiver side: frames ahead of the cursor, per lane, kept across calls
-  // (a NACK-mode root may start its next stream before a receiver has
-  // finished this one).
-  std::array<std::map<std::uint64_t, Stashed>, kMaxLanes> stash;
+  // Receiver side: frames ahead of the cursor, by sequence, kept across
+  // calls (a NACK-mode root may start its next stream before a receiver
+  // has finished this one).
+  std::map<std::uint64_t, Stashed> stash;
   // Receiver side, parity streams in NACK mode: per root (comm rank), this
   // rank's observed distance to it — an EWMA of the time from its own
   // recv_stream entry to the first frame of the root's operation.
@@ -265,48 +235,15 @@ StreamState& state_of(Proc& p, const Comm& comm) {
   return p.coll_state<StreamState>(comm);
 }
 
-/// The parity ratio for the next root-side encode of preset `ps`.
-/// Adaptive streams double it when the preset's streams provoked recovery
-/// requests at this root since its previous operation and halve it back
-/// toward the floor after kCalmOps quiet ones — evidence a real host has,
-/// unlike the fault plane's ledger.
-double working_overhead(PresetState& ps, StreamStats& stats) {
-  const StreamConfig& cfg = ps.config;
-  Ratchet& rt = ps.ratchet;
-  const std::uint64_t requests = ps.recovery_requests;
-  if (!cfg.adaptive) {
-    return cfg.overhead;
-  }
-  if (rt.working < 0.0) {  // the first operation only seeds the ratchet
-    rt.working = cfg.overhead;
-    rt.seen = requests;
-    return rt.working;
-  }
-  const std::uint64_t delta = requests - rt.seen;
-  rt.seen = requests;
-  if (delta >= kRaiseThreshold) {
-    const double raised = std::min(rt.working * 2.0, kMaxAdaptiveOverhead);
-    if (raised > rt.working) {
-      ++stats.overhead_raises;
-    }
-    rt.working = raised;
-    rt.calm = 0;
-  } else if (++rt.calm >= kCalmOps) {
-    rt.working = std::max(rt.working / 2.0, cfg.overhead);
-    rt.calm = 0;
-  }
-  return rt.working;
-}
-
 /// Segment-local repair, kept per communicator beside its StreamState: the
 /// segment of every comm rank and, on a leader or deputy, the framed data
-/// frames of the NACK stream it is receiving, by (lane, seq), dropped at
-/// its next NACK-stream receive entry, and when its sink last forwarded
-/// each (lane, seq) to the root.
+/// frames of the NACK stream it is receiving, by seq, dropped at its next
+/// NACK-stream receive entry, and when its sink last forwarded each seq to
+/// the root.
 struct RepairState {
   std::vector<int> seg_of;
-  std::map<HistoryKey, Retained> held;
-  std::map<HistoryKey, SimTime> forwarded;
+  std::map<std::uint64_t, Retained> held;
+  std::map<std::uint64_t, SimTime> forwarded;
 };
 
 /// The communicator's repair state; null in a one-segment world, which
@@ -359,18 +296,19 @@ Chain chain_of(const Comm& comm, const RepairState* rs, int root) {
   return {m[0], me == m[1]};
 }
 
-/// A NACK for `seqs` of `lane`, served from `preset`'s history.  One sent
-/// to a repairer carries the stream's root (`root` >= 0, flagged in bit 7
-/// of the preset byte), so the repairer knows where to forward what it
-/// lacks; one sent to the root (`root` < 0) keeps the bytes it always had.
+/// A NACK for `seqs`, served from `preset`'s history.  One sent to a
+/// repairer carries the stream's root (`root` >= 0, flagged in bit 7 of the
+/// preset byte), so the repairer knows where to forward what it lacks; one
+/// sent to the root (`root` < 0) keeps the bytes it always had.  The second
+/// byte is reserved (always 0), so the message keeps its wire size.
 constexpr std::uint8_t kNackCarriesRoot = 0x80;
 
-Buffer nack_message(int preset, int lane, int root,
+Buffer nack_message(int preset, int root,
                     std::span<const std::uint64_t> seqs) {
   Buffer msg;
   ByteWriter w(msg);
   w.u8(static_cast<std::uint8_t>(preset | (root < 0 ? 0 : kNackCarriesRoot)));
-  w.u8(static_cast<std::uint8_t>(lane));
+  w.u8(0);
   w.u16(static_cast<std::uint16_t>(seqs.size()));
   if (root >= 0) {
     w.i32(root);
@@ -387,27 +325,25 @@ Buffer nack_message(int preset, int lane, int root,
 /// repairer it re-multicasts what the rank holds of the stream it is
 /// receiving and forwards the rest to the root, each frame at most once
 /// per aggregation window.  Installed by every rank that sends or
-/// receives a NACK stream, on `lanes` channels.
-void install_sink(Proc& p, const Comm& comm, StreamState& st, int lanes) {
-  for (int lane = 0; lane < lanes; ++lane) {
-    st.channels[static_cast<std::size_t>(lane)] = &p.mcast_channel(comm, lane);
-  }
+/// receives a NACK stream.
+void install_sink(Proc& p, const Comm& comm, StreamState& st) {
   if (st.sink_installed) {
     return;
   }
   st.sink_installed = true;
   StreamState* s = &st;
+  mpi::McastChannel* channel = &p.mcast_channel(comm);
   RepairState* repair = repair_state(p, comm);
   mpi::Engine* engine = &p.engine();
   // The sink always executes on the NACK's receiving rank — this rank — so
   // the shard captured here is the one whose counters it may touch.
   sim::Shard* shard = &p.self().shard();
-  const auto sink = [s, repair, engine, info = comm.info(), shard](
+  const auto sink = [s, repair, engine, channel, info = comm.info(), shard](
                         mpi::Rank /*src*/, PayloadRef data) {
     ByteReader r(data);
     const int head = r.u8();
     const int preset = head & ~kNackCarriesRoot;
-    const int lane = r.u8();
+    (void)r.u8();  // reserved
     const int wanted = r.u16();
     if (preset >= kStreamPresets) {
       return;  // not a NACK this engine sent
@@ -426,14 +362,12 @@ void install_sink(Proc& p, const Comm& comm, StreamState& st, int lanes) {
       e.last_resend = now;
       ++s->stats.retransmits;
       ++shard->counters().retransmits;
-      s->channels[static_cast<std::size_t>(lane)]->send(e.frame,
-                                                        net::FrameKind::kData);
+      channel->send(e.frame, net::FrameKind::kData);
       return true;
     };
     if ((head & kNackCarriesRoot) == 0) {  // this rank is the stream's root
-      ++ps.recovery_requests;
       for (int i = 0; i < wanted; ++i) {
-        const auto it = ps.history.find({lane, r.u64()});
+        const auto it = ps.history.find(r.u64());
         if (it == ps.history.end()) {
           ++s->stats.nacks_unserved;
         } else if (resend(it->second)) {
@@ -446,23 +380,23 @@ void install_sink(Proc& p, const Comm& comm, StreamState& st, int lanes) {
     RepairState& rs = *repair;  // NACKs carry a root only across segments
     std::vector<std::uint64_t> lacking;
     for (int i = 0; i < wanted; ++i) {
-      const HistoryKey key{lane, r.u64()};
-      if (const auto it = rs.held.find(key); it != rs.held.end()) {
+      const std::uint64_t seq = r.u64();
+      if (const auto it = rs.held.find(seq); it != rs.held.end()) {
         if (resend(it->second)) {
           ++s->stats.repairs_served;
         }
         continue;
       }
-      const auto [it, fresh] = rs.forwarded.try_emplace(key, now);
+      const auto [it, fresh] = rs.forwarded.try_emplace(seq, now);
       if (fresh || now - it->second >= ps.config.aggregation_window) {
         it->second = now;
-        lacking.push_back(key.second);
+        lacking.push_back(seq);
       }
     }
     if (!lacking.empty()) {
       ++s->stats.nacks_forwarded;
       engine->start_send(info, root, mpi::kTagChunkNack,
-                         nack_message(preset, lane, -1, lacking),
+                         nack_message(preset, -1, lacking),
                          net::FrameKind::kControl);
     }
   };
@@ -473,9 +407,9 @@ void install_sink(Proc& p, const Comm& comm, StreamState& st, int lanes) {
   engine->set_sink(comm.context(), mpi::kTagChunkNack, sink);
 }
 
-void retain(PresetState& ps, const HistoryKey& key, PayloadRef frame) {
-  ps.history.emplace(key, Retained{std::move(frame), std::nullopt});
-  ps.history_order.push_back(key);
+void retain(PresetState& ps, std::uint64_t seq, PayloadRef frame) {
+  ps.history.emplace(seq, Retained{std::move(frame), std::nullopt});
+  ps.history_order.push_back(seq);
   while (ps.history.size() > ps.config.history_frames) {
     ps.history.erase(ps.history_order.front());
     ps.history_order.pop_front();
@@ -483,9 +417,9 @@ void retain(PresetState& ps, const HistoryKey& key, PayloadRef frame) {
 }
 
 /// Root side: cuts the logical stream (a concatenation of spans) into
-/// chunks, stripes them over the lanes, follows every lane generation with
-/// its parity, and — in ACK mode — keeps at most k chunks in flight per
-/// lane while collecting per-chunk acks and retransmitting on timeout.
+/// chunks, follows every generation with its parity, and — in ACK mode —
+/// keeps at most k chunks in flight while collecting per-chunk acks and
+/// retransmitting on timeout.
 /// Returns once every chunk is acked (ACK) or sent (NACK).
 void send_stream(Proc& p, const Comm& comm, int root,
                  std::span<const std::span<const std::uint8_t>> stream,
@@ -499,16 +433,16 @@ void send_stream(Proc& p, const Comm& comm, int root,
     total += part.size();
   }
   const bool nack = cfg.feedback == Feedback::kNack;
-  const int r = parity_rows(cfg.k, working_overhead(ps, st.stats));
+  const int r = parity_rows(cfg.k, cfg.overhead);
   const std::size_t chunk_bytes =
       plan_chunk(total, cfg, r, p.mcast_recv_buffer());
   const std::uint32_t n_chunks = chunk_count(total, chunk_bytes);
   MC_EXPECTS_MSG(n_chunks < kParityIndexBit, "stream has too many chunks");
-  const auto lanes = static_cast<std::uint32_t>(cfg.lanes);
   const auto k = static_cast<std::uint32_t>(cfg.k);
   sim::SchedCounters& counters = p.self().shard().counters();
+  mpi::McastChannel& ch = p.mcast_channel(comm);
   if (nack) {
-    install_sink(p, comm, st, cfg.lanes);
+    install_sink(p, comm, st);
   }
 
   ChunkHeader proto;
@@ -523,8 +457,7 @@ void send_stream(Proc& p, const Comm& comm, int root,
   struct ChunkState {
     std::size_t offset = 0;
     std::size_t length = 0;
-    std::uint64_t seq = 0;  // lane sequence of the FIRST transmission
-    int lane = 0;
+    std::uint64_t seq = 0;  // channel sequence of the FIRST transmission
     int acks = 0;
     bool retired = false;
   };
@@ -532,13 +465,11 @@ void send_stream(Proc& p, const Comm& comm, int root,
   for (std::uint32_t i = 0; i < n_chunks; ++i) {
     chunks[i].offset = static_cast<std::size_t>(i) * chunk_bytes;
     chunks[i].length = std::min(chunk_bytes, total - chunks[i].offset);
-    chunks[i].lane = static_cast<int>(i % lanes);
   }
 
-  std::vector<int> in_flight(lanes, 0);
   std::uint32_t sent = 0;
   std::uint32_t retired_count = 0;
-  std::uint64_t live = 0;  // sent, not yet retired — across all lanes
+  std::uint64_t live = 0;  // sent, not yet retired
   const std::uint64_t total_acks =
       std::uint64_t{n_chunks} * static_cast<std::uint64_t>(receivers);
   std::uint64_t acks_consumed = 0;
@@ -547,16 +478,15 @@ void send_stream(Proc& p, const Comm& comm, int root,
   std::vector<std::span<const std::uint8_t>> parts;
   const auto transmit = [&](std::uint32_t i, bool first) {
     ChunkState& c = chunks[i];
-    mpi::McastChannel& ch = p.mcast_channel(comm, c.lane);
     if (first) {
       c.seq = ch.expected_seq();
     }
-    // A retransmission reuses the original lane sequence, so receivers
-    // that already consumed the chunk skip it as a stale duplicate.
+    // A retransmission reuses the original sequence, so receivers that
+    // already consumed the chunk skip it as a stale duplicate.
     ChunkHeader h = proto;
     h.seq = c.seq;
     h.index = i;
-    h.gen = (i / lanes) / k;
+    h.gen = i / k;
     h.length = static_cast<std::uint32_t>(c.length);
     p.self().delay(p.costs().send_overhead(
         static_cast<std::int64_t>(c.length), mpi::CostTier::kMcastData));
@@ -570,7 +500,7 @@ void send_stream(Proc& p, const Comm& comm, int root,
         w.bytes(part);
       }
       PayloadRef framed = PayloadRef::adopt(std::move(out));
-      retain(ps, {c.lane, c.seq}, framed);
+      retain(ps, c.seq, framed);
       ch.send(std::move(framed), net::FrameKind::kData);
     } else {
       Buffer header;
@@ -590,25 +520,21 @@ void send_stream(Proc& p, const Comm& comm, int root,
     ch.advance_seq();
     if (!nack) {
       ++counters.chunk_sent;
-      ++in_flight[static_cast<std::size_t>(c.lane)];
       ++live;
       counters.chunk_peak_window = std::max(counters.chunk_peak_window, live);
     }
   };
 
-  // After the last first transmission of a lane generation (k chunks, or
-  // the lane's partial tail), multicast its r parity frames.  Parity is
-  // fire-and-forget: it consumes lane sequence numbers (receivers account
-  // for the slots) but is never acked, retained, or retransmitted — a lost
+  // After the last first transmission of a generation (k chunks, or the
+  // stream's partial tail), multicast its r parity frames.  Parity is
+  // fire-and-forget: it consumes sequence numbers (receivers account for
+  // the slots) but is never acked, retained, or retransmitted — a lost
   // parity frame costs nothing beyond falling back to the feedback loop.
   const auto send_parity = [&](std::uint32_t i) {
-    const int lane = chunks[i].lane;
-    const std::uint32_t j = i / lanes;
-    const std::uint32_t g = j / k;
-    const std::uint32_t k0 = g * k * lanes + static_cast<std::uint32_t>(lane);
-    const std::uint32_t rows = j - g * k + 1;
+    const std::uint32_t g = i / k;
+    const std::uint32_t k0 = g * k;
+    const std::uint32_t rows = i - k0 + 1;
     const std::size_t plen = chunks[k0].length;  // the generation's longest row
-    mpi::McastChannel& ch = p.mcast_channel(comm, lane);
     ChunkHeader h = proto;
     h.gen = g;
     h.length = static_cast<std::uint32_t>(plen);
@@ -625,7 +551,7 @@ void send_stream(Proc& p, const Comm& comm, int root,
       for (std::uint32_t q = 0; q < rows; ++q) {
         const std::uint8_t coef = gf256::parity_coef(pr, static_cast<int>(q),
                                                      static_cast<int>(rows));
-        const ChunkState& c = chunks[k0 + q * lanes];
+        const ChunkState& c = chunks[k0 + q];
         parts.clear();
         collect_chunk_parts(stream, c.offset, c.length, parts);
         std::size_t pos = 0;
@@ -670,7 +596,6 @@ void send_stream(Proc& p, const Comm& comm, int root,
         if (++c.acks == receivers) {
           c.retired = true;
           ++retired_count;
-          --in_flight[static_cast<std::size_t>(c.lane)];
           --live;
           timeout = cfg.timeout;
           dry_timeouts = 0;
@@ -694,7 +619,6 @@ void send_stream(Proc& p, const Comm& comm, int root,
         throw std::runtime_error(os.str());
       }
       ++dry_timeouts;
-      ++ps.recovery_requests;
       for (std::uint32_t i = 0; i < sent; ++i) {
         if (!chunks[i].retired) {
           transmit(i, false);
@@ -709,15 +633,14 @@ void send_stream(Proc& p, const Comm& comm, int root,
   };
 
   for (std::uint32_t i = 0; i < n_chunks; ++i) {
-    // Sliding window: stall only when THIS chunk's lane is saturated; acks
-    // consumed here retire earlier chunks while later ones are in flight.
-    while (!nack &&
-           in_flight[static_cast<std::size_t>(chunks[i].lane)] >= cfg.k) {
+    // Sliding window: stall only when k chunks are in flight; acks consumed
+    // here retire earlier chunks while later ones are in flight.
+    while (!nack && live >= k) {
       consume_one_ack();
     }
     transmit(i, true);
     ++sent;
-    if (r > 0 && ((i / lanes + 1) % k == 0 || i + lanes >= n_chunks)) {
+    if (r > 0 && ((i + 1) % k == 0 || i + 1 >= n_chunks)) {
       send_parity(i);
     }
     if (!nack && request == nullptr) {
@@ -734,16 +657,15 @@ void send_stream(Proc& p, const Comm& comm, int root,
 /// Delivery of one chunk: (stream offset, stream total, bytes).
 using ChunkSink = std::function<void(std::size_t, std::size_t, PayloadRef)>;
 
-/// Receiver side: consumes chunks 0..count-1 in index order (chunk i on
-/// lane i mod lanes) and hands each to `sink`.  All geometry comes from
-/// the frame headers.  ACK mode acks every consumed chunk to the root;
-/// NACK mode requests the cursor generation's missing chunks after
-/// `timeout` of silence, backing off, until max_retries rounds in a row
-/// make no progress.
+/// Receiver side: consumes chunks 0..count-1 in index order and hands
+/// each to `sink`.  All geometry comes from the frame headers.  ACK mode
+/// acks every consumed chunk to the root; NACK mode requests the cursor
+/// generation's missing chunks after `timeout` of silence, backing off,
+/// until max_retries rounds in a row make no progress.
 ///
 /// A NACK stream with parity also decides from evidence, not only from the
 /// timer: its first silence wait starts when the first frame is due (this
-/// rank's learned distance to the root after entry), and once the lane's
+/// rank's learned distance to the root after entry), and once the stream's
 /// final slot has arrived a still-blocked cursor requests its gap at once.
 ///
 /// Charging: a frame pays its receive overhead when it advances the
@@ -760,35 +682,29 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
                  StreamState& st, const ChunkSink& sink) {
   const StreamConfig& cfg = st.presets[slot(preset)].config;
   const bool nack = cfg.feedback == Feedback::kNack;
-  const auto lanes = static_cast<std::uint32_t>(cfg.lanes);
   sim::SchedCounters& counters = p.self().shard().counters();
-  const auto channel = [&](std::uint32_t lane) -> mpi::McastChannel& {
-    return p.mcast_channel(comm, static_cast<int>(lane));
-  };
+  mpi::McastChannel& ch = p.mcast_channel(comm);
+  auto& stash = st.stash;
   const auto pay = [&p](std::size_t bytes) {
     p.self().delay(p.costs().recv_overhead(static_cast<std::int64_t>(bytes),
                                            mpi::CostTier::kMcastData));
   };
 
-  // Each lane's sequence at entry is this operation's base on that lane;
-  // a frame whose own base is later belongs to a later operation.
-  std::array<std::uint64_t, kMaxLanes> op_base{};
+  // The channel's sequence at entry is this operation's base; a frame
+  // whose own base is later belongs to a later operation.
+  const std::uint64_t op_base = ch.expected_seq();
   bool known = false;
   ChunkHeader geo;  // the operation's geometry, from its first header
-  const auto frame_base = [&](const ChunkHeader& h, std::uint32_t lane) {
-    return h.seq - op_offset(h, lanes, lane);
+  const auto frame_base = [](const ChunkHeader& h) {
+    return h.seq - op_offset(h);
   };
-  for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-    op_base[lane] = channel(lane).expected_seq();
-    auto& stash = st.stash[lane];
-    stash.erase(stash.begin(), stash.lower_bound(op_base[lane]));
-  }
+  stash.erase(stash.begin(), stash.lower_bound(op_base));
   // Segment-local repair: a repairer keeps the data frames of this stream
   // that it takes off the wire or rebuilds, as they are (zero-copy), for
   // its sink to re-multicast, and drops the previous stream's.
   RepairState* repair = nullptr;
   if (nack) {
-    install_sink(p, comm, st, cfg.lanes);
+    install_sink(p, comm, st);
     repair = repair_state(p, comm);
   }
   if (repair != nullptr) {
@@ -796,49 +712,42 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
     repair->forwarded.clear();
   }
   const Chain chain = chain_of(comm, repair, root);
-  const auto hold = [&](std::uint32_t lane, std::uint64_t seq,
-                        PayloadRef frame) {
+  const auto hold = [&](std::uint64_t seq, PayloadRef frame) {
     auto& held = repair->held;
-    held.try_emplace({static_cast<int>(lane), seq},
-                     Retained{std::move(frame), std::nullopt});
+    held.try_emplace(seq, Retained{std::move(frame), std::nullopt});
     if (held.size() > cfg.history_frames) {
       held.erase(held.begin());
     }
   };
-  // Only lane 0 teaches the geometry: it carries chunk 0 of every stream,
-  // while a lane this stream leaves empty may already hold a later
-  // stream's frames at the same base.
-  for (const auto& [seq, e] : st.stash[0]) {
-    if (frame_base(e.h, 0) == op_base[0]) {
+  // A frame stashed before entry may already teach the geometry.
+  for (const auto& [seq, e] : stash) {
+    if (frame_base(e.h) == op_base) {
       geo = e.h;
       known = true;
       break;
     }
   }
 
-  // Per-lane state of the cursor's generation (streams with parity).
+  // The cursor's generation (streams with parity).
   struct GenState {
     std::int64_t gen = -1;
-    std::uint64_t base = 0;  // lane sequence of the generation's row 0
+    std::uint64_t base = 0;  // sequence of the generation's row 0
     std::vector<PayloadRef> rows;  // consumed rows, by position
     std::vector<std::pair<int, PayloadRef>> parity;  // (row, bytes)
   };
-  std::vector<GenState> gens(lanes);
-  const auto rows_of = [&](std::uint32_t lane, std::uint32_t g) {
-    return gen_rows(lane_chunks(geo.count, lanes, lane), geo.k, g);
+  GenState gs;
+  const auto rows_of = [&](std::uint32_t g) {
+    return gen_rows(geo.count, geo.k, g);
   };
-  // Moves the lane's generation state to the cursor's generation: skips
-  // the previous generation's parity slots (parity is fire-and-forget, so
+  // Moves the generation state to the cursor's generation: skips the
+  // previous generation's parity slots (parity is fire-and-forget, so
   // waiting on them could deadlock) and pays for the stashed frames that
   // now advance the current generation.
   const auto enter_gen = [&](std::uint32_t i) {
-    const std::uint32_t lane = i % lanes;
-    const std::uint32_t g = (i / lanes) / geo.k;
-    GenState& gs = gens[lane];
+    const std::uint32_t g = i / geo.k;
     if (gs.gen == static_cast<std::int64_t>(g)) {
       return;
     }
-    mpi::McastChannel& ch = channel(lane);
     if (gs.gen >= 0) {
       for (int s = 0; s < geo.r; ++s) {
         ch.advance_seq();
@@ -848,8 +757,7 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
     gs.base = ch.expected_seq();
     gs.rows.assign(geo.k, PayloadRef{});
     gs.parity.clear();
-    auto& stash = st.stash[lane];
-    const std::uint64_t end = gs.base + rows_of(lane, g) + geo.r;
+    const std::uint64_t end = gs.base + rows_of(g) + geo.r;
     for (auto it = stash.lower_bound(gs.base);
          it != stash.end() && it->first < end;) {
       Stashed& e = it->second;
@@ -865,31 +773,29 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
       }
     }
   };
-  // Whether a frame arriving on `lane` while the cursor waits on chunk i
-  // advances the cursor (see the charging rule above).  Evaluated in the
-  // socket wake and again on processing, against the same state.
-  const auto advances = [&](const ChunkHeader& h, std::uint32_t lane,
-                            std::uint32_t i) {
-    const std::uint64_t expected = channel(lane).expected_seq();
+  // Whether a frame arriving while the cursor waits on chunk i advances
+  // the cursor (see the charging rule above).  Evaluated in the socket wake
+  // and again on processing, against the same state.
+  const auto advances = [&](const ChunkHeader& h, std::uint32_t i) {
+    const std::uint64_t expected = ch.expected_seq();
     if (h.r == 0 || h.seq == expected) {
       return h.seq == expected;
     }
-    if (h.seq < expected || frame_base(h, lane) != op_base[lane]) {
+    if (h.seq < expected || frame_base(h) != op_base) {
       return false;
     }
-    const std::uint32_t g = (i / lanes) / h.k;
+    const std::uint32_t g = i / h.k;
     if (h.parity()) {
-      const GenState& gs = gens[lane];
       const bool held = std::any_of(
           gs.parity.begin(), gs.parity.end(),
           [&h](const auto& e) { return e.first == h.row(); });
       return h.gen == g && !(gs.gen == static_cast<std::int64_t>(g) && held);
     }
-    return (h.index / lanes) / h.k == g && !st.stash[lane].contains(h.seq);
+    return h.index / h.k == g && !stash.contains(h.seq);
   };
 
   const auto consume = [&](const ChunkHeader& h, PayloadRef body,
-                           mpi::McastChannel& ch, std::uint32_t i) {
+                           std::uint32_t i) {
     MC_ASSERT_MSG(h.context == comm.context(), "context mismatch");
     MC_ASSERT_MSG(h.root_world == comm.world_rank_of(root),
                   "stream root mismatch");
@@ -899,7 +805,7 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
     MC_ASSERT_MSG(h.count == geo.count && h.total == geo.total,
                   "stream geometry changed mid-stream");
     if (geo.r > 0) {
-      gens[i % lanes].rows[(i / lanes) % geo.k] = body;
+      gs.rows[i % geo.k] = body;
     }
     sink(h.offset(), h.total, std::move(body));
     ch.advance_seq();
@@ -917,16 +823,13 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
   // the generation's consumed + stashed + parity rows reach its size,
   // rebuild every missing row — the cursor's chunk is delivered at once,
   // later ones are planted in the stash under their original sequences.
-  const auto try_reconstruct = [&](std::uint32_t i, mpi::McastChannel& ch) {
-    const std::uint32_t lane = i % lanes;
-    GenState& gs = gens[lane];
+  const auto try_reconstruct = [&](std::uint32_t i) {
     if (gs.parity.empty()) {
       return false;
     }
-    auto& stash = st.stash[lane];
-    const std::uint32_t g = (i / lanes) / geo.k;
-    const std::uint32_t pos = (i / lanes) % geo.k;
-    const std::uint32_t rows = rows_of(lane, g);
+    const std::uint32_t g = i / geo.k;
+    const std::uint32_t pos = i % geo.k;
+    const std::uint32_t rows = rows_of(g);
     std::vector<std::span<const std::uint8_t>> dspans(rows);
     std::vector<int> missing;
     for (std::uint32_t q = 0; q < rows; ++q) {
@@ -957,7 +860,7 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
       ChunkHeader& hh = hs[t];
       const auto q = static_cast<std::uint32_t>(missing[t]);
       hh.seq = gs.base + q;
-      hh.index = (g * geo.k + q) * lanes + lane;
+      hh.index = g * geo.k + q;
       hh.gen = g;
       hh.length = static_cast<std::uint32_t>(
           std::min<std::size_t>(geo.chunk, geo.total - hh.offset()));
@@ -982,12 +885,12 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
       if (chain.repairer) {
         PayloadRef frame = PayloadRef::adopt(std::move(framed[t]));
         body = frame.slice(kFrameBytes);
-        hold(lane, hs[t].seq, std::move(frame));
+        hold(hs[t].seq, std::move(frame));
       } else {
         body = PayloadRef{std::move(rebuilt[t])};
       }
       if (static_cast<std::uint32_t>(missing[t]) == pos) {
-        consume(hs[t], std::move(body), ch, i);
+        consume(hs[t], std::move(body), i);
       } else {
         stash.try_emplace(hs[t].seq, Stashed{hs[t], std::move(body), true});
       }
@@ -1021,33 +924,30 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
   if (distance_scaled && known) {
     learn_distance(start);
   }
-  // Gap NACK: once the lane's final slot (its last generation's last
+  // Gap NACK: once the stream's final slot (its last generation's last
   // parity frame, or its last data row when r = 0) has arrived, whatever
   // the cursor still lacks is lost, not late.  Once per stream.
   bool gap_nacked = false;
-  const auto tail_heard = [&](std::uint32_t lane) {
-    const std::uint32_t g = (lane_chunks(geo.count, lanes, lane) - 1) / geo.k;
-    const std::uint64_t last = op_base[lane] +
-                               std::uint64_t{g} * (geo.k + geo.r) +
-                               rows_of(lane, g) + geo.r - 1;
-    if (st.stash[lane].contains(last)) {
+  const auto tail_heard = [&] {
+    const std::uint32_t g = (geo.count - 1) / geo.k;
+    const std::uint64_t last = op_base + std::uint64_t{g} * (geo.k + geo.r) +
+                               rows_of(g) + geo.r - 1;
+    if (stash.contains(last)) {
       return true;
     }
-    const GenState& gs = gens[lane];
     return geo.r > 0 && gs.gen == static_cast<std::int64_t>(g) &&
            std::any_of(gs.parity.begin(), gs.parity.end(),
                        [&](const auto& e) { return e.first == geo.r - 1; });
   };
   // NACK round for the cursor's chunk and, once the geometry is known,
   // every other missing data row of its generation.
-  const auto request_missing = [&](std::uint32_t i, mpi::McastChannel& ch) {
-    const std::uint32_t lane = i % lanes;
+  const auto request_missing = [&](std::uint32_t i) {
     const std::uint64_t expected = ch.expected_seq();
     if (cfg.max_retries > 0 && retries >= cfg.max_retries) {
       std::ostringstream os;
       os << to_string(preset) << ": rank " << comm.rank()
-         << " gave up on chunk " << i << " (lane " << lane << ", seq "
-         << expected << ") from root " << root << " after " << retries
+         << " gave up on chunk " << i << " (seq " << expected
+         << ") from root " << root << " after " << retries
          << " NACK rounds over "
          << to_microseconds(p.self().now() - start)
          << " us — the root is unreachable or loss exceeds what NACK "
@@ -1063,16 +963,16 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
     }
     std::vector<std::uint64_t> want = {expected};
     if (known) {
-      const std::uint32_t pos = (i / lanes) % geo.k;
-      const std::uint32_t rows = rows_of(lane, (i / lanes) / geo.k);
+      const std::uint32_t pos = i % geo.k;
+      const std::uint32_t rows = rows_of(i / geo.k);
       for (std::uint32_t q = pos + 1; q < rows; ++q) {
-        if (!st.stash[lane].contains(expected + (q - pos))) {
+        if (!stash.contains(expected + (q - pos))) {
           want.push_back(expected + (q - pos));
         }
       }
     }
     p.send(comm, chain.nack_to, mpi::kTagChunkNack,
-           nack_message(static_cast<int>(preset), static_cast<int>(lane),
+           nack_message(static_cast<int>(preset),
                         chain.nack_to == root ? -1 : root, want),
            net::FrameKind::kControl, mpi::CostTier::kRaw);
     const auto scaled = static_cast<std::int64_t>(
@@ -1081,9 +981,6 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
   };
 
   for (std::uint32_t i = 0; i < (known ? geo.count : 1); ++i) {
-    const std::uint32_t lane = i % lanes;
-    mpi::McastChannel& ch = channel(lane);
-    auto& stash = st.stash[lane];
     for (;;) {
       if (known && geo.r > 0) {
         enter_gen(i);
@@ -1095,19 +992,19 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
         if (!e.charged) {
           pay(kChunkHeaderBytes + e.h.length);
         }
-        consume(e.h, std::move(e.body), ch, i);
+        consume(e.h, std::move(e.body), i);
         break;
       }
-      if (known && geo.r > 0 && try_reconstruct(i, ch)) {
+      if (known && geo.r > 0 && try_reconstruct(i)) {
         break;
       }
-      if (nack && known && !gap_nacked && tail_heard(lane)) {
+      if (nack && known && !gap_nacked && tail_heard()) {
         gap_nacked = true;
-        request_missing(i, ch);
+        request_missing(i);
       }
       const auto price = [&](const inet::UdpDatagram& dg) -> SimTime {
         const auto h = stream_header(dg.data);
-        if (!h || !advances(*h, lane, i)) {
+        if (!h || !advances(*h, i)) {
           return kTimeZero;  // stale, duplicate, or not yet useful: unpaid
         }
         return p.costs().recv_overhead(
@@ -1127,7 +1024,7 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
       const auto got =
           ch.socket().recv_until_charged(p.self(), deadline, price);
       if (!got.has_value()) {
-        request_missing(i, ch);
+        request_missing(i);
         continue;
       }
       const SimTime heard = p.self().now();
@@ -1136,16 +1033,15 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
         continue;  // foreign traffic on the channel
       }
       const ChunkHeader& h = *header;
-      const bool useful = advances(h, lane, i);
+      const bool useful = advances(h, i);
       // Any frame of the cursor's generation (its data rows, then its
       // parity slots) — even a duplicate another receiver's NACK provoked —
       // shows the root serving it: reset the recovery clock.  Only progress
       // resets the retry count.
-      const GenState& gs = gens[lane];
       if (useful ||
           (gs.gen >= 0 && h.seq >= gs.base &&
            h.seq < gs.base + geo.r +
-                       rows_of(lane, static_cast<std::uint32_t>(gs.gen)))) {
+                       rows_of(static_cast<std::uint32_t>(gs.gen)))) {
         timeout = cfg.timeout;
       }
       if (h.seq < ch.expected_seq()) {
@@ -1158,11 +1054,11 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
         }
         retries = 0;
       }
-      const std::uint64_t base = frame_base(h, lane);
-      if (base < op_base[lane]) {
+      const std::uint64_t base = frame_base(h);
+      if (base < op_base) {
         continue;  // not a frame of this or a later stream
       }
-      if (base > op_base[lane]) {
+      if (base > op_base) {
         stash.try_emplace(h.seq, Stashed{h, std::move(body), false});
         continue;  // a later operation's frame
       }
@@ -1178,39 +1074,35 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
       }
       if (h.parity()) {
         if (useful) {
-          gens[lane].parity.emplace_back(h.row(), std::move(body));
-        } else if (static_cast<std::int64_t>(h.gen) != gens[lane].gen) {
+          gs.parity.emplace_back(h.row(), std::move(body));
+        } else if (static_cast<std::int64_t>(h.gen) != gs.gen) {
           stash.try_emplace(h.seq, Stashed{h, std::move(body), false});
         }
         continue;
       }
       if (chain.repairer) {
-        hold(lane, h.seq, got->datagram.data);
+        hold(h.seq, got->datagram.data);
       }
       if (h.seq > ch.expected_seq()) {
         stash.try_emplace(h.seq, Stashed{h, std::move(body), useful});
         continue;
       }
-      consume(h, std::move(body), ch, i);
+      consume(h, std::move(body), i);
       break;
     }
   }
   // The cursor never crosses the final generation's parity slots; skip
-  // them so every lane's sequence matches the root for the next stream.
-  for (std::uint32_t lane = 0; lane < lanes && lane < geo.count; ++lane) {
-    for (int s = 0; s < geo.r; ++s) {
-      channel(lane).advance_seq();
-    }
+  // them so the sequence matches the root for the next stream.
+  for (int s = 0; s < geo.r; ++s) {
+    ch.advance_seq();
   }
 }
 
-/// Readiness: every rank creates ALL lane channels (joins every group it
-/// may hear), then — for scout readiness — announces it with the binomial
-/// scout gather toward the stream root, so no chunk can beat a join.
+/// Readiness: every rank creates its channel (joins the group), then — for
+/// scout readiness — announces it with the binomial scout gather toward
+/// the stream root, so no chunk can beat a join.
 void get_ready(Proc& p, const Comm& comm, int root, const StreamConfig& cfg) {
-  for (int lane = 0; lane < cfg.lanes; ++lane) {
-    (void)p.mcast_channel(comm, lane);
-  }
+  (void)p.mcast_channel(comm);
   if (cfg.readiness == Readiness::kScout) {
     scout_gather_binary(p, comm, root);
   }
@@ -1294,15 +1186,10 @@ void set_stream_config(Proc& p, const Comm& comm, StreamPreset preset,
     }
   };
   require(config.k >= 1 && config.k <= 0xFFFF, "k must be in [1, 65535]");
-  require(config.lanes >= 1 && config.lanes <= kMaxLanes,
-          "lanes out of range");
   require(config.overhead >= 0.0 && config.overhead <= 2.0,
           "overhead must be in [0, 2]");
   require(config.overhead == 0.0 || config.k <= 255,
           "parity needs k <= 255 (generation + parity must fit GF(256))");
-  require(!config.adaptive || (config.overhead > 0.0 &&
-                               config.overhead <= kMaxAdaptiveOverhead),
-          "adaptive parity needs overhead in (0, 0.5]");
   require(config.timeout > kTimeZero, "timeout must be > 0");
   require(config.backoff >= 1.0, "backoff must be >= 1");
   require(config.timeout_cap >= config.timeout,
@@ -1311,9 +1198,7 @@ void set_stream_config(Proc& p, const Comm& comm, StreamPreset preset,
   require(config.aggregation_window >= kTimeZero,
           "aggregation_window must be >= 0");
   require(config.history_frames >= 1, "history_frames must be >= 1");
-  PresetState& ps = state_of(p, comm).presets[slot(preset)];
-  ps.config = config;
-  ps.ratchet = Ratchet{};  // re-seed from the new floor
+  state_of(p, comm).presets[slot(preset)].config = config;
 }
 
 const StreamConfig& stream_config(Proc& p, const Comm& comm,
@@ -1325,27 +1210,15 @@ const StreamStats& stream_stats(Proc& p, const Comm& comm) {
   return state_of(p, comm).stats;
 }
 
-double stream_working_overhead(Proc& p, const Comm& comm,
-                               StreamPreset preset) {
-  const PresetState& ps = state_of(p, comm).presets[slot(preset)];
-  return ps.ratchet.working < 0.0 ? ps.config.overhead : ps.ratchet.working;
-}
-
 StreamPlan stream_plan(std::size_t total, const StreamConfig& config,
                        std::size_t rcvbuf_bytes) {
-  const double worst = config.adaptive
-                           ? std::max(config.overhead, kMaxAdaptiveOverhead)
-                           : config.overhead;
-  const int r = parity_rows(config.k, worst);
+  const int r = parity_rows(config.k, config.overhead);
   StreamPlan plan;
   plan.chunk_bytes = plan_chunk(total, config, r, rcvbuf_bytes);
   const std::uint32_t n = chunk_count(total, plan.chunk_bytes);
   plan.n_data = static_cast<int>(n);
-  const auto lanes = static_cast<std::uint32_t>(config.lanes);
   const auto k = static_cast<std::uint32_t>(config.k);
-  for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-    plan.windows += static_cast<int>((lane_chunks(n, lanes, lane) + k - 1) / k);
-  }
+  plan.windows = static_cast<int>((n + k - 1) / k);
   plan.wire_bytes = total + static_cast<std::size_t>(n) * kFrameBytes +
                     static_cast<std::size_t>(plan.windows) *
                         static_cast<std::size_t>(r) *

@@ -4,16 +4,17 @@
 ///
 /// The paper's design is one mechanism — get receivers ready, multicast
 /// the payload once — and every reliable multicast in this repo is that
-/// mechanism plus a recovery loop.  This engine runs the loop once, with
-/// three parameters (a window, lanes, and a recovery policy), and the
-/// registry's reliable broadcasts are presets of it:
+/// mechanism plus a recovery loop.  This engine runs the loop once, on the
+/// communicator's one multicast group, with two parameters (a window and a
+/// recovery policy), and the registry's reliable broadcasts are presets of
+/// it:
 ///
-///   preset            chunking         k   lanes feedback parity readiness
-///   ack-mcast         whole            1   1     ack      0      none
-///   nack-mcast        whole            1   1     nack     0      none
-///   fec-mcast         total / min(k,   8   1     nack     1/8    none
+///   preset            chunking         k   feedback parity readiness
+///   ack-mcast         whole            1   ack      0      none
+///   nack-mcast        whole            1   nack     0      none
+///   fec-mcast         total / min(k,   8   nack     1/8    none
 ///                     frames filled)
-///   mcast-segmented   64 KiB           4   1     ack      0      scout gather
+///   mcast-segmented   64 KiB           4   ack      0      scout gather
 ///
 /// The registry's `sequencer` (Orca-style) is no preset of its own: the root
 /// hands its payload over point-to-point to comm rank 0, which broadcasts
@@ -28,19 +29,14 @@
 ///     k, r, total), so a receiver takes ALL geometry from the wire, never
 ///     from its own configuration or socket buffer.
 ///
-///   * LANES — chunks are striped round-robin over `lanes` multicast
-///     groups of the same communicator (CommInfo::mcast_port(l)); each
-///     lane has its own sequence numbers and receive buffer (Träff's
-///     multi-lane decomposition of one collective into parallel streams).
-///
-///   * GENERATIONS — every k consecutive chunks of a lane form a
+///   * GENERATIONS — every k consecutive chunks form a
 ///     generation.  With a parity overhead > 0 the root follows each
 ///     generation with r Reed–Solomon parity frames (gf256.hpp); a receiver
 ///     holding any generation-size subset of data + parity rebuilds the
 ///     missing chunks in-window, with zero recovery round trips.
 ///
 ///   * FEEDBACK — ACK: every receiver acks every chunk over the raw path,
-///     the root keeps at most k chunks in flight per lane (k is the
+///     the root keeps at most k chunks in flight (k is the
 ///     sliding window) and re-multicasts the oldest unretired chunk when
 ///     acks stop arriving (the ORNL discipline; in lockstep, k = 1, the
 ///     deadline runs from the chunk's last transmission, as in the
@@ -54,7 +50,7 @@
 ///     first frame, and its first silence wait ends at entry + that
 ///     distance + timeout (as SRM scales request timers by distance) —
 ///     without parity a lost whole-payload datagram is total silence, so
-///     nack-mcast keeps the plain timer; (2) once the lane's final slot
+///     nack-mcast keeps the plain timer; (2) once the stream's final slot
 ///     (the last parity frame) has arrived, a cursor still blocked after
 ///     decoding NACKs its gap at once, once per stream.  On 16 hosts
 ///     behind a 2 ms trunk at 1% loss this cut NACKs from 8.7 to 1.3 per
@@ -124,24 +120,18 @@ struct StreamConfig {
   /// min(k, Ethernet frames it fills) chunks, so a payload below k frames
   /// costs one datagram per frame, not k sub-frame datagrams.
   /// The engine clamps it to the datagram ceiling and to the receive
-  /// buffer (ACK mode: a window of frames per lane; NACK mode: one frame).
+  /// buffer (ACK mode: a window of frames; NACK mode: one frame).
   std::size_t chunk_bytes = 0;
   /// Chunks per generation, and in ACK mode also the sliding window of
-  /// unacked chunks per lane (1 = lockstep send-then-ack: the recovery
+  /// unacked chunks (1 = lockstep send-then-ack: the recovery
   /// clock runs from the last transmission and only a retired chunk resets
   /// it; with a window every ack restarts it).
   int k = 8;
-  /// Multicast groups striped round-robin (1..CommInfo::kMaxMcastLanes).
-  int lanes = 1;
   Feedback feedback = Feedback::kNack;
   Readiness readiness = Readiness::kNone;
   /// Parity ratio: every generation carries r = max(1, ceil(k * overhead))
   /// parity frames (capped so k + r <= 256); 0 sends no parity.
   double overhead = 0.125;
-  /// Ratchet the root's working overhead from the recovery requests its
-  /// own sink receives (doubling up to 1/2, halving back toward
-  /// `overhead` after 8 calm operations).
-  bool adaptive = false;
   /// Silence before the first recovery round: the root's ack deadline in
   /// ACK mode, a receiver's NACK timer in NACK mode.  With parity a NACK
   /// receiver starts its first wait only when the first frame is due (its
@@ -186,26 +176,20 @@ struct StreamStats {
   std::uint64_t nacks_served = 0;      // root sink: frames re-multicast
   std::uint64_t nacks_suppressed = 0;  // sink: inside the window
   std::uint64_t nacks_unserved = 0;    // root sink: history miss
-  std::uint64_t overhead_raises = 0;   // root: adaptive ratchet up-steps
   std::uint64_t repairs_served = 0;    // repairer sink: frames re-multicast
   std::uint64_t nacks_forwarded = 0;   // repairer sink: NACKs to the root
 };
 const StreamStats& stream_stats(mpi::Proc& p, const mpi::Comm& comm);
 
-/// The parity ratio the NEXT operation of `preset` rooted here will encode
-/// with (the configured overhead until the adaptive ratchet moves it).
-double stream_working_overhead(mpi::Proc& p, const mpi::Comm& comm,
-                               StreamPreset preset);
-
 /// Stream geometry for a `total`-byte payload — exposed so the registry
 /// predicates and the tests agree with the engine about what fits.
 /// wire_bytes is the worst case a receiver's socket buffer must absorb if
-/// it consumes nothing mid-stream: every data and parity frame (at the
-/// adaptive ceiling when adaptive) including all framing headers.
+/// it consumes nothing mid-stream: every data and parity frame including
+/// all framing headers.
 struct StreamPlan {
   std::size_t chunk_bytes = 0;  ///< nominal full chunk length
   int n_data = 0;               ///< data chunks in the stream
-  int windows = 0;              ///< generations, summed over lanes
+  int windows = 0;              ///< generations
   std::size_t wire_bytes = 0;   ///< worst-case on-the-wire total
 };
 StreamPlan stream_plan(std::size_t total, const StreamConfig& config,

@@ -164,7 +164,7 @@ void register_builtins(Registry& r) {
       .description = "FEC-coded multicast: k data + r Reed–Solomon parity "
                      "chunks per window, any k of k+r reconstruct — zero "
                      "recovery round trips up to r losses, NACK fallback "
-                     "beyond (adaptive parity under observed loss)",
+                     "beyond",
       .applicable = fits_fec_blast,
       .loss_tolerant = true,  // the point: in-window erasure recovery
       .bcast = bcast_preset<StreamPreset::kFec>});
@@ -182,9 +182,9 @@ void register_builtins(Registry& r) {
   r.add(CollAlgorithm{
       .name = "mcast-segmented",
       .op = CollOp::kBcast,
-      .description = "segmented pipelined multicast: chunked stream, sliding "
-                     "ack window, optional multi-lane striping — no payload "
-                     "size ceiling",
+      .description = "segmented pipelined multicast: chunked stream on the "
+                     "communicator's one group, sliding ack window — no "
+                     "payload size ceiling",
       .applicable = always,
       .loss_tolerant = true,  // per-chunk acks + timeout retransmission
       .bcast = bcast_preset<StreamPreset::kSegmented>});

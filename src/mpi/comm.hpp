@@ -39,13 +39,6 @@ struct CommInfo {
   /// mcast_port() asserts it.
   static constexpr std::uint64_t kMaxMcastContexts = 40000ULL * 65536ULL;
 
-  /// Striped (multi-lane) collectives open up to this many multicast
-  /// groups per communicator.  Each lane displaces the port hash by a
-  /// fixed stride (2500 = 40000 / 16 ports), so the sixteen lanes of one
-  /// context occupy sixteen distinct ports and lane 0 is exactly the
-  /// classic single-group identity.
-  static constexpr int kMaxMcastLanes = 16;
-
   std::uint32_t context_id = 0;
   Group group;
 
@@ -59,19 +52,12 @@ struct CommInfo {
     return inet::IpAddr::multicast_group(
         static_cast<std::uint16_t>(context_id & 0xFFFF));
   }
-  std::uint16_t mcast_port(int lane = 0) const {
+  std::uint16_t mcast_port() const {
     MC_EXPECTS_MSG(context_id < kMaxMcastContexts,
                    "context id exceeds the unique multicast-identity space");
-    MC_EXPECTS_MSG(lane >= 0 && lane < kMaxMcastLanes,
-                   "multicast lane out of range");
     const std::uint32_t lo = context_id & 0xFFFF;
     const std::uint32_t hi = context_id >> 16;
-    // Lane l shifts the port by l * 2500 within the 40000-port space; lane 0
-    // reproduces the single-group mapping bit for bit, so existing
-    // single-lane traffic (and every committed baseline) is untouched.
-    const std::uint32_t shifted =
-        lo + hi * 9973U + static_cast<std::uint32_t>(lane) * 2500U;
-    return static_cast<std::uint16_t>(20000 + shifted % 40000);
+    return static_cast<std::uint16_t>(20000 + (lo + hi * 9973U) % 40000);
   }
 
   // --- collective-creation registries (see file comment) ---

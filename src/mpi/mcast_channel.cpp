@@ -3,8 +3,8 @@
 namespace mcmpi::mpi {
 
 McastChannel::McastChannel(inet::UdpStack& udp, const CommInfo& info,
-                           std::size_t rcvbuf_bytes, int lane)
-    : group_(info.mcast_addr()), port_(info.mcast_port(lane)), lane_(lane) {
+                           std::size_t rcvbuf_bytes)
+    : group_(info.mcast_addr()), port_(info.mcast_port()) {
   socket_ = udp.open(port_);
   // The buffer bounds how far a receiver may lag before multicasts are
   // lost — the "fast senders overrun a single receiver" hazard of the

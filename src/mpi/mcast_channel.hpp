@@ -23,15 +23,11 @@ namespace mcmpi::mpi {
 
 class McastChannel {
  public:
-  /// `lane` selects one of the communicator's striped multicast groups
-  /// (CommInfo::mcast_port(lane)); lane 0 is the classic single-group
-  /// identity every non-striped collective uses.
   McastChannel(inet::UdpStack& udp, const CommInfo& info,
-               std::size_t rcvbuf_bytes, int lane = 0);
+               std::size_t rcvbuf_bytes);
 
   inet::IpAddr group() const { return group_; }
   std::uint16_t port() const { return port_; }
-  int lane() const { return lane_; }
   inet::UdpSocket& socket() { return *socket_; }
 
   /// Multicasts `payload` to the group.  The network models do not loop a
@@ -66,7 +62,6 @@ class McastChannel {
  private:
   inet::IpAddr group_;
   std::uint16_t port_;
-  int lane_ = 0;
   std::unique_ptr<inet::UdpSocket> socket_;
   std::uint64_t expected_seq_ = 0;
 };

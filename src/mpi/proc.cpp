@@ -275,12 +275,12 @@ Comm Proc::split(const Comm& comm, int color, int key) {
   return Comm(children.at(color), world_rank_, this);
 }
 
-McastChannel& Proc::mcast_channel(const Comm& comm, int lane) {
+McastChannel& Proc::mcast_channel(const Comm& comm) {
   MC_EXPECTS(comm.valid());
-  auto [it, inserted] = channels_.try_emplace({comm.context(), lane});
+  auto [it, inserted] = channels_.try_emplace(comm.context());
   if (inserted) {
-    it->second = std::make_unique<McastChannel>(udp_, *comm.info(),
-                                                mcast_rcvbuf_, lane);
+    it->second =
+        std::make_unique<McastChannel>(udp_, *comm.info(), mcast_rcvbuf_);
   }
   return *it->second;
 }

@@ -161,10 +161,7 @@ class Proc {
   // --------------------------------------------------------- multicast
   /// The rank's channel into `comm`'s multicast group, created on first use
   /// (and kept for the communicator's lifetime — receiver readiness).
-  /// `lane` selects one of the communicator's striped groups
-  /// (CommInfo::mcast_port(lane)); lane 0 is the classic single-group
-  /// channel every non-striped collective uses.
-  McastChannel& mcast_channel(const Comm& comm, int lane = 0);
+  McastChannel& mcast_channel(const Comm& comm);
 
   /// Receive-buffer size for channels created after this call (SO_RCVBUF
   /// analogue; bounds receiver lag before multicast loss).
@@ -202,10 +199,8 @@ class Proc {
   std::vector<sim::SimProcess*> helpers_;
   std::size_t mcast_rcvbuf_ = 256 * 1024;
   bool network_lossy_ = false;
-  /// Keyed by (context id, lane): a striped collective holds several live
-  /// channels per communicator, one per multicast group it stripes across.
-  std::map<std::pair<std::uint32_t, int>, std::unique_ptr<McastChannel>>
-      channels_;
+  /// Keyed by context id: one multicast group per communicator.
+  std::map<std::uint32_t, std::unique_ptr<McastChannel>> channels_;
   std::map<std::pair<std::uint32_t, std::type_index>, std::shared_ptr<void>>
       coll_state_;
 };

@@ -4,8 +4,7 @@
 // ragged tails, stream geometry (below k frames of payload, one chunk per
 // frame it fills) and config validation, ONE conformance
 // matrix against mpich over every preset (ack-mcast, nack-mcast, fec-mcast,
-// mcast-segmented) x topologies x loss modes x sizes x roots, the adaptive
-// parity ratchet (and that it reads only evidence the root can see), the
+// mcast-segmented) x topologies x loss modes x sizes x roots, the
 // NACK fallback and its hard-error cap, the per-root learned first-frame
 // deadline across a slow trunk and the gap NACK on the stream's final
 // slot, segment-local repair (only a remote segment's leader and deputy
@@ -280,12 +279,6 @@ TEST(StreamPlanGeometry, CoversEmptySmallAndJumboTotals) {
       8192, coll::preset_config(StreamPreset::kNack), SIZE_MAX);
   EXPECT_EQ(nack.n_data, 1);
   EXPECT_EQ(nack.chunk_bytes, 8192u);
-
-  // Adaptive plans budget the receive buffer for the ratchet's ceiling.
-  coll::StreamConfig adaptive = cfg;
-  adaptive.adaptive = true;
-  EXPECT_GT(coll::stream_plan(100000, adaptive, SIZE_MAX).wire_bytes,
-            mid.wire_bytes);
 }
 
 ClusterConfig faulty_config(int procs, NetworkType net,
@@ -301,12 +294,11 @@ ClusterConfig faulty_config(int procs, NetworkType net,
 
 /// The mcast-segmented preset with the given geometry and parity, tuned
 /// for a lossy wire (backed-off 2 ms timer, finite retry cap).
-coll::StreamConfig seg_fec_config(std::size_t chunk, int window, int lanes,
+coll::StreamConfig seg_fec_config(std::size_t chunk, int window,
                                   double overhead) {
   coll::StreamConfig cfg = coll::preset_config(StreamPreset::kSegmented);
   cfg.chunk_bytes = chunk;
   cfg.k = window;
-  cfg.lanes = lanes;
   cfg.overhead = overhead;
   cfg.timeout = milliseconds(2);
   cfg.backoff = 2.0;
@@ -331,18 +323,8 @@ TEST(StreamConfig, RejectsOutOfRangeValues) {
     expect_bad(with([](auto& c) { c.k = 0; }));
     expect_bad(with([](auto& c) { c.k = 256; }));  // parity needs k <= 255
     expect_bad(with([](auto& c) { c.k = 70000; }));
-    expect_bad(with([](auto& c) { c.lanes = 0; }));
-    expect_bad(with([](auto& c) { c.lanes = 17; }));
     expect_bad(with([](auto& c) { c.overhead = -0.1; }));
     expect_bad(with([](auto& c) { c.overhead = 2.5; }));
-    expect_bad(with([](auto& c) {
-      c.adaptive = true;
-      c.overhead = 0.75;  // above the ratchet's ceiling
-    }));
-    expect_bad(with([](auto& c) {
-      c.adaptive = true;
-      c.overhead = 0.0;  // nothing to ratchet
-    }));
     expect_bad(with([](auto& c) { c.timeout = kTimeZero; }));
     expect_bad(with([](auto& c) { c.backoff = 0.5; }));
     expect_bad(with([](auto& c) { c.timeout_cap = microseconds(1); }));
@@ -487,60 +469,56 @@ TEST(StreamConformance, EveryPresetMatchesMpichAcrossRanksTopologiesLossRoots) {
   }
 }
 
-TEST(StreamConformance, EveryFeedbackParityLaneAndReadinessCombination) {
+TEST(StreamConformance, EveryFeedbackParityAndReadinessCombination) {
   // The engine's knobs beyond the presets: each feedback mode with and
-  // without parity, over one and three lanes, with and without scouts,
-  // under loss, with back-to-back streams from rotating roots (so a
-  // receiver can meet the next stream's frames, on lanes this stream
-  // leaves empty, before it has finished this one).
+  // without parity, with and without scouts, under loss, with back-to-back
+  // streams from rotating roots (so a receiver can meet the next stream's
+  // frames before it has finished this one).
   constexpr int kRanks = 5;
   for (const coll::Feedback feedback :
        {coll::Feedback::kAck, coll::Feedback::kNack}) {
     for (const double overhead : {0.0, 0.25}) {
-      for (const int lanes : {1, 3}) {
-        for (const coll::Readiness readiness :
-             {coll::Readiness::kNone, coll::Readiness::kScout}) {
-          Cluster cluster(faulty_config(kRanks, NetworkType::kSwitch,
-                                        FaultProfile{.loss = 0.03}, 5));
-          std::vector<int> ok(kRanks, 1);
-          cluster.world().run([&](mpi::Proc& p) {
-            coll::StreamConfig cfg = seg_fec_config(0, 4, lanes, overhead);
-            cfg.feedback = feedback;
-            cfg.readiness = readiness;
-            cfg.timeout_cap = milliseconds(50);
-            cfg.max_retries = 0;
-            coll::set_stream_config(p, p.comm_world(),
-                                    StreamPreset::kSegmented, cfg);
-            for (int rep = 0; rep < 3; ++rep) {
-              const int root = (rep + 1) % kRanks;
-              for (const std::size_t bytes : {std::size_t{0}, std::size_t{1},
-                                              std::size_t{10007},
-                                              std::size_t{40000}}) {
-                Buffer data;
-                if (p.rank() == root) {
-                  data = pattern_payload(bytes + rep, bytes);
-                }
-                p.comm_world().coll().bcast(data, root, "mcast-segmented");
-                if (data.size() != bytes || !check_pattern(bytes + rep, data)) {
-                  ok[static_cast<std::size_t>(p.rank())] = 0;
-                }
+      for (const coll::Readiness readiness :
+           {coll::Readiness::kNone, coll::Readiness::kScout}) {
+        Cluster cluster(faulty_config(kRanks, NetworkType::kSwitch,
+                                      FaultProfile{.loss = 0.03}, 5));
+        std::vector<int> ok(kRanks, 1);
+        cluster.world().run([&](mpi::Proc& p) {
+          coll::StreamConfig cfg = seg_fec_config(0, 4, overhead);
+          cfg.feedback = feedback;
+          cfg.readiness = readiness;
+          cfg.timeout_cap = milliseconds(50);
+          cfg.max_retries = 0;
+          coll::set_stream_config(p, p.comm_world(), StreamPreset::kSegmented,
+                                  cfg);
+          for (int rep = 0; rep < 3; ++rep) {
+            const int root = (rep + 1) % kRanks;
+            for (const std::size_t bytes : {std::size_t{0}, std::size_t{1},
+                                            std::size_t{10007},
+                                            std::size_t{40000}}) {
+              Buffer data;
+              if (p.rank() == root) {
+                data = pattern_payload(bytes + rep, bytes);
               }
-            }
-            const std::vector<Buffer> all = p.comm_world().coll().allgather(
-                pattern_payload(p.rank(), 5000), "mcast-segmented");
-            for (int r = 0; r < kRanks; ++r) {
-              if (all[static_cast<std::size_t>(r)] !=
-                  pattern_payload(r, 5000)) {
+              p.comm_world().coll().bcast(data, root, "mcast-segmented");
+              if (data.size() != bytes || !check_pattern(bytes + rep, data)) {
                 ok[static_cast<std::size_t>(p.rank())] = 0;
               }
             }
-          });
-          for (int r = 0; r < kRanks; ++r) {
-            EXPECT_TRUE(ok[static_cast<std::size_t>(r)])
-                << "feedback " << static_cast<int>(feedback) << ", overhead "
-                << overhead << ", lanes " << lanes << ", readiness "
-                << static_cast<int>(readiness) << ", rank " << r;
           }
+          const std::vector<Buffer> all = p.comm_world().coll().allgather(
+              pattern_payload(p.rank(), 5000), "mcast-segmented");
+          for (int r = 0; r < kRanks; ++r) {
+            if (all[static_cast<std::size_t>(r)] != pattern_payload(r, 5000)) {
+              ok[static_cast<std::size_t>(p.rank())] = 0;
+            }
+          }
+        });
+        for (int r = 0; r < kRanks; ++r) {
+          EXPECT_TRUE(ok[static_cast<std::size_t>(r)])
+              << "feedback " << static_cast<int>(feedback) << ", overhead "
+              << overhead << ", readiness " << static_cast<int>(readiness)
+              << ", rank " << r;
         }
       }
     }
@@ -958,100 +936,6 @@ TEST(SegmentRepair, CleanWireOrOneSegmentNeverEntersTheChain) {
   }
 }
 
-TEST(FecMcast, AdaptiveRatchetRaisesOverheadUnderLossOnly) {
-  const auto run_adaptive = [](const FaultProfile& profile, double* working,
-                               std::uint64_t* raises) {
-    Cluster cluster(faulty_config(6, NetworkType::kSwitch, profile));
-    cluster.world().run([&](mpi::Proc& p) {
-      coll::StreamConfig cfg = coll::preset_config(StreamPreset::kFec);
-      cfg.adaptive = true;  // floor 1/8, ceiling 1/2
-      coll::set_stream_config(p, p.comm_world(), StreamPreset::kFec, cfg);
-      for (int i = 0; i < 8; ++i) {
-        Buffer data;
-        if (p.rank() == 0) {
-          data = pattern_payload(i, 16000);
-        }
-        p.comm_world().coll().bcast(data, 0, "fec-mcast");
-        EXPECT_TRUE(check_pattern(i, data)) << "rank " << p.rank();
-        // Pace the operations (the §4 method's spaced starts): the root
-        // returns right after its blast, and the receivers' recovery
-        // requests — its only evidence of loss — need a round trip to
-        // reach it before the next encode.
-        p.self().delay(milliseconds(20));
-      }
-      if (p.rank() == 0) {
-        *working = coll::stream_working_overhead(p, p.comm_world(),
-                                                 StreamPreset::kFec);
-        *raises = coll::stream_stats(p, p.comm_world()).overhead_raises;
-      }
-    });
-  };
-  double working = 0.0;
-  std::uint64_t raises = 0;
-  run_adaptive(FaultProfile{.loss = 0.05}, &working, &raises);
-  EXPECT_GT(working, 0.125);  // recovery requests ratcheted the parity up
-  EXPECT_GE(raises, 1u);
-  run_adaptive(FaultProfile{}, &working, &raises);
-  EXPECT_DOUBLE_EQ(working, 0.125);  // a clean wire stays at the floor
-  EXPECT_EQ(raises, 0u);
-}
-
-TEST(FecMcast, AdaptiveRatchetIgnoresLossItsRootCannotSee) {
-  // Two segments behind a 30%-lossy trunk; the links themselves are clean.
-  // Segment 0's sub-communicator streams adaptive fec-mcast entirely inside
-  // its segment while the world communicator's mpich bcasts lose frames on
-  // the trunk.  Nothing of the sub-communicator's stream is ever lost, so
-  // its root has no evidence to raise parity on — the ratchet must stay at
-  // the floor even though the root's shard counts trunk drops.
-  ClusterConfig config = faulty_config(8, NetworkType::kSwitch, FaultProfile{});
-  config.num_segments = 2;
-  config.faults.trunk.loss = 0.3;
-  Cluster cluster(config);
-  const int seg0 = cluster.segment_of_rank(0);
-  double working = 0.0;
-  std::uint64_t raises = 0;
-  cluster.world().run([&](mpi::Proc& p) {
-    const bool mine = cluster.segment_of_rank(p.rank()) == seg0;
-    const mpi::Comm sub = p.split(p.comm_world(), mine ? 0 : 1, p.rank());
-    if (mine) {
-      coll::StreamConfig cfg = coll::preset_config(StreamPreset::kFec);
-      cfg.adaptive = true;
-      coll::set_stream_config(p, sub, StreamPreset::kFec, cfg);
-      // fec-mcast has no readiness handshake: join the group before the
-      // root's first blast, so a late join does not cost the first frames
-      // (that loss WOULD be visible to the root, as NACKs).
-      (void)p.mcast_channel(sub);
-      sub.coll().barrier("mpich");
-    }
-    for (int i = 0; i < 8; ++i) {
-      Buffer world_data;
-      if (p.rank() == 0) {
-        world_data = pattern_payload(100 + i, 6000);
-      }
-      p.comm_world().coll().bcast(world_data, 0, "mpich");
-      EXPECT_TRUE(check_pattern(100 + i, world_data)) << "rank " << p.rank();
-      if (mine) {
-        Buffer data;
-        if (sub.rank() == 0) {
-          data = pattern_payload(i, 16000);
-        }
-        sub.coll().bcast(data, 0, "fec-mcast");
-        EXPECT_TRUE(check_pattern(i, data)) << "rank " << p.rank();
-      }
-    }
-    if (mine && sub.rank() == 0) {
-      working = coll::stream_working_overhead(p, sub, StreamPreset::kFec);
-      raises = coll::stream_stats(p, sub).overhead_raises;
-    }
-  });
-  const sim::SchedCounters sched = cluster.simulator().sched_counters();
-  EXPECT_GT(sched.frames_dropped, 0u);  // the trunk did drop world traffic
-  EXPECT_EQ(sched.parity_used, 0u);     // ... but no stream frame was lost
-  EXPECT_EQ(sched.fec_fallbacks, 0u);
-  EXPECT_DOUBLE_EQ(working, 0.125);
-  EXPECT_EQ(raises, 0u);
-}
-
 TEST(FecMcast, LossyAutoSelectionPrefersFec) {
   // The default tuning table gates the fec-mcast rule on a lossy network:
   // clean-wire schedules are untouched, lossy ones pre-empt mcast-binary.
@@ -1083,7 +967,7 @@ TEST(SegmentedFec, CleanWireSendsParityAndNeverDecodes) {
   const std::size_t payload = 256 * 1024;
   cluster.world().run([&](mpi::Proc& p) {
     coll::set_stream_config(p, p.comm_world(), StreamPreset::kSegmented,
-                            seg_fec_config(4096, 4, 2, 0.25));
+                            seg_fec_config(4096, 4, 0.25));
     Buffer seg;
     Buffer ref;
     if (p.rank() == 0) {
@@ -1096,8 +980,8 @@ TEST(SegmentedFec, CleanWireSendsParityAndNeverDecodes) {
     EXPECT_TRUE(check_pattern(21, seg)) << "rank " << p.rank();
   });
   const sim::SchedCounters sched = cluster.simulator().sched_counters();
-  // 64 chunks over 2 lanes = 32 per lane, in generations of window 4 with
-  // ceil(4 * 0.25) = 1 parity frame each: 16 parity frames, none consumed.
+  // 64 chunks in generations of window 4 with ceil(4 * 0.25) = 1 parity
+  // frame each: 16 parity frames, none consumed.
   EXPECT_EQ(sched.parity_sent, 16u);
   EXPECT_EQ(sched.parity_used, 0u);
   EXPECT_EQ(sched.fec_decodes, 0u);
@@ -1111,7 +995,7 @@ TEST(SegmentedFec, JumboBcastRecoversViaParityUnderLoss) {
   std::vector<int> ok(9, 0);
   cluster.world().run([&](mpi::Proc& p) {
     coll::set_stream_config(p, p.comm_world(), StreamPreset::kSegmented,
-                            seg_fec_config(65536, 8, 2, 0.25));
+                            seg_fec_config(65536, 8, 0.25));
     Buffer data;
     if (p.rank() == 0) {
       data = pattern_payload(16, payload);
@@ -1144,7 +1028,7 @@ TEST(SegmentedFec, ReceiversTakeGeometryFromTheWire) {
       p.set_mcast_recv_buffer(128 * 1024);  // before any channel exists
     }
     coll::set_stream_config(p, p.comm_world(), StreamPreset::kSegmented,
-                            seg_fec_config(65536, 8, 1, 0.25));
+                            seg_fec_config(65536, 8, 0.25));
     Buffer data;
     if (p.rank() == 0) {
       data = pattern_payload(44, payload);

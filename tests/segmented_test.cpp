@@ -1,6 +1,6 @@
 // Conformance and pipelining tests for the segmented multicast
 // collectives (the mcast-segmented preset of coll/mcast_stream.hpp): bit-identical results against the
-// point-to-point references across chunk/window/lane sweeps (including
+// point-to-point references across chunk/window sweeps (including
 // ragged final chunks and jumbo payloads past the single-datagram
 // ceiling), duplicated/split communicators, sliding-window overlap
 // visible in the chunk counters, and the kAuto fall-through that routes
@@ -40,16 +40,14 @@ struct BcastCase {
   std::size_t bytes;
   std::size_t chunk;
   int window;
-  int lanes;
   int root;
   NetworkType net;
 };
 
-coll::StreamConfig seg_config(std::size_t chunk, int window, int lanes) {
+coll::StreamConfig seg_config(std::size_t chunk, int window) {
   coll::StreamConfig cfg = coll::preset_config(coll::StreamPreset::kSegmented);
   cfg.chunk_bytes = chunk;
   cfg.k = window;
-  cfg.lanes = lanes;
   return cfg;
 }
 
@@ -64,8 +62,7 @@ std::vector<Buffer> run_bcast(const BcastCase& c, const std::string& algo) {
   std::vector<Buffer> outs(static_cast<std::size_t>(c.procs));
   cluster.world().run([&](mpi::Proc& p) {
     if (algo == "mcast-segmented") {
-      set_seg_config(p, p.comm_world(),
-                                 seg_config(c.chunk, c.window, c.lanes));
+      set_seg_config(p, p.comm_world(), seg_config(c.chunk, c.window));
     }
     Buffer buffer;
     if (p.rank() == c.root) {
@@ -92,32 +89,32 @@ TEST_P(SegmentedBcast, BitIdenticalToMpich) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ChunkWindowLaneSweep, SegmentedBcast,
+    ChunkWindowSweep, SegmentedBcast,
     ::testing::Values(
         // Ragged final chunk: 3000 = 2 x 1024 + 952.
-        BcastCase{2, 3000, 1024, 1, 1, 0, NetworkType::kSwitch},
+        BcastCase{2, 3000, 1024, 1, 0, NetworkType::kSwitch},
         // Deep pipeline, 25 chunks, non-zero root.
-        BcastCase{3, 100000, 4096, 4, 1, 1, NetworkType::kSwitch},
+        BcastCase{3, 100000, 4096, 4, 1, NetworkType::kSwitch},
         // 1 MiB: four single-shot ceilings past kMaxMcastDatagram.
-        BcastCase{9, 1 << 20, 65536, 4, 1, 0, NetworkType::kSwitch},
-        // Same payload striped over 4 lanes.
-        BcastCase{9, 1 << 20, 65536, 4, 4, 0, NetworkType::kSwitch},
+        BcastCase{9, 1 << 20, 65536, 4, 0, NetworkType::kSwitch},
+        // Same payload, a window the receive buffer clamps the chunks to.
+        BcastCase{9, 1 << 20, 65536, 8, 0, NetworkType::kSwitch},
         // Exact multiple of the chunk size (no ragged tail).
-        BcastCase{5, 262144, 65536, 2, 2, 2, NetworkType::kSwitch},
+        BcastCase{5, 262144, 65536, 4, 2, NetworkType::kSwitch},
         // Chunks past 64 KiB ride simulated jumbo UDP datagrams.
-        BcastCase{3, 1 << 20, 200000, 1, 1, 0, NetworkType::kSwitch},
+        BcastCase{3, 1 << 20, 200000, 1, 0, NetworkType::kSwitch},
         // Single byte, single chunk.
-        BcastCase{2, 1, 7, 1, 1, 1, NetworkType::kSwitch},
+        BcastCase{2, 1, 7, 1, 1, NetworkType::kSwitch},
         // Empty payload still synchronizes and completes.
-        BcastCase{3, 0, 1024, 2, 1, 0, NetworkType::kSwitch},
-        // Hub topology, striped window.
-        BcastCase{5, 50000, 8192, 2, 2, 0, NetworkType::kHub}),
+        BcastCase{3, 0, 1024, 2, 0, NetworkType::kSwitch},
+        // Hub topology, pipelined window.
+        BcastCase{5, 50000, 8192, 4, 0, NetworkType::kHub}),
     [](const auto& info) {
       const BcastCase& c = info.param;
       return "p" + std::to_string(c.procs) + "_b" + std::to_string(c.bytes) +
              "_c" + std::to_string(c.chunk) + "_w" +
-             std::to_string(c.window) + "_l" + std::to_string(c.lanes) +
-             "_r" + std::to_string(c.root) + "_" + cluster::to_string(c.net);
+             std::to_string(c.window) + "_r" + std::to_string(c.root) + "_" +
+             cluster::to_string(c.net);
     });
 
 TEST(SegmentedBcastTopology, MultiSegmentJumboBcast) {
@@ -128,7 +125,7 @@ TEST(SegmentedBcastTopology, MultiSegmentJumboBcast) {
   Cluster cluster(config);
   std::vector<int> ok(kProcs, 0);
   cluster.world().run([&](mpi::Proc& p) {
-    set_seg_config(p, p.comm_world(), seg_config(65536, 4, 2));
+    set_seg_config(p, p.comm_world(), seg_config(65536, 4));
     Buffer buffer;
     if (p.rank() == 0) {
       buffer = pattern_payload(42, kBytes);
@@ -150,7 +147,7 @@ TEST(SegmentedBcastJumbo, ChunksRideJumboUdpDatagrams) {
   Cluster cluster(config_for(kProcs));
   std::uint64_t root_jumbo = 0;
   cluster.world().run([&](mpi::Proc& p) {
-    set_seg_config(p, p.comm_world(), seg_config(200000, 1, 1));
+    set_seg_config(p, p.comm_world(), seg_config(200000, 1));
     Buffer buffer;
     if (p.rank() == 0) {
       buffer = pattern_payload(7, 1 << 20);
@@ -172,7 +169,6 @@ struct AllgatherCase {
   std::size_t block;
   std::size_t chunk;
   int window;
-  int lanes;
 };
 
 class SegmentedAllgather : public ::testing::TestWithParam<AllgatherCase> {};
@@ -184,8 +180,7 @@ TEST_P(SegmentedAllgather, MatchesRing) {
     std::vector<std::vector<Buffer>> outs(static_cast<std::size_t>(c.procs));
     cluster.world().run([&](mpi::Proc& p) {
       if (algo == "mcast-segmented") {
-        set_seg_config(p, p.comm_world(),
-                                   seg_config(c.chunk, c.window, c.lanes));
+        set_seg_config(p, p.comm_world(), seg_config(c.chunk, c.window));
       }
       const Buffer mine = pattern_payload(
           static_cast<std::uint64_t>(p.rank()) + 100, c.block);
@@ -212,16 +207,16 @@ TEST_P(SegmentedAllgather, MatchesRing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ChunkWindowLaneSweep, SegmentedAllgather,
-    ::testing::Values(AllgatherCase{4, 150000, 32768, 4, 2},
-                      AllgatherCase{3, 2500, 1024, 2, 1},  // ragged chunks
-                      AllgatherCase{5, 0, 512, 1, 1},      // empty blocks
-                      AllgatherCase{2, 70000, 65536, 2, 1}),
+    ChunkWindowSweep, SegmentedAllgather,
+    ::testing::Values(AllgatherCase{4, 150000, 32768, 8},
+                      AllgatherCase{3, 2500, 1024, 2},  // ragged chunks
+                      AllgatherCase{5, 0, 512, 1},      // empty blocks
+                      AllgatherCase{2, 70000, 65536, 2}),
     [](const auto& info) {
       const AllgatherCase& c = info.param;
       return "p" + std::to_string(c.procs) + "_b" + std::to_string(c.block) +
              "_c" + std::to_string(c.chunk) + "_w" +
-             std::to_string(c.window) + "_l" + std::to_string(c.lanes);
+             std::to_string(c.window);
     });
 
 // ------------------------------------------------------------- scatter
@@ -239,7 +234,7 @@ TEST(SegmentedScatter, RaggedBlocksMatchMpich) {
     std::vector<Buffer> outs(kProcs);
     cluster.world().run([&](mpi::Proc& p) {
       if (algo == "mcast-segmented") {
-        set_seg_config(p, p.comm_world(), seg_config(2048, 2, 2));
+        set_seg_config(p, p.comm_world(), seg_config(2048, 4));
       }
       std::vector<Buffer> chunks;
       if (p.rank() == kRoot) {
@@ -274,7 +269,7 @@ TEST(SegmentedScatter, JumboBlocksPastTheDatagramCeiling) {
   Cluster cluster(config_for(kProcs));
   std::vector<int> ok(kProcs, 0);
   cluster.world().run([&](mpi::Proc& p) {
-    set_seg_config(p, p.comm_world(), seg_config(65536, 4, 1));
+    set_seg_config(p, p.comm_world(), seg_config(65536, 4));
     std::vector<Buffer> chunks;
     if (p.rank() == 0) {
       for (int r = 0; r < kProcs; ++r) {
@@ -302,9 +297,9 @@ TEST(SegmentedComms, DupAndSplitCommunicators) {
   cluster.world().run([&](mpi::Proc& p) {
     bool good = true;
 
-    // A duplicated world: same ranks, fresh context, its own lanes.
+    // A duplicated world: same ranks, fresh context, its own group.
     mpi::Comm dup = p.dup(p.comm_world());
-    set_seg_config(p, dup, seg_config(4096, 2, 2));
+    set_seg_config(p, dup, seg_config(4096, 4));
     Buffer buffer;
     if (dup.rank() == 0) {
       buffer = pattern_payload(21, 50000);
@@ -315,7 +310,7 @@ TEST(SegmentedComms, DupAndSplitCommunicators) {
     // Two disjoint halves broadcasting different payloads concurrently.
     const int color = p.rank() % 2;
     mpi::Comm half = p.split(p.comm_world(), color, p.rank());
-    set_seg_config(p, half, seg_config(1024, 4, 1));
+    set_seg_config(p, half, seg_config(1024, 4));
     Buffer mine;
     if (half.rank() == 0) {
       mine = pattern_payload(static_cast<std::uint64_t>(color) + 70, 30000);
@@ -344,7 +339,7 @@ TEST(SegmentedPipelining, PeakWindowShowsOverlap) {
     Cluster cluster(config_for(9));
     std::size_t n_chunks = 0;
     cluster.world().run([&](mpi::Proc& p) {
-      const coll::StreamConfig cfg = seg_config(65536, window, 1);
+      const coll::StreamConfig cfg = seg_config(65536, window);
       set_seg_config(p, p.comm_world(), cfg);
       if (p.rank() == 0) {
         n_chunks = static_cast<std::size_t>(
