@@ -1,6 +1,8 @@
 #include "coll/mcast.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -196,35 +198,52 @@ Buffer mcast_recv_framed(Proc& p, const Comm& comm, int root,
                          mpi::CostTier tier) {
   mpi::McastChannel& ch = p.mcast_channel(comm);
   for (;;) {
-    // Charged receive: when this rank parks for the datagram, the arrival
-    // prices the receive overhead (header peek decides — stale duplicates
-    // wake immediately and cost nothing) and the rank resumes once, at
-    // arrival + overhead, instead of waking only to sleep the charge.
-    auto [d, charged] = ch.socket().recv_charged(
-        p.self(), [&p, &ch, tier](const inet::UdpDatagram& dg) -> SimTime {
-          ByteReader peek(dg.data);
-          if (parse_header(peek).seq < ch.expected_seq()) {
-            return kTimeZero;  // stale duplicate: skipped, never charged
-          }
-          return p.costs().recv_overhead(
-              static_cast<std::int64_t>(dg.data.size() - peek.position()),
-              tier);
-        });
-    ByteReader r(d.data);
+    // A datagram held by an earlier receive comes first; it arrived unpaid
+    // and pays its receive overhead below, when consumed.
+    PayloadRef data;
+    bool charged = false;
+    if (std::optional<PayloadRef> held = ch.take_held(ch.expected_seq())) {
+      data = std::move(*held);
+    } else {
+      // Charged receive: when this rank parks for the datagram, the arrival
+      // prices the receive overhead (header peek decides — stale duplicates
+      // and early datagrams wake immediately and cost nothing) and the rank
+      // resumes once, at arrival + overhead, instead of waking only to
+      // sleep the charge.
+      auto [d, absorbed] = ch.socket().recv_charged(
+          p.self(), [&p, &ch, tier](const inet::UdpDatagram& dg) -> SimTime {
+            ByteReader peek(dg.data);
+            if (parse_header(peek).seq != ch.expected_seq()) {
+              return kTimeZero;  // stale or early: never charged here
+            }
+            return p.costs().recv_overhead(
+                static_cast<std::int64_t>(dg.data.size() - peek.position()),
+                tier);
+          });
+      data = std::move(d.data);
+      charged = absorbed;
+    }
+    ByteReader r(data);
     const McastHeader h = parse_header(r);
     if (h.seq < ch.expected_seq()) {
       continue;  // stale duplicate (retransmitting protocols)
     }
-    // Safe-program ordering (§4): the next multicast on this group must be
-    // the one this rank is waiting for.
-    MC_ASSERT_MSG(h.seq == ch.expected_seq(),
-                  "multicast arrived out of program order (unsafe program?)");
+    // Safe-program ordering (§4): safe programs issue collectives in the
+    // same order on every rank, so the multicasts of one group are consumed
+    // in sequence.  They need not ARRIVE in sequence: a scout-free root
+    // returns once it has sent, and its next stream can overtake an earlier
+    // multicast that crosses a trunk.  A later sequence is held on the
+    // channel for the operation it belongs to.
+    if (h.seq > ch.expected_seq()) {
+      ch.hold(h.seq, std::move(data));
+      continue;
+    }
     MC_ASSERT_MSG(h.context == comm.context(), "context mismatch");
     MC_ASSERT_MSG(h.root_world == comm.world_rank_of(root),
                   "broadcast root mismatch");
     // The datagram arrived zero-copy; this to_buffer() is the delivery copy
     // into the rank's private buffer at the API boundary.
-    Buffer payload = d.data.slice(r.position()).to_buffer();
+    Buffer payload = data.slice(r.position()).to_buffer();
     if (!charged) {
       p.self().delay(p.costs().recv_overhead(
           static_cast<std::int64_t>(payload.size()), tier));

@@ -1,5 +1,8 @@
 #include "coll/mcast_allgather.hpp"
 
+#include <optional>
+#include <utility>
+
 #include "coll/mcast.hpp"
 #include "common/assert.hpp"
 
@@ -66,38 +69,50 @@ AllgatherOutcome blast(Proc& p, const Comm& comm,
   have[static_cast<std::size_t>(comm.rank())] = true;
   int received = 0;
   while (received < size - 1) {
-    // Charged receive: a fresh block that wakes the parked rank prices the
-    // receive overhead into the wake-up; stale or duplicate traffic wakes
-    // immediately and costs nothing until delivered.
-    auto datagram = ch.socket().recv_until_charged(
-        p.self(), deadline,
-        [&](const inet::UdpDatagram& dg) -> SimTime {
-          ByteReader peek(dg.data);
-          (void)peek.u32();  // context
-          const std::int32_t root_world = peek.i32();
-          if (peek.u64() != op_seq) {
-            return kTimeZero;  // stale traffic from an earlier operation
-          }
-          const int root = comm.group().rank_of(root_world);
-          if (root < 0 || have[static_cast<std::size_t>(root)]) {
-            return kTimeZero;  // duplicate
-          }
-          return p.costs().recv_overhead(
-              static_cast<std::int64_t>(dg.data.size() - peek.position()),
-              mpi::CostTier::kMcastData);
-        });
-    if (!datagram.has_value()) {
-      break;  // remaining blocks were dropped on our socket buffer
+    // Blocks held by an earlier receive come first, unpaid until consumed.
+    PayloadRef data;
+    bool charged = false;
+    if (std::optional<PayloadRef> held = ch.take_held(op_seq)) {
+      data = std::move(*held);
+    } else {
+      // Charged receive: a fresh block that wakes the parked rank prices
+      // the receive overhead into the wake-up; stale, early or duplicate
+      // traffic wakes immediately and costs nothing until delivered.
+      auto datagram = ch.socket().recv_until_charged(
+          p.self(), deadline,
+          [&](const inet::UdpDatagram& dg) -> SimTime {
+            ByteReader peek(dg.data);
+            (void)peek.u32();  // context
+            const std::int32_t root_world = peek.i32();
+            if (peek.u64() != op_seq) {
+              return kTimeZero;  // another operation's traffic
+            }
+            const int root = comm.group().rank_of(root_world);
+            if (root < 0 || have[static_cast<std::size_t>(root)]) {
+              return kTimeZero;  // duplicate
+            }
+            return p.costs().recv_overhead(
+                static_cast<std::int64_t>(dg.data.size() - peek.position()),
+                mpi::CostTier::kMcastData);
+          });
+      if (!datagram.has_value()) {
+        break;  // remaining blocks were dropped on our socket buffer
+      }
+      data = std::move(datagram->datagram.data);
+      charged = datagram->charge_absorbed;
     }
-    ByteReader r(datagram->datagram.data);
+    ByteReader r(data);
     const std::uint32_t context = r.u32();
     const std::int32_t root_world = r.i32();
     const std::uint64_t seq = r.u64();
     if (seq < op_seq) {
       continue;  // stale traffic from an earlier operation
     }
-    MC_ASSERT_MSG(seq == op_seq && context == comm.context(),
-                  "unexpected future multicast during blast allgather");
+    if (seq > op_seq) {
+      ch.hold(seq, std::move(data));  // a later operation's, held for it
+      continue;
+    }
+    MC_ASSERT_MSG(context == comm.context(), "context mismatch");
     const int root = comm.group().rank_of(root_world);
     MC_ASSERT(root >= 0 && root != comm.rank());
     if (have[static_cast<std::size_t>(root)]) {
@@ -105,7 +120,7 @@ AllgatherOutcome blast(Proc& p, const Comm& comm,
     }
     have[static_cast<std::size_t>(root)] = true;
     auto payload = r.rest();
-    if (!datagram->charge_absorbed) {
+    if (!charged) {
       p.self().delay(p.costs().recv_overhead(
           static_cast<std::int64_t>(payload.size()),
           mpi::CostTier::kMcastData));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -198,13 +197,19 @@ struct Retained {
   std::optional<SimTime> last_resend;  // unset until first re-multicast
 };
 
+/// Bytes of one slab that parity-free NACK frames are carved from.
+constexpr std::size_t kFrameSlabBytes = 32 * 1024;
+
 /// What one preset keeps per communicator, so running or tuning it never
 /// changes another preset: its configuration and, root side, its NACK
-/// history by sequence (oldest evicted first).
+/// history — a ring of the last history_frames frames it sent, with their
+/// sequences (the oldest is overwritten first) — and the slab its
+/// parity-free frames are carved from.
 struct PresetState {
   StreamConfig config;
-  std::map<std::uint64_t, Retained> history;
-  std::deque<std::uint64_t> history_order;
+  std::vector<std::pair<std::uint64_t, Retained>> history;
+  std::size_t oldest = 0;  // ring slot of the oldest frame once full
+  PayloadSlab slab{kFrameSlabBytes};
 };
 
 struct StreamState {
@@ -367,7 +372,10 @@ void install_sink(Proc& p, const Comm& comm, StreamState& st) {
     };
     if ((head & kNackCarriesRoot) == 0) {  // this rank is the stream's root
       for (int i = 0; i < wanted; ++i) {
-        const auto it = ps.history.find(r.u64());
+        const std::uint64_t seq = r.u64();
+        const auto it = std::find_if(
+            ps.history.begin(), ps.history.end(),
+            [seq](const auto& e) { return e.first == seq; });
         if (it == ps.history.end()) {
           ++s->stats.nacks_unserved;
         } else if (resend(it->second)) {
@@ -408,12 +416,24 @@ void install_sink(Proc& p, const Comm& comm, StreamState& st) {
 }
 
 void retain(PresetState& ps, std::uint64_t seq, PayloadRef frame) {
-  ps.history.emplace(seq, Retained{std::move(frame), std::nullopt});
-  ps.history_order.push_back(seq);
-  while (ps.history.size() > ps.config.history_frames) {
-    ps.history.erase(ps.history_order.front());
-    ps.history_order.pop_front();
+  auto& ring = ps.history;
+  const std::size_t cap = ps.config.history_frames;
+  if (ring.size() != cap && ps.oldest != 0) {
+    // history_frames changed after the ring wrapped: oldest first again.
+    std::rotate(ring.begin(), ring.begin() + static_cast<std::ptrdiff_t>(
+                                                 ps.oldest),
+                ring.end());
+    ps.oldest = 0;
   }
+  if (ring.size() < cap) {
+    ring.reserve(cap);
+    ring.emplace_back(seq, Retained{std::move(frame), std::nullopt});
+    return;
+  }
+  ring.erase(ring.begin(),
+             ring.begin() + static_cast<std::ptrdiff_t>(ring.size() - cap));
+  ring[ps.oldest] = {seq, Retained{std::move(frame), std::nullopt}};
+  ps.oldest = (ps.oldest + 1) % cap;
 }
 
 /// Root side: cuts the logical stream (a concatenation of spans) into
@@ -476,6 +496,8 @@ void send_stream(Proc& p, const Comm& comm, int root,
   std::shared_ptr<mpi::RecvRequest> request;
 
   std::vector<std::span<const std::uint8_t>> parts;
+  Buffer header;
+  header.reserve(kFrameBytes);
   const auto transmit = [&](std::uint32_t i, bool first) {
     ChunkState& c = chunks[i];
     if (first) {
@@ -492,19 +514,31 @@ void send_stream(Proc& p, const Comm& comm, int root,
         static_cast<std::int64_t>(c.length), mpi::CostTier::kMcastData));
     parts.clear();
     if (nack) {
-      collect_chunk_parts(stream, c.offset, c.length, parts);
-      PooledBuffer out = acquire_payload_buffer(kFrameBytes + c.length);
-      ByteWriter w(out.bytes);
-      write_header(w, h);
-      for (const auto& part : parts) {
-        w.bytes(part);
+      // Framed once into storage shared by the wire and the history: a
+      // parity-free frame is carved from the preset's slab; a frame of a
+      // parity stream gets a pooled buffer of its own.
+      PayloadRef framed;
+      if (r == 0) {
+        header.clear();
+        ByteWriter w(header);
+        write_header(w, h);
+        parts.push_back(header);
+        collect_chunk_parts(stream, c.offset, c.length, parts);
+        framed = ps.slab.carve(parts);
+      } else {
+        collect_chunk_parts(stream, c.offset, c.length, parts);
+        PooledBuffer out = acquire_payload_buffer(kFrameBytes + c.length);
+        ByteWriter w(out.bytes);
+        write_header(w, h);
+        for (const auto& part : parts) {
+          w.bytes(part);
+        }
+        framed = PayloadRef::adopt(std::move(out));
       }
-      PayloadRef framed = PayloadRef::adopt(std::move(out));
       retain(ps, c.seq, framed);
       ch.send(std::move(framed), net::FrameKind::kData);
     } else {
-      Buffer header;
-      header.reserve(kFrameBytes);
+      header.clear();
       ByteWriter w(header);
       write_header(w, h);
       parts.push_back(header);
@@ -698,6 +732,13 @@ void recv_stream(Proc& p, const Comm& comm, int root, StreamPreset preset,
   const auto frame_base = [](const ChunkHeader& h) {
     return h.seq - op_offset(h);
   };
+  // Stream frames an earlier receive held on the channel join the stash,
+  // unpaid, as if this call had read them ahead.
+  for (auto& [seq, data] : ch.take_all_held()) {
+    if (const auto h = stream_header(data)) {
+      stash.try_emplace(seq, Stashed{*h, data.slice(kFrameBytes), false});
+    }
+  }
   stash.erase(stash.begin(), stash.lower_bound(op_base));
   // Segment-local repair: a repairer keeps the data frames of this stream
   // that it takes off the wire or rebuilds, as they are (zero-copy), for

@@ -77,8 +77,12 @@
 ///
 /// The ACK-mode hot path is zero-copy: chunks are sub-spans of the user
 /// buffer gather-framed straight into the wire datagram.  NACK mode frames
-/// each chunk into one pooled allocation shared by the wire and the
-/// retransmission history (the root returns before anyone has it).
+/// each chunk once into storage shared by the wire and the retransmission
+/// history (the root returns before anyone has it): a parity-free frame
+/// is carved from the preset's slab (common/bytes.hpp PayloadSlab), a
+/// parity stream's frame gets a pooled buffer of its own.  The history is
+/// one ring of history_frames entries per (communicator, preset), so a
+/// retained frame costs no heap object of its own.
 
 #include <cstddef>
 #include <span>

@@ -66,9 +66,9 @@ std::int64_t parse_bound(const std::string& text, const char* what,
 }  // namespace
 
 TuningTable TuningTable::defaults() {
-  // Paper crossovers: scout overhead makes multicast lose below ~1 KB
-  // (Figs. 7-10 crossover near one Ethernet frame); at 2 ranks one
-  // point-to-point send always beats scout + multicast; the multicast
+  // Paper crossovers: scout overhead makes a scout-ordered multicast lose
+  // below ~1 KB (Figs. 7-10 crossover near one Ethernet frame); at 2 ranks
+  // one point-to-point send beats scout + multicast; the multicast
   // barrier wins at every N (Fig. 13); the multicast allgather needs
   // payloads large enough to amortize its barrier.  The widened surface
   // follows the same shape: large-message reduce/gather/scatter ride the
@@ -88,11 +88,12 @@ TuningTable TuningTable::defaults() {
   // jumbo payloads (the ~512 KiB datagram ceiling, the receive buffer),
   // and the fall-through lands on mcast-segmented instead of dropping
   // back to point-to-point — multicast now serves every payload size.
-  // The FEC rule is gated on a lossy network: clean-network schedules never
-  // see it (its parity bandwidth only pays for itself when frames drop),
-  // while under loss it pre-empts mcast-binary — which would assert on the
-  // first dropped frame — with in-window erasure recovery.  Under loss it
-  // also precedes the hier-mcast rule: the trunk bridges forward every
+  // The bcast rules are two blocks.  The lossy block, closed by its total
+  // mcast-segmented rule, keeps the picks every network had before the
+  // clean block existed.  Under loss fec-mcast pre-empts the scout-ordered
+  // mcast-binary — which would assert on the first dropped frame — with
+  // in-window erasure recovery, and it precedes hier-mcast: the trunk
+  // bridges forward every
   // multicast frame, so one flat FEC stream reaches every segment in one
   // transmission, while hier-mcast relays store-and-forward — the root
   // unicasts the whole payload to each remote leader, and each segment
@@ -101,18 +102,31 @@ TuningTable TuningTable::defaults() {
   // remote leader holds the payload at +3.47 ms, its size round ends at
   // +4.15 ms and the last rank returns at +5.88 ms, against +4.07 ms for
   // the flat stream (17.9 against 8.5 ms at 64 KiB, where the root
-  // segment's size round queues behind the root's trunk unicast).  Clean
-  // networks keep hier-mcast.  Payloads too big for fec-mcast's
-  // single-window blast fall through to hier-mcast across segments, and
-  // within one segment to the segmented pipeline, whose FEC recovery mode
-  // is a config knob, not a rule.
+  // segment's size round queues behind the root's trunk unicast).  Lossy
+  // payloads too big for fec-mcast's single-window blast fall through to
+  // hier-mcast across segments, and within one segment to the segmented
+  // pipeline, whose FEC recovery mode is a config knob, not a rule.
+  // The clean block drops the scout round, which the paper needs only
+  // because its multicast cannot recover a lost datagram: up to 16 KiB
+  // the NACK stream's root sends at once, a late receiver finds the
+  // datagram in its socket buffer, and a NACK would cover a lost one
+  // (2 ranks stay on one point-to-point send); above 16 KiB fec-mcast's
+  // frame-sized chunks let receivers pipeline the receive path that one
+  // fragmented datagram serializes; past one FEC blast the segmented
+  // pipeline, flat across segments too (hier-mcast's store-and-forward
+  // relay is 3x slower at 250 KB on 16 ranks, 2 segments).  Every clean
+  // bcast rule answers to bench/claims_tuning.cpp: at each point of its
+  // grid kAuto's simulated median is within 1.10x of the best applicable
+  // registered bcast.
   // Every op ends in an always-applicable, loss-tolerant algorithm; the
   // barrier and scatter multicasts are not loss-tolerant, so on a lossy
   // network those two ops end on mpich.
   // Parsed once: the table is immutable, and every World installs a copy.
   static const TuningTable table = parse(
-      "bcast,*,2,mpich; bcast,1024,*,mpich; bcast,*,*,fec-mcast,0,lossy;"
-      "bcast,*,*,hier-mcast,2; bcast,*,*,mcast-binary;"
+      "bcast,*,2,mpich,0,lossy; bcast,1024,*,mpich,0,lossy;"
+      "bcast,*,*,fec-mcast,0,lossy; bcast,*,*,hier-mcast,2,lossy;"
+      "bcast,*,*,mcast-segmented,0,lossy;"
+      "bcast,16384,2,mpich; bcast,16384,*,nack-mcast; bcast,*,*,fec-mcast;"
       "bcast,*,*,mcast-segmented;"
       "barrier,*,*,hier,2; barrier,*,*,mcast; barrier,*,*,mpich;"
       "allreduce,*,2,mpich; allreduce,1024,*,mpich; allreduce,*,*,hier,2;"

@@ -18,15 +18,19 @@
 /// touching single-segment behavior.  Omitted (or `*`/0) means any span.
 /// The optional sixth field is the literal `lossy`: the rule matches only
 /// when the process runs over a lossy network (Proc::network_lossy(), set
-/// when a fault plane with drop/reorder is attached) — how loss-adapted
-/// algorithms like bcast:fec-mcast are tuned in without perturbing any
-/// clean-network schedule.  Use `0` for min_segments to gate on loss alone.
+/// when a fault plane with drop/reorder is attached) — how the bcast rules
+/// split into a lossy block that ends in a total rule and a clean block
+/// that a lossy network never reaches.  Use `0` for min_segments to gate
+/// on loss alone.
 /// Excerpt of the default table (TuningTable::defaults() carries the full
 /// set for all nine ops, including doubled fall-through rules for ops whose
 /// multicast variants have applicability limits or are not loss-tolerant):
 ///
-///     bcast,*,2,mpich; bcast,1024,*,mpich; bcast,*,*,fec-mcast,0,lossy;
-///     bcast,*,*,hier-mcast,2; bcast,*,*,mcast-binary; ...
+///     bcast,*,2,mpich,0,lossy; bcast,1024,*,mpich,0,lossy;
+///     bcast,*,*,fec-mcast,0,lossy; bcast,*,*,hier-mcast,2,lossy;
+///     bcast,*,*,mcast-segmented,0,lossy;
+///     bcast,16384,2,mpich; bcast,16384,*,nack-mcast; bcast,*,*,fec-mcast;
+///     bcast,*,*,mcast-segmented;
 ///     barrier,*,*,hier,2; barrier,*,*,mcast; barrier,*,*,mpich;
 ///     reduce,*,2,mpich; reduce,1024,*,mpich;
 ///     reduce,*,*,mcast-scout; reduce,*,*,mpich; ...

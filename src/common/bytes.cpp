@@ -254,6 +254,32 @@ PayloadRef PayloadRef::joined_with(const PayloadRef& next) const {
   return PayloadRef(owner_, data_, size_ + next.size_);
 }
 
+PayloadRef PayloadSlab::carve(
+    std::span<const std::span<const std::uint8_t>> parts) {
+  std::size_t length = 0;
+  for (const auto& part : parts) {
+    length += part.size();
+  }
+  if (slab_ == nullptr || slab_->size() - used_ < length) {
+    slab_ = std::make_shared<Buffer>(std::max(slab_bytes_, length));
+    used_ = 0;
+    PayloadCounterCells& c = payload_cells();
+    c.buffer_allocs.fetch_add(1, kRelaxed);
+    c.bytes_allocated.fetch_add(slab_->size(), kRelaxed);
+  }
+  std::uint8_t* const begin = slab_->data() + used_;
+  std::uint8_t* out = begin;
+  for (const auto& part : parts) {
+    if (!part.empty()) {
+      std::memcpy(out, part.data(), part.size());
+      out += part.size();
+    }
+  }
+  used_ += length;
+  payload_cells().slices.fetch_add(1, kRelaxed);
+  return PayloadRef(slab_, begin, length);
+}
+
 Buffer PayloadRef::to_buffer() const {
   PayloadCounterCells& c = payload_cells();
   c.byte_copies.fetch_add(1, kRelaxed);

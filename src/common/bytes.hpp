@@ -147,6 +147,7 @@ class PayloadRef {
   void copy_to(std::span<std::uint8_t> dst) const;
 
  private:
+  friend class PayloadSlab;
   PayloadRef(std::shared_ptr<const Buffer> owner, const std::uint8_t* data,
              std::size_t size)
       : owner_(std::move(owner)), data_(data), size_(size) {}
@@ -154,6 +155,27 @@ class PayloadRef {
   std::shared_ptr<const Buffer> owner_;
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
+};
+
+/// Small payloads carved from shared slabs.  carve() fills a fresh region
+/// of the current slab and only then shares it, as a view like
+/// PayloadRef::slice, so no view ever sees a later write.  A slab without
+/// room for the next carve is replaced by a fresh one, which lives until
+/// its last view drops.  The views of one slab share one allocation and one
+/// control block: a retention history of small frames leaves the heap a
+/// few objects per slab, not a buffer and a control block per frame.
+class PayloadSlab {
+ public:
+  explicit PayloadSlab(std::size_t slab_bytes) : slab_bytes_(slab_bytes) {}
+
+  /// One payload holding the concatenation of `parts`.  A payload larger
+  /// than the slab size gets a slab of its own size.
+  PayloadRef carve(std::span<const std::span<const std::uint8_t>> parts);
+
+ private:
+  std::size_t slab_bytes_;
+  std::shared_ptr<Buffer> slab_;  // written only past used_
+  std::size_t used_ = 0;
 };
 
 /// Free-list pool for payload backing buffers, size-classed by power-of-two

@@ -13,4 +13,15 @@ McastChannel::McastChannel(inet::UdpStack& udp, const CommInfo& info,
   socket_->join(group_);
 }
 
+std::optional<PayloadRef> McastChannel::take_held(std::uint64_t seq) {
+  held_.erase(held_.begin(), held_.lower_bound(expected_seq_));
+  const auto it = held_.lower_bound(seq);
+  if (it == held_.end() || it->first != seq) {
+    return std::nullopt;
+  }
+  PayloadRef datagram = std::move(it->second);
+  held_.erase(it);
+  return datagram;
+}
+
 }  // namespace mcmpi::mpi

@@ -11,10 +11,16 @@
 ///
 /// The channel also tracks a per-communicator broadcast sequence number used
 /// to assert the in-order delivery property argued in the paper's §4 (safe
-/// MPI programs see broadcasts in program order).
+/// MPI programs see broadcasts in program order), and holds the datagrams
+/// that arrive ahead of it: a scout-free root returns as soon as it has
+/// sent, so its next stream can reach a rank over the rank's own segment
+/// before an earlier multicast arrives over the trunk.
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "inet/udp.hpp"
 #include "mpi/comm.hpp"
@@ -59,11 +65,27 @@ class McastChannel {
   std::uint64_t expected_seq() const { return expected_seq_; }
   void advance_seq() { ++expected_seq_; }
 
+  /// The hold: a receive path that reads a datagram of a later sequence
+  /// keeps it here, unpaid, for the operation it belongs to — the only
+  /// order evidence a real receiver has is the sequence on the wire.
+  void hold(std::uint64_t seq, PayloadRef datagram) {
+    held_.emplace(seq, std::move(datagram));
+  }
+  /// The earliest-held datagram of sequence `seq`, if any; held datagrams
+  /// the channel has moved past are dropped on the way.
+  std::optional<PayloadRef> take_held(std::uint64_t seq);
+  /// Empties the hold: every datagram by sequence, in arrival order
+  /// within one.
+  std::multimap<std::uint64_t, PayloadRef> take_all_held() {
+    return std::exchange(held_, {});
+  }
+
  private:
   inet::IpAddr group_;
   std::uint16_t port_;
   std::unique_ptr<inet::UdpSocket> socket_;
   std::uint64_t expected_seq_ = 0;
+  std::multimap<std::uint64_t, PayloadRef> held_;
 };
 
 }  // namespace mcmpi::mpi

@@ -346,11 +346,12 @@ TEST(TuningTable, DefaultsEncodeThePaperCrossovers) {
   Cluster cluster(config_for(9));
   cluster.world().run([](mpi::Proc& p) {
     coll::Coll coll = p.comm_world().coll();
-    // Large-message broadcast rides multicast; tiny ones stay on MPICH.
-    EXPECT_EQ(coll.resolve(CollOp::kBcast, 64 * 1024), "mcast-binary");
-    EXPECT_EQ(coll.resolve(CollOp::kBcast, 8), "mpich");
-    EXPECT_EQ(coll.resolve(CollOp::kBcast, 1024), "mpich");
-    EXPECT_EQ(coll.resolve(CollOp::kBcast, 1025), "mcast-binary");
+    // A clean-wire broadcast rides the scout-free NACK stream up to 16 KiB
+    // and the frame-filling FEC stream above it; no scout crossover.
+    EXPECT_EQ(coll.resolve(CollOp::kBcast, 64 * 1024), "fec-mcast");
+    EXPECT_EQ(coll.resolve(CollOp::kBcast, 8), "nack-mcast");
+    EXPECT_EQ(coll.resolve(CollOp::kBcast, 1024), "nack-mcast");
+    EXPECT_EQ(coll.resolve(CollOp::kBcast, 1025), "nack-mcast");
     // The multicast barrier wins at every N (Fig. 13).
     EXPECT_EQ(coll.resolve(CollOp::kBarrier, 0), "mcast");
     EXPECT_EQ(coll.resolve(CollOp::kAllreduce, 64 * 1024), "mcast-binary");
@@ -385,11 +386,14 @@ TEST(TuningTable, DefaultsEncodeThePaperCrossovers) {
   });
 }
 
-TEST(TuningTable, TwoRanksPreferPointToPointAtAnySize) {
+TEST(TuningTable, TwoRanksPreferPointToPoint) {
   Cluster cluster(config_for(2));
   cluster.world().run([](mpi::Proc& p) {
     coll::Coll coll = p.comm_world().coll();
-    EXPECT_EQ(coll.resolve(CollOp::kBcast, 64 * 1024), "mpich");
+    // A clean-wire bcast leaves point-to-point where the FEC stream's
+    // frame-sized chunks start to pay (claims_tuning).
+    EXPECT_EQ(coll.resolve(CollOp::kBcast, 16 * 1024), "mpich");
+    EXPECT_EQ(coll.resolve(CollOp::kBcast, 64 * 1024), "fec-mcast");
     EXPECT_EQ(coll.resolve(CollOp::kAllgather, 64 * 1024), "ring");
     EXPECT_EQ(coll.resolve(CollOp::kReduce, 32 * 1024), "mpich");
     EXPECT_EQ(coll.resolve(CollOp::kGather, 32 * 1024), "mpich");
@@ -560,7 +564,8 @@ TEST(TuningTable, LossyMultiSegmentBarrierPicksHierOnlyAcrossSegments) {
 TEST(TuningTable, LossyMultiSegmentBcastRidesTheFlatFecStream) {
   // The trunk bridges forward multicast, so under loss one flat FEC stream
   // beats hier-mcast's store-and-forward relay whenever the payload fits
-  // one FEC window; larger payloads, and clean networks, keep hier-mcast.
+  // one FEC window; larger lossy payloads keep hier-mcast.  A clean
+  // network stays flat at every size.
   constexpr int kProcs = 16;
   ClusterConfig config = config_for(kProcs);
   config.num_segments = 2;
@@ -585,7 +590,58 @@ TEST(TuningTable, LossyMultiSegmentBcastRidesTheFlatFecStream) {
   EXPECT_EQ(coll.resolve(CollOp::kBcast, past_window), "hier-mcast");
   EXPECT_EQ(clean.world().proc(0).comm_world().coll().resolve(
                 CollOp::kBcast, 16 * 1024),
-            "hier-mcast");
+            "nack-mcast");
+}
+
+TEST(TuningTable, BcastRulesSplitIntoALossyAndACleanBlock) {
+  // The bcast rules before the clean block, as they stood when every
+  // network ran them: under loss the defaults must still pick exactly
+  // what these picked, at every size and span.
+  const auto before = coll::TuningTable::parse(
+      "bcast,*,2,mpich; bcast,1024,*,mpich; bcast,*,*,fec-mcast,0,lossy;"
+      "bcast,*,*,hier-mcast,2; bcast,*,*,mcast-binary;"
+      "bcast,*,*,mcast-segmented");
+  const auto defaults = coll::TuningTable::defaults();
+  const std::size_t past_ceiling = 600 * 1000;  // > the datagram ceiling
+  for (const bool lossy : {false, true}) {
+    for (const int procs : {2, 9, 16}) {
+      ClusterConfig config = config_for(procs);
+      if (procs == 16) {
+        config.num_segments = 2;
+        config.hosts = cluster::make_uniform_hosts(procs);
+      }
+      config.faults.link.loss = lossy ? 0.01 : 0.0;
+      Cluster cluster(config);
+      const mpi::Comm world = cluster.world().proc(0).comm_world();
+      const auto pick = [&](const coll::TuningTable& table,
+                            std::size_t bytes) {
+        return table.select(CollOp::kBcast, bytes, procs, world);
+      };
+      const std::string where = (lossy ? "lossy, " : "clean, ") +
+                                std::to_string(procs) + " ranks, ";
+      if (lossy) {
+        for (const std::size_t bytes :
+             {std::size_t{64}, std::size_t{1024}, std::size_t{1025},
+              std::size_t{4096}, std::size_t{16384}, std::size_t{65536},
+              std::size_t{200000}, std::size_t{262144}, past_ceiling,
+              std::size_t{16} << 20}) {
+          EXPECT_EQ(pick(defaults, bytes), pick(before, bytes))
+              << where << bytes << " B";
+        }
+        continue;
+      }
+      if (procs == 2) {
+        EXPECT_EQ(pick(defaults, 64), "mpich") << where;
+        EXPECT_EQ(pick(defaults, 16384), "mpich") << where;
+      } else {
+        for (const std::size_t bytes : {64, 4096, 16384}) {
+          EXPECT_EQ(pick(defaults, bytes), "nack-mcast") << where << bytes;
+        }
+      }
+      EXPECT_EQ(pick(defaults, 24576), "fec-mcast") << where;
+      EXPECT_EQ(pick(defaults, past_ceiling), "mcast-segmented") << where;
+    }
+  }
 }
 
 TEST(TuningTable, OverridesPrependToTheDefaultsAndBareTablesThrow) {

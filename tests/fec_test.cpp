@@ -937,8 +937,9 @@ TEST(SegmentRepair, CleanWireOrOneSegmentNeverEntersTheChain) {
 }
 
 TEST(FecMcast, LossyAutoSelectionPrefersFec) {
-  // The default tuning table gates the fec-mcast rule on a lossy network:
-  // clean-wire schedules are untouched, lossy ones pre-empt mcast-binary.
+  // The default tuning table's lossy block sends every bcast past 1 KiB
+  // that one FEC blast carries to fec-mcast; a clean wire reaches it only
+  // past the NACK stream's 16 KiB.
   Cluster lossy(
       faulty_config(9, NetworkType::kSwitch, FaultProfile{.loss = 0.05}));
   lossy.world().run([](mpi::Proc& p) {
@@ -954,8 +955,8 @@ TEST(FecMcast, LossyAutoSelectionPrefersFec) {
   Cluster clean(faulty_config(9, NetworkType::kSwitch, FaultProfile{}));
   clean.world().run([](mpi::Proc& p) {
     EXPECT_FALSE(p.network_lossy());
-    EXPECT_EQ(p.comm_world().coll().resolve(coll::CollOp::kBcast, 64 * 1024),
-              "mcast-binary");
+    EXPECT_EQ(p.comm_world().coll().resolve(coll::CollOp::kBcast, 4 * 1024),
+              "nack-mcast");
   });
 }
 

@@ -195,7 +195,7 @@ Trace run_hier_workload(NetworkType network, int procs, int segments,
         if (p.rank() == root) {
           data = pattern_payload(static_cast<std::uint64_t>(rep), kBytes);
         }
-        comm.coll().bcast(data, root);  // kAuto -> hier-mcast
+        comm.coll().bcast(data, root);  // kAuto -> nack-mcast
         EXPECT_TRUE(check_pattern(static_cast<std::uint64_t>(rep), data));
 
         const Buffer mine = pattern_payload(
@@ -293,9 +293,9 @@ TEST(HierMatrixCross, MergedSchedCountersArePinned) {
   EXPECT_TRUE(t.same_times(again));
   // Exact pins (update deliberately, with the schedule change that owns
   // them): the values must be a pure function of the simulation.
-  EXPECT_EQ(t.sched.events_executed, 6311u) << "PIN-events_executed";
-  EXPECT_EQ(t.sched.handoffs, 688u) << "PIN-handoffs";
-  EXPECT_EQ(t.events_scheduled, 6925u) << "PIN-events_scheduled";
+  EXPECT_EQ(t.sched.events_executed, 4697u) << "PIN-events_executed";
+  EXPECT_EQ(t.sched.handoffs, 619u) << "PIN-handoffs";
+  EXPECT_EQ(t.events_scheduled, 5151u) << "PIN-events_scheduled";
 }
 
 }  // namespace

@@ -504,12 +504,14 @@ TEST(HierTuning, DefaultsPickHierOnlyAcrossSegments) {
                                  st.intra.size(), st.intra);
     }
   });
-  EXPECT_EQ(big_bcast, "hier-mcast");
-  EXPECT_EQ(tiny_bcast, "mpich")
-      << "small payloads must stay on point-to-point";
+  // The trunk bridges forward every multicast frame, so the flat NACK
+  // stream crosses each trunk once, as hier-mcast's relay does, without
+  // its store-and-forward: a clean bcast stays flat across segments.
+  EXPECT_EQ(big_bcast, "nack-mcast");
+  EXPECT_EQ(tiny_bcast, "nack-mcast");
   EXPECT_EQ(barrier, "hier");
   EXPECT_EQ(allgather, "hier");
-  EXPECT_EQ(intra_bcast, "mcast-binary")
+  EXPECT_EQ(intra_bcast, "nack-mcast")
       << "the intra comm spans one segment: flat rules apply";
 }
 
@@ -625,6 +627,89 @@ TEST(HierTrunks, PerPairLatencyShapesPointToPointTiming) {
   // Two extra trunk crossings of +270us each dominate everything else.
   EXPECT_GT(far_rtt.count(), near_rtt.count() + microseconds(400).count())
       << "the slow trunk's latency must show up in the round trip";
+}
+
+/// 16 ranks on 4 switch segments whose trunks take 100 us, except a 2 ms
+/// trunk between segments `slow_a` < `slow_b`: a multicast across it is
+/// overtaken by a later one relayed over two fast trunks.
+ClusterConfig one_slow_trunk(int slow_a, int slow_b) {
+  ClusterConfig config = config_for(16, 4);
+  config.trunk_latency = microseconds(100);
+  config.trunk_latency_of = [slow_a, slow_b](int a, int b) {
+    return a == slow_a && b == slow_b ? milliseconds(2) : SimTime{};
+  };
+  return config;
+}
+
+TEST(HierTrunks, ScoutFreeStreamOvertakingAScoutMulticastIsHeld) {
+  // A communicator of one rank per segment.  The last operand of the
+  // mcast-scout reduce (world rank 12, segment 3) reaches world rank 4
+  // over the slow 1-3 trunk; world rank 0 has it after 100 us, returns,
+  // and its nack-mcast bcast reaches rank 4 over two fast trunks first.
+  // Rank 4 must hold the stream frame while it waits for the operand, then
+  // deliver both.
+  Cluster cluster(one_slow_trunk(1, 3));
+  constexpr int kRounds = 3;
+  constexpr std::size_t kBytes = 1024;
+  std::vector<int> ok(16, 1);
+  cluster.world().run([&](mpi::Proc& p) {
+    const bool member = p.rank() % 4 == 0;
+    const mpi::Comm spread = p.split(p.comm_world(), member ? 0 : 1, p.rank());
+    if (!member) {
+      return;
+    }
+    auto& good = ok[static_cast<std::size_t>(p.rank())];
+    for (int round = 0; round < kRounds; ++round) {
+      const std::int64_t mine = spread.rank() + round;
+      Buffer bytes(sizeof mine);
+      std::memcpy(bytes.data(), &mine, sizeof mine);
+      const Buffer sum = spread.coll().reduce(
+          bytes, mpi::Op::kSum, mpi::Datatype::kInt64, 2, "mcast-scout");
+      if (spread.rank() == 2) {
+        std::int64_t value = 0;
+        std::memcpy(&value, sum.data(), sizeof value);
+        good &= value == 6 + 4 * round;
+      }
+      Buffer data;
+      if (spread.rank() == 0) {
+        data = pattern_payload(40 + static_cast<std::uint64_t>(round), kBytes);
+      }
+      spread.coll().bcast(data, 0, "nack-mcast");
+      good &= data.size() == kBytes &&
+              check_pattern(40 + static_cast<std::uint64_t>(round), data);
+    }
+  });
+  for (int r = 0; r < 16; r += 4) {
+    EXPECT_TRUE(ok[static_cast<std::size_t>(r)]) << "rank " << r;
+  }
+}
+
+TEST(HierTrunks, BlastBlockOvertakingTheBarrierReleaseIsHeld) {
+  // The blast allgather's barrier release from world rank 0 reaches world
+  // rank 4 over the slow 0-1 trunk; world rank 12 has it after 100 us and
+  // blasts its block, which reaches rank 4 over the fast 3-1 trunk first.
+  // The barrier's receive holds the block, and the blast takes it back.
+  Cluster cluster(one_slow_trunk(0, 1));
+  std::vector<int> ok(16, 1);
+  cluster.world().run([&](mpi::Proc& p) {
+    const bool member = p.rank() % 4 == 0;
+    const mpi::Comm spread = p.split(p.comm_world(), member ? 0 : 1, p.rank());
+    if (!member) {
+      return;
+    }
+    const Buffer mine =
+        pattern_payload(60 + static_cast<std::uint64_t>(spread.rank()), 512);
+    const std::vector<Buffer> blocks =
+        spread.coll().allgather(mine, "mcast-blast");
+    auto& good = ok[static_cast<std::size_t>(p.rank())];
+    good &= blocks.size() == 4;
+    for (std::size_t r = 0; r < blocks.size(); ++r) {
+      good &= blocks[r].size() == 512 && check_pattern(60 + r, blocks[r]);
+    }
+  });
+  for (int r = 0; r < 16; r += 4) {
+    EXPECT_TRUE(ok[static_cast<std::size_t>(r)]) << "rank " << r;
+  }
 }
 
 }  // namespace

@@ -371,8 +371,8 @@ TEST(SegmentedAuto, JumboPayloadsFallThroughToSegmented) {
   Cluster cluster(config_for(3));
   cluster.world().run([&](mpi::Proc& p) {
     const coll::Coll facade = p.comm_world().coll();
-    // Below the ceiling the classic single-shot pick stands...
-    EXPECT_EQ(facade.resolve(coll::CollOp::kBcast, 4096), "mcast-binary");
+    // Below the ceiling the single-datagram NACK stream carries it...
+    EXPECT_EQ(facade.resolve(coll::CollOp::kBcast, 4096), "nack-mcast");
     // ...and past it the tuned pick is inapplicable, so the trailing
     // rule routes onto the segmented pipeline — for every op that has one.
     const std::size_t jumbo = 16u << 20;
