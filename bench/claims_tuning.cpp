@@ -1,29 +1,73 @@
-// Gate: kAuto's bcast picks against every registered bcast.
+// Gate: kAuto's picks against every registered algorithm of the op.
 //
 // The tuning table (coll/tuning.cpp) is hand-written; this bench is the
-// measurement each of its bcast rules answers to.  It sweeps a fixed grid
-// and, at every point, runs kAuto and every registered bcast that may run
-// there (applicable to the communicator and payload, never lossy, and
-// loss-tolerant on a lossy network), each with the same seed and entry
-// skew, and checks every rank's bytes:
+// measurement its rules answer to, one op per run (--op=bcast, barrier,
+// allreduce, reduce or allgather; one ctest each).  It sweeps a fixed grid
+// and, at every point, runs kAuto and every registered algorithm of the op
+// that may run there (applicable to the communicator and payload, never
+// lossy, and loss-tolerant on a lossy network), each with the same seed
+// and entry skew, and checks every rank's result:
 //   - topologies: the paper's 9 hosts on a hub, 9 hosts on a switch, and
 //     16 hosts on 2 or 4 switch segments behind 100 us or 2 ms trunks;
 //   - communicators: 2 ranks (comm ranks 0 and N-1, so the pair spans
-//     segments) and the whole world;
-//   - payloads on both sides of every size threshold: 1024 B (the old
-//     scout crossover), 16 KiB (the NACK stream's), the FEC blast's fit in
-//     the 256 KiB multicast receive buffer, the buffer itself and the
-//     512000 B datagram ceiling;
+//     segments), the whole world, and (all ops but bcast) on 4 segments
+//     the strided communicator of world ranks r % 4 == 0, one rank per
+//     segment, the shape of each tenant communicator in perfbench's
+//     tenants-4seg;
+//   - payloads on both sides of every size threshold.  bcast: 1024 B (the
+//     old scout crossover), 16 KiB (the NACK stream's), the FEC blast's
+//     fit in the 256 KiB multicast receive buffer, the buffer itself and
+//     the 512000 B datagram ceiling.  allreduce and reduce: 16 B, 1 KiB,
+//     2 KiB, 4 KiB and 16 KiB per rank (perfbench's tenants run 16 B to
+//     16 KiB).  allgather: the same sizes as each rank's share, which is
+//     what its rules key on.  barrier: no payload;
 //   - entry skew of 20 us (the paper's loosely synchronized SPMD ranks)
 //     and of 1 ms, where a scout gather waits for the last rank and a NACK
 //     stream does not;
 //   - seeds 2000 and 2001.
 //
 // Claim, at every clean point: kAuto's simulated median is <= 1.10x the
-// best applicable registered bcast's.  Simulated time is deterministic, so
-// the gate is exact on any host.  Lossy points (1% link loss) print their
-// ratio but are not gated.  One open-loop row sends back-to-back kAuto
-// bcasts from one root and prints the receivers' socket-buffer drops.
+// best applicable registered algorithm's.  Simulated time is
+// deterministic, so the gate is exact on any host.  A second claim holds
+// at every point and for every algorithm: each rank's result is the
+// reference result, which is what mpich returns — the root's bytes
+// (bcast), the byte-wise sum of every rank's operand (allreduce, and
+// reduce at its root; other reduce ranks get nothing) and every rank's
+// block in rank order (allgather).  Lossy points (1% link loss) print
+// their ratio but are not gated.
+//
+// A rule sees op, bytes, ranks and segment span, not the medium nor the
+// trunk latency, so every topology has a twin it cannot tell apart: the
+// paper hub and the 9-host switch, and each segment count behind 100 us
+// and behind 2 ms trunks.  The grid measures each point beside its twin.
+// A clean point where no registered algorithm is within 1.10x of the best
+// both there and at its twin cannot be satisfied by any rule order: it
+// prints "ungated" with the twin's best algorithm instead of a claim.  At
+// the committed rules these are:
+//   - barrier, 16 ranks behind 2 ms trunks (2 and 4 segments): mpich's
+//     recursive doubling wins, and the multicast barrier kAuto picks is
+//     1.25-1.53x; behind 100 us the multicast barrier wins and mpich is
+//     1.30-1.37x.  Also the one-rank-per-segment comm behind 100 us
+//     trunks at 1 ms skew: kAuto's mpich, best behind 2 ms, is 1.13-1.14x
+//     the multicast barrier;
+//   - allgather of 1 KiB or more per rank on the 9-host switch: the ring
+//     wins, and the lockstep multicast kAuto picks is 1.20-1.80x; on the
+//     hub the ring's N-1 copies of each block collide, 1.7-23x the
+//     lockstep;
+//   - allgather of 4 KiB per rank on 16 ranks behind 2 ms trunks, 4
+//     segments: kAuto's ring is 1.12-1.17x hier, which is 1.28x the ring
+//     behind 100 us; and 16 KiB per rank on one rank per segment behind
+//     100 us trunks at 20 us skew: kAuto's hier is 1.14x the ring, which
+//     is 1.26x hier behind 2 ms;
+//   - allreduce of 4 KiB on 16 ranks behind 2 ms trunks, 4 segments, 1 ms
+//     skew, seed 2001: kAuto's mcast-binary is 1.11x hier, which is 1.20x
+//     mcast-binary behind 100 us.
+// Where the choice was free, kAuto takes the algorithm whose worse ratio
+// over the twins is smaller, except the multi-segment barrier, which
+// follows the 100 us trunks of perfbench's tenants-4seg.
+
+// For bcast, one open-loop row sends back-to-back kAuto bcasts from one
+// root and prints the receivers' socket-buffer drops.
 #include <algorithm>
 #include <cstdio>
 #include <optional>
@@ -37,6 +81,7 @@
 namespace {
 
 using namespace mcmpi;
+using coll::CollOp;
 
 struct Topology {
   const char* name;
@@ -46,13 +91,42 @@ struct Topology {
   int trunk_us;
 };
 
+/// Which ranks form the communicator under test; the rest of the world
+/// idles.
+enum class Members {
+  kPair,     ///< comm ranks 0 and N-1
+  kWorld,    ///< every rank
+  kStrided,  ///< world ranks r % kStride == 0
+};
+
+/// The strided communicator's stride: one rank per segment on 16 hosts and
+/// 4 segments, as perfbench's tenants-4seg splits its world.
+constexpr int kStride = 4;
+
 struct Shape {
+  CollOp op = CollOp::kBcast;
   Topology topo;
-  int ranks = 0;  // 2, or topo.hosts
-  std::size_t bytes = 0;
+  Members members = Members::kWorld;
+  std::size_t bytes = 0;  // allgather: each rank's share; barrier: 0
   int skew_us = 0;
   std::uint64_t seed = 0;
   double loss = 0;
+
+  int ranks() const {
+    switch (members) {
+      case Members::kPair:
+        return 2;
+      case Members::kStrided:
+        return topo.hosts / kStride;
+      case Members::kWorld:
+        break;
+    }
+    return topo.hosts;
+  }
+  std::string members_name() const {
+    return members == Members::kStrided ? std::to_string(ranks()) + " strided"
+                                        : std::to_string(ranks());
+  }
 };
 
 cluster::ClusterConfig config_of(const Shape& s) {
@@ -69,19 +143,92 @@ cluster::ClusterConfig config_of(const Shape& s) {
   return config;
 }
 
-/// The communicator a shape runs on: the world, or comm ranks 0 and N-1.
-mpi::Comm comm_of(mpi::Proc& p, int ranks) {
+/// The communicator a shape runs on: the one world rank 0 is in.
+mpi::Comm comm_of(mpi::Proc& p, Members members) {
   const mpi::Comm world = p.comm_world();
-  if (ranks == world.size()) {
-    return world;
+  switch (members) {
+    case Members::kPair: {
+      const bool member = p.rank() == 0 || p.rank() == world.size() - 1;
+      return p.split(world, member ? 0 : 1, p.rank());
+    }
+    case Members::kStrided:
+      return p.split(world, p.rank() % kStride, p.rank());
+    case Members::kWorld:
+      break;
   }
-  const bool member = p.rank() == 0 || p.rank() == world.size() - 1;
-  return p.split(world, member ? 0 : 1, p.rank());
+  return world;
+}
+
+/// Comm rank `r`'s operand in the repetition tagged `tag`.
+std::uint64_t operand_seed(std::uint64_t tag, int r) {
+  return tag << 8 | static_cast<std::uint64_t>(r);
+}
+
+/// The byte-wise sum of every rank's operand: what mpich's allreduce
+/// returns, and its reduce at the root.
+Buffer reference_sum(std::uint64_t tag, std::size_t bytes, int ranks) {
+  Buffer sum(bytes);
+  for (int r = 0; r < ranks; ++r) {
+    const Buffer operand = pattern_payload(operand_seed(tag, r), bytes);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      sum[i] = static_cast<std::uint8_t>(sum[i] + operand[i]);
+    }
+  }
+  return sum;
+}
+
+/// One call of the shape's op with `algo`; true when this rank's result is
+/// the reference result.
+bool run_op(const Shape& s, const mpi::Comm& comm, const std::string& algo,
+            std::uint64_t tag, const Buffer& sum) {
+  coll::Coll coll = comm.coll();
+  const int me = comm.rank();
+  switch (s.op) {
+    case CollOp::kBcast: {
+      // Every rank passes the payload size: kAuto resolves on it.
+      Buffer data(s.bytes);
+      if (me == 0) {
+        data = pattern_payload(tag, s.bytes);
+      }
+      coll.bcast(data, 0, algo);
+      return data.size() == s.bytes && check_pattern(tag, data);
+    }
+    case CollOp::kBarrier:
+      coll.barrier(algo);
+      return true;
+    case CollOp::kAllreduce:
+      return coll.allreduce(pattern_payload(operand_seed(tag, me), s.bytes),
+                            mpi::Op::kSum, mpi::Datatype::kByte, algo) == sum;
+    case CollOp::kReduce: {
+      const Buffer got =
+          coll.reduce(pattern_payload(operand_seed(tag, me), s.bytes),
+                      mpi::Op::kSum, mpi::Datatype::kByte, 0, algo);
+      return me == 0 ? got == sum : got.empty();
+    }
+    case CollOp::kAllgather: {
+      const std::vector<Buffer> blocks = coll.allgather(
+          pattern_payload(operand_seed(tag, me), s.bytes), algo);
+      if (blocks.size() != static_cast<std::size_t>(comm.size())) {
+        return false;
+      }
+      for (int r = 0; r < comm.size(); ++r) {
+        const Buffer& block = blocks[static_cast<std::size_t>(r)];
+        if (block.size() != s.bytes ||
+            !check_pattern(operand_seed(tag, r), block)) {
+          return false;
+        }
+      }
+      return true;
+    }
+    default:
+      break;
+  }
+  return false;
 }
 
 struct Run {
   double median_us = 0;
-  bool payload_ok = true;
+  bool result_ok = true;
 };
 
 /// The grid's payloads past this size take 17 ms or more, so 1 ms of entry
@@ -95,6 +242,16 @@ Run run_case(const Shape& s, const std::string& algo, int reps) {
   exp.max_skew = microseconds(s.skew_us);
   // Loss recovery and 1 ms of skew can outlast the default spacing.
   exp.rep_interval = milliseconds(s.loss > 0 ? 200 : 100);
+  // The reference sums, one per repetition (tag rep + 1), built before the
+  // ranks run so no rank's simulated time pays for them.
+  std::vector<Buffer> sums;
+  if (s.op == CollOp::kAllreduce || s.op == CollOp::kReduce) {
+    for (int rep = 0; rep < exp.warmup_reps + exp.reps; ++rep) {
+      sums.push_back(reference_sum(static_cast<std::uint64_t>(rep + 1),
+                                   s.bytes, s.ranks()));
+    }
+  }
+  const Buffer no_sum;
   std::vector<std::optional<mpi::Comm>> comms(
       static_cast<std::size_t>(s.topo.hosts));
   std::vector<int> ok(static_cast<std::size_t>(s.topo.hosts), 1);
@@ -102,31 +259,27 @@ Run run_case(const Shape& s, const std::string& algo, int reps) {
       cluster, exp, [&](mpi::Proc& p, int rep) {
         auto& comm = comms[static_cast<std::size_t>(p.rank())];
         if (!comm) {
-          comm = comm_of(p, s.ranks);
+          comm = comm_of(p, s.members);
         }
-        if (comm->size() != s.ranks) {
-          return;  // outside the pair
+        if (comm->world_rank_of(0) != 0) {
+          return;  // outside the communicator under test
         }
         const auto tag = static_cast<std::uint64_t>(rep + 1);
-        // Every rank passes the payload size: kAuto resolves on it.
-        Buffer data(s.bytes);
-        if (comm->rank() == 0) {
-          data = pattern_payload(tag, s.bytes);
-        }
-        comm->coll().bcast(data, 0, algo);
-        if (data.size() != s.bytes || !check_pattern(tag, data)) {
+        const Buffer& sum =
+            sums.empty() ? no_sum : sums[static_cast<std::size_t>(rep)];
+        if (!run_op(s, *comm, algo, tag, sum)) {
           ok[static_cast<std::size_t>(p.rank())] = 0;
         }
       });
   Run run;
   run.median_us = result.latencies_us.median();
-  run.payload_ok = std::all_of(ok.begin(), ok.end(),
-                               [](int good) { return good != 0; });
+  run.result_ok = std::all_of(ok.begin(), ok.end(),
+                              [](int good) { return good != 0; });
   return run;
 }
 
-/// The registered bcasts that may run at shape `s`, and what kAuto picks
-/// there, as rank 0 of the shape's communicator resolves them.
+/// The registered algorithms that may run at shape `s`, and what kAuto
+/// picks there, as rank 0 of the shape's communicator resolves them.
 struct Candidates {
   std::vector<std::string> algos;
   std::string pick;
@@ -136,14 +289,13 @@ Candidates candidates_of(const Shape& s) {
   cluster::Cluster cluster(config_of(s));
   Candidates out;
   cluster.world().run([&](mpi::Proc& p) {
-    const mpi::Comm comm = comm_of(p, s.ranks);
+    const mpi::Comm comm = comm_of(p, s.members);
     if (p.rank() != 0) {
       return;
     }
-    out.pick = comm.coll().resolve(coll::CollOp::kBcast, s.bytes);
+    out.pick = comm.coll().resolve(s.op, s.bytes);
     for (const coll::CollAlgorithm& a : coll::Registry::instance().entries()) {
-      if (a.op != coll::CollOp::kBcast || a.lossy ||
-          (s.loss > 0 && !a.loss_tolerant) ||
+      if (a.op != s.op || a.lossy || (s.loss > 0 && !a.loss_tolerant) ||
           (a.applicable && !a.applicable(comm, s.bytes))) {
         continue;
       }
@@ -153,19 +305,79 @@ Candidates candidates_of(const Shape& s) {
   return out;
 }
 
+/// One point's runs: kAuto's and every candidate's median.
+struct Measured {
+  Shape shape;
+  std::string pick;
+  double auto_us = 0;
+  std::vector<std::pair<std::string, double>> medians;  // candidate order
+  std::string best;
+  double best_us = 0;
+  bool result_ok = true;
+
+  /// `algo`'s median over the best's, or 0 when it is no candidate here.
+  double ratio_of(const std::string& algo) const {
+    for (const auto& [name, us] : medians) {
+      if (name == algo) {
+        return us / best_us;
+      }
+    }
+    return 0;
+  }
+};
+
+Measured measure_point(const Shape& s, int reps) {
+  const Candidates c = candidates_of(s);
+  Measured point;
+  point.shape = s;
+  point.pick = c.pick;
+  const Run automatic = run_case(s, coll::kAuto, reps);
+  point.auto_us = automatic.median_us;
+  point.result_ok = automatic.result_ok;
+  for (const std::string& algo : c.algos) {
+    // kAuto's run is its pick's run: same algorithm, seed and skews.
+    const Run run = algo == c.pick ? automatic : run_case(s, algo, reps);
+    point.result_ok = point.result_ok && run.result_ok;
+    point.medians.emplace_back(algo, run.median_us);
+    if (point.best.empty() || run.median_us < point.best_us) {
+      point.best = algo;
+      point.best_us = run.median_us;
+    }
+  }
+  return point;
+}
+
+/// True when some candidate is within 1.10x of the best both at `p` and
+/// at its twin: then a rule order exists that satisfies both points.
+bool satisfiable(const Measured& p, const Measured& twin) {
+  for (const auto& [algo, us] : p.medians) {
+    const double there = twin.ratio_of(algo);
+    if (us <= 1.10 * p.best_us && there > 0 && there <= 1.10) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace mcmpi;
   using namespace mcmpi::bench;
-  int reps = 3;
+  int reps = 0;
+  std::string op_name = "bcast";
   BenchOptions options;
   try {
     Flags flags(argc, argv);
-    reps = static_cast<int>(flags.get_int("reps", reps, "reps/point"));
+    op_name = flags.get_string(
+        "op", op_name, "bcast, barrier, allreduce, reduce or allgather");
+    // The other ops' points take milliseconds, and a hub's collisions move
+    // a 3-repetition median by 10-30%: they take 15.
+    reps = static_cast<int>(flags.get_int(
+        "reps", op_name == "bcast" ? 3 : 15, "reps/point (bcast 3, else 15)"));
     options.csv = flags.get_bool("csv", false, "emit CSV");
     if (flags.help_requested()) {
-      std::cout << flags.usage("Gate: kAuto bcast vs every registered bcast");
+      std::cout << flags.usage("Gate: kAuto vs every registered algorithm");
       return 0;
     }
     flags.check_unknown();
@@ -173,6 +385,21 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << '\n';
     return 2;  // a bad invocation, not a failed claim
   }
+  std::optional<CollOp> gated_op;
+  for (const CollOp op : {CollOp::kBcast, CollOp::kBarrier,
+                          CollOp::kAllreduce, CollOp::kReduce,
+                          CollOp::kAllgather}) {
+    if (coll::to_string(op) == op_name) {
+      gated_op = op;
+    }
+  }
+  if (!gated_op) {
+    std::cerr << "--op: expected bcast, barrier, allreduce, reduce or "
+                 "allgather, got '"
+              << op_name << "'\n";
+    return 2;
+  }
+  const CollOp op = *gated_op;
 
   using cluster::NetworkType;
   const std::vector<Topology> topologies = {
@@ -183,83 +410,108 @@ int main(int argc, char** argv) {
       {"4 seg / 100 us", NetworkType::kSwitch, 16, 4, 100},
       {"4 seg / 2 ms", NetworkType::kSwitch, 16, 4, 2000},
   };
-  // Both sides of every size threshold: 1024 B, the NACK stream's 16 KiB,
-  // the FEC blast's fit in the receive buffer, the receive buffer itself
-  // (a framed datagram must fit it) and the 512000 B datagram ceiling.
-  const std::vector<std::size_t> sizes = {512,    2048,   16384,  24576,
-                                          200000, 250000, 270000, 520000};
+  // Both sides of every size threshold of the op's rules (see the header).
+  std::vector<std::size_t> sizes = {16, 1024, 2048, 4096, 16384};
+  if (op == CollOp::kBcast) {
+    sizes = {512, 2048, 16384, 24576, 200000, 250000, 270000, 520000};
+  } else if (op == CollOp::kBarrier) {
+    sizes = {0};
+  }
 
   Table table({"topology", "ranks", "bytes", "skew us", "seed", "loss",
-               "auto", "auto us", "best", "best us", "auto/best"});
-  bool payload_ok = true;
+               "auto", "auto us", "best", "best us", "all us", "auto/best"});
+  bool result_ok = true;
   const auto ratio_text = [](double ratio) {
     char text[16];
     std::snprintf(text, sizeof text, "%.3f", ratio);
     return std::string(text);
   };
-  const auto sweep_point = [&](const Shape& s) {
-    const Candidates c = candidates_of(s);
-    const Run automatic = run_case(s, coll::kAuto, reps);
-    payload_ok = payload_ok && automatic.payload_ok;
-    std::string best;
-    double best_us = 0;
-    for (const std::string& algo : c.algos) {
-      // kAuto's run is its pick's run: same algorithm, seed and skews.
-      const Run run = algo == c.pick ? automatic : run_case(s, algo, reps);
-      payload_ok = payload_ok && run.payload_ok;
-      if (best.empty() || run.median_us < best_us) {
-        best = algo;
-        best_us = run.median_us;
-      }
+  // Prints the point and claims it, unless it is lossy or no rule order
+  // can satisfy it and its twin (null for the lossy rows).
+  const auto report = [&](const Measured& p, const Measured* twin) {
+    const Shape& s = p.shape;
+    result_ok = result_ok && p.result_ok;
+    const double ratio = p.auto_us / p.best_us;
+    std::string all;
+    for (const auto& [algo, us] : p.medians) {
+      all += (all.empty() ? "" : " ") + algo + '=' + Table::num(us);
     }
-    const double ratio = automatic.median_us / best_us;
-    const std::string where =
-        std::string(s.topo.name) + ", " + std::to_string(s.ranks) +
-        " ranks, " + std::to_string(s.bytes) + " B, " +
-        std::to_string(s.skew_us) + " us skew, seed " +
-        std::to_string(s.seed);
-    table.add_row({s.topo.name, std::to_string(s.ranks),
-                   std::to_string(s.bytes), std::to_string(s.skew_us),
-                   std::to_string(s.seed), s.loss > 0 ? "1%" : "0", c.pick,
-                   Table::num(automatic.median_us), best,
-                   Table::num(best_us), ratio_text(ratio)});
-    if (s.loss > 0) {
-      return;  // printed, not gated: the lossy rules are not on trial here
+    const bool gated = twin != nullptr && (ratio <= 1.10 ||
+                                           satisfiable(p, *twin));
+    std::string verdict = ratio_text(ratio);
+    if (twin != nullptr && !gated) {
+      verdict += " ungated (twin " + std::string(twin->shape.topo.name) +
+                 ": " + twin->best + ")";
     }
-    shape_check({.text = "kAuto (" + c.pick + ") <= 1.10x the best (" +
-                         best + ") at " + where + " (" +
-                         Table::num(automatic.median_us) + " vs " +
-                         Table::num(best_us) + " us)",
-                 .lhs = 1.10 * best_us,
-                 .rhs = automatic.median_us});
+    table.add_row({s.topo.name, s.members_name(), std::to_string(s.bytes),
+                   std::to_string(s.skew_us), std::to_string(s.seed),
+                   s.loss > 0 ? "1%" : "0", p.pick, Table::num(p.auto_us),
+                   p.best, Table::num(p.best_us), all, verdict});
+    if (!gated) {
+      return;  // printed, not gated: lossy, or no rule order satisfies it
+    }
+    shape_check({.text = op_name + ": kAuto (" + p.pick +
+                         ") <= 1.10x the best (" + p.best + ") at " +
+                         s.topo.name + ", " + s.members_name() + " ranks, " +
+                         std::to_string(s.bytes) + " B, " +
+                         std::to_string(s.skew_us) + " us skew, seed " +
+                         std::to_string(s.seed) + " (" +
+                         Table::num(p.auto_us) + " vs " +
+                         Table::num(p.best_us) + " us)",
+                 .lhs = 1.10 * p.best_us,
+                 .rhs = p.auto_us});
   };
 
+  // Twins are adjacent in `topologies`: each point is measured beside its
+  // twin.
   for (const std::uint64_t seed : {2000, 2001}) {
-    for (const Topology& topo : topologies) {
-      for (const int ranks : {2, topo.hosts}) {
+    for (std::size_t t = 0; t < topologies.size(); t += 2) {
+      std::vector<Members> members = {Members::kPair, Members::kWorld};
+      if (op != CollOp::kBcast && topologies[t].segments == kStride) {
+        members.push_back(Members::kStrided);
+      }
+      for (const Members m : members) {
         for (const std::size_t bytes : sizes) {
           for (const int skew_us : {20, 1000}) {
-            sweep_point({topo, ranks, bytes, skew_us, seed, 0.0});
+            const Measured a = measure_point(
+                {op, topologies[t], m, bytes, skew_us, seed, 0.0}, reps);
+            const Measured b = measure_point(
+                {op, topologies[t + 1], m, bytes, skew_us, seed, 0.0}, reps);
+            report(a, &b);
+            report(b, &a);
           }
         }
       }
     }
   }
-  // Lossy rows: one seed and skew, the payloads below the receive buffer.
+  // Lossy rows: one seed and skew, two payloads (bcast: below the receive
+  // buffer; barrier: none).
+  const std::vector<std::size_t> lossy_sizes =
+      op == CollOp::kBcast     ? std::vector<std::size_t>{512, 2048}
+      : op == CollOp::kBarrier ? std::vector<std::size_t>{0}
+                               : std::vector<std::size_t>{16, 2048};
   for (const Topology& topo : topologies) {
-    for (const std::size_t bytes : {512, 2048}) {
-      sweep_point({topo, topo.hosts, bytes, 20, 2000, 0.01});
+    for (const std::size_t bytes : lossy_sizes) {
+      report(measure_point(
+                 {op, topo, Members::kWorld, bytes, 20, 2000, 0.01}, reps),
+             nullptr);
     }
   }
-  print_table("kAuto bcast vs the best registered bcast", table, options);
-  shape_check(payload_ok, "every rank received the root's bytes at every "
-                          "point, for every algorithm");
+  print_table("kAuto " + op_name + " vs the best registered " + op_name,
+              table, options);
+  shape_check(result_ok, "every rank's " + op_name +
+                             " result was mpich's at every point, for every "
+                             "algorithm");
+  if (op != CollOp::kBcast) {
+    return claims_exit_code();
+  }
 
   // Open loop: the root of a NACK stream returns once it has sent, so
   // back-to-back bcasts from one root queue in the receivers' socket
   // buffers while ranks enter up to 1 ms apart.
   {
-    const Shape s{topologies[3], 16, 16 * 1024, 1000, 2000, 0.0};
+    const Shape s{op, topologies[3], Members::kWorld, 16 * 1024, 1000, 2000,
+                  0.0};
     constexpr int kBurst = 24;
     cluster::Cluster cluster(config_of(s));
     cluster::ExperimentConfig exp;

@@ -66,58 +66,66 @@ std::int64_t parse_bound(const std::string& text, const char* what,
 }  // namespace
 
 TuningTable TuningTable::defaults() {
-  // Paper crossovers: scout overhead makes a scout-ordered multicast lose
-  // below ~1 KB (Figs. 7-10 crossover near one Ethernet frame); at 2 ranks
-  // one point-to-point send beats scout + multicast; the multicast
-  // barrier wins at every N (Fig. 13); the multicast allgather needs
-  // payloads large enough to amortize its barrier.  The widened surface
-  // follows the same shape: large-message reduce/gather/scatter ride the
-  // multicast/scout variants, small messages and 2-rank groups stay on
-  // point-to-point, and the trailing catch-all rules cover payloads the
-  // multicast variants' predicates reject (rendezvous-sized blocks, the
-  // datagram ceiling) — an inapplicable tuned pick falls through to the
-  // next matching rule.
-  // Topology: on a communicator spanning >= 2 segments the hierarchical
-  // algorithms cross each trunk once instead of O(log N) / O(N) times.
-  // Their min_segments-gated rules sit after the 2-rank and small-payload
-  // point-to-point rules (one trunk send beats leader machinery at those
-  // sizes); single-segment communicators fail every gate and fall through
-  // to the flat rules.
-  // The segmented pipeline is the trailing multicast rule for bcast /
-  // allgather / scatter: the single-shot variants' predicates reject
-  // jumbo payloads (the ~512 KiB datagram ceiling, the receive buffer),
-  // and the fall-through lands on mcast-segmented instead of dropping
-  // back to point-to-point — multicast now serves every payload size.
-  // The bcast rules are two blocks.  The lossy block, closed by its total
+  // Every rule of bcast, barrier, allreduce, reduce and allgather answers
+  // to bench/claims_tuning.cpp (one ctest per op, claims_claims_tuning and
+  // claims_claims_tuning_<op>): at each clean point of its grid — hub,
+  // switch, 2 and 4 segments behind 100 us and 2 ms trunks; 2 ranks, the
+  // world, and one rank per segment — kAuto's simulated median is within
+  // 1.10x of the best applicable registered algorithm, unless no algorithm
+  // is within 1.10x both there and on the twin topology no rule field
+  // tells apart (hub vs switch, 100 us vs 2 ms trunks); those points are
+  // printed, and the header of claims_tuning.cpp names them.
+  // bcast: two blocks.  The lossy block, closed by its total
   // mcast-segmented rule, keeps the picks every network had before the
   // clean block existed.  Under loss fec-mcast pre-empts the scout-ordered
   // mcast-binary — which would assert on the first dropped frame — with
   // in-window erasure recovery, and it precedes hier-mcast: the trunk
-  // bridges forward every
-  // multicast frame, so one flat FEC stream reaches every segment in one
-  // transmission, while hier-mcast relays store-and-forward — the root
-  // unicasts the whole payload to each remote leader, and each segment
-  // runs a point-to-point size round before its leader multicasts again.
-  // One lossless 8 KiB bcast on 16 ranks, 2 segments, 2 ms trunk: the
-  // remote leader holds the payload at +3.47 ms, its size round ends at
-  // +4.15 ms and the last rank returns at +5.88 ms, against +4.07 ms for
-  // the flat stream (17.9 against 8.5 ms at 64 KiB, where the root
-  // segment's size round queues behind the root's trunk unicast).  Lossy
-  // payloads too big for fec-mcast's single-window blast fall through to
-  // hier-mcast across segments, and within one segment to the segmented
-  // pipeline, whose FEC recovery mode is a config knob, not a rule.
+  // bridges forward every multicast frame, so one flat FEC stream reaches
+  // every segment in one transmission, while hier-mcast relays
+  // store-and-forward (8 KiB on 16 ranks, 2 segments, 2 ms trunk: the last
+  // rank returns at +5.88 ms against +4.07 ms for the flat stream).  Lossy
+  // payloads too big for fec-mcast's blast fall through to hier-mcast
+  // across segments, and within one segment to the segmented pipeline.
   // The clean block drops the scout round, which the paper needs only
   // because its multicast cannot recover a lost datagram: up to 16 KiB
-  // the NACK stream's root sends at once, a late receiver finds the
-  // datagram in its socket buffer, and a NACK would cover a lost one
-  // (2 ranks stay on one point-to-point send); above 16 KiB fec-mcast's
-  // frame-sized chunks let receivers pipeline the receive path that one
-  // fragmented datagram serializes; past one FEC blast the segmented
-  // pipeline, flat across segments too (hier-mcast's store-and-forward
-  // relay is 3x slower at 250 KB on 16 ranks, 2 segments).  Every clean
-  // bcast rule answers to bench/claims_tuning.cpp: at each point of its
-  // grid kAuto's simulated median is within 1.10x of the best applicable
-  // registered bcast.
+  // the NACK stream's root sends at once and a late receiver finds the
+  // datagram in its socket buffer (2 ranks stay on one point-to-point
+  // send); above 16 KiB fec-mcast's frame-sized chunks let receivers
+  // pipeline the receive path one fragmented datagram serializes; past
+  // one FEC blast the segmented pipeline, flat across segments too.
+  // barrier (--op=barrier): a pair or the one-rank-per-segment comm
+  // across segments is fastest as mpich's recursive doubling, whose
+  // rounds cross the trunks in parallel; anything else as the multicast
+  // barrier (Fig. 13), whose one fold and release beat hier's detour
+  // through leaders[0] by 1.5-2.6x behind 100 us trunks.  Behind 2 ms
+  // trunks mpich wins the 16-rank world by 1.2-1.5x: ungated.  The
+  // multicast barrier is not loss-tolerant, so a lossy network falls
+  // through to hier across segments, as before the gate (under 1% loss
+  // 1.7-3.0x faster than mpich on 4 segments, 1.9-2.0x slower on 2), and
+  // to mpich within one.
+  // allreduce (--op=allreduce): binomial reduce to rank 0 plus a broadcast
+  // stage.  mpich at 2 ranks; on 4 or more segments hier's leader combine
+  // up to 2 KiB (4 KiB on one rank per segment), where one trunk crossing
+  // per segment saves more than its extra leader round costs; everywhere
+  // else the mcast-binary release, from 16 B on one segment too.
+  // reduce (--op=reduce): mpich at every point.  mcast-scout's lockstep
+  // operand multicasts lose everywhere (2.6-3.1x on one rank per segment);
+  // it stays registered as a comparison point.
+  // allgather (--op=allgather), keyed on each rank's share: ring at 2
+  // ranks; across segments hier's leader bundles up to 2 KiB, and at any
+  // size on one rank per segment, then the ring.  On one segment the ring
+  // up to 512 B, then mcast-lockstep: on a hub the ring's N-1 copies of
+  // each block collide (1.7-23x the lockstep from 1 KiB), while on a
+  // switch the ring is 1.2-1.8x faster; the lockstep costs less at worst.
+  // The lockstep is not loss-tolerant: under loss the ring keeps blocks up
+  // to 2 KiB, where the segmented pipeline's acks cost 3-8x.
+  // The trailing catch-all rules cover payloads the multicast variants'
+  // predicates reject (rendezvous-sized blocks, the datagram ceiling): an
+  // inapplicable tuned pick falls through to the next matching rule.  The
+  // segmented pipeline is the trailing multicast rule for bcast, allgather
+  // and scatter, so multicast serves every payload size.  gather, scatter,
+  // scan and alltoall keep the paper's shape ungated: point-to-point at 2
+  // ranks and small sizes, their multicast variants above.
   // Every op ends in an always-applicable, loss-tolerant algorithm; the
   // barrier and scatter multicasts are not loss-tolerant, so on a lossy
   // network those two ops end on mpich.
@@ -128,13 +136,15 @@ TuningTable TuningTable::defaults() {
       "bcast,*,*,mcast-segmented,0,lossy;"
       "bcast,16384,2,mpich; bcast,16384,*,nack-mcast; bcast,*,*,fec-mcast;"
       "bcast,*,*,mcast-segmented;"
-      "barrier,*,*,hier,2; barrier,*,*,mcast; barrier,*,*,mpich;"
-      "allreduce,*,2,mpich; allreduce,1024,*,mpich; allreduce,*,*,hier,2;"
+      "barrier,*,4,mpich,2; barrier,*,*,mcast; barrier,*,*,hier,2;"
+      "barrier,*,*,mpich;"
+      "allreduce,*,2,mpich; allreduce,4096,4,hier,4; allreduce,2048,*,hier,4;"
       "allreduce,*,*,mcast-binary; allreduce,*,*,mpich;"
-      "allgather,*,2,ring; allgather,2048,*,ring; allgather,*,*,hier,2;"
+      "allgather,*,2,ring; allgather,2048,*,hier,2; allgather,*,4,hier,2;"
+      "allgather,*,*,ring,2; allgather,2048,*,ring,0,lossy;"
+      "allgather,512,*,ring;"
       "allgather,*,*,mcast-lockstep; allgather,*,*,mcast-segmented;"
-      "reduce,*,2,mpich; reduce,1024,*,mpich;"
-      "reduce,*,*,mcast-scout; reduce,*,*,mpich;"
+      "reduce,*,*,mpich;"
       "gather,*,2,mpich; gather,1024,*,mpich;"
       "gather,*,*,scout-combining; gather,*,*,mpich;"
       "scatter,*,2,mpich; scatter,1024,*,mpich;"

@@ -4,10 +4,10 @@
 ///
 /// The paper's central claim is that the *same* MPI call should ride IP
 /// multicast when it wins and point-to-point when it does not.  The tuning
-/// table encodes where each side wins — the crossover points of Figs. 3/4
-/// (scout cost makes multicast lose below ~1 KB), Fig. 12 (multicast
-/// scales best for large payloads), and Fig. 13 (the multicast barrier
-/// wins at every N) — as an ordered rule list, first match wins:
+/// table encodes where each side wins — the paper's crossovers (Figs. 3/4,
+/// 12 and 13), and for bcast, barrier, allreduce, reduce and allgather the
+/// picks bench/claims_tuning.cpp gates — as an ordered rule list, first
+/// match wins:
 ///
 ///     op,max_bytes,max_ranks,algorithm[,min_segments[,lossy]]
 ///
@@ -31,9 +31,8 @@
 ///     bcast,*,*,mcast-segmented,0,lossy;
 ///     bcast,16384,2,mpich; bcast,16384,*,nack-mcast; bcast,*,*,fec-mcast;
 ///     bcast,*,*,mcast-segmented;
-///     barrier,*,*,hier,2; barrier,*,*,mcast; barrier,*,*,mpich;
-///     reduce,*,2,mpich; reduce,1024,*,mpich;
-///     reduce,*,*,mcast-scout; reduce,*,*,mpich; ...
+///     barrier,*,4,mpich,2; barrier,*,*,mcast; barrier,*,*,hier,2;
+///     barrier,*,*,mpich; reduce,*,*,mpich; ...
 ///
 /// A rule whose algorithm is inapplicable for the actual (comm, bytes), or
 /// not loss-tolerant on a lossy network, falls through to the next matching
@@ -71,9 +70,9 @@ struct TuningRule {
 class TuningTable {
  public:
   /// The built-in table encoding the paper's crossover points, with the
-  /// min_segments-gated hierarchical rules (bcast:hier-mcast, barrier:hier,
-  /// allreduce:hier, allgather:hier) at the payload sizes where the trunk
-  /// saving dominates.  Total for every op.
+  /// min_segments-gated rules (allreduce:hier, allgather:hier, and under
+  /// loss bcast:hier-mcast and barrier:hier) where the trunk saving
+  /// dominates.  Total for every op.
   static TuningTable defaults();
 
   /// Parses the rule syntax above; throws std::invalid_argument on

@@ -127,11 +127,24 @@ thread_local detail::PayloadPoolCore* tls_payload_pool = nullptr;
 /// else through the remote-return stack.  Holds the Core shared, so the
 /// return is safe whenever the payload dies.
 struct PooledReturn {
+  /// Set by PayloadRef::mark_cross_shard.  The marking shard holds a
+  /// reference, so the refcount's release/acquire orders the store before
+  /// the deleter's load; the atomic covers two shards marking at once.
+  struct CrossShard {
+    std::atomic<bool> marked{false};
+    CrossShard() = default;
+    CrossShard(CrossShard&& other) noexcept
+        : marked(other.marked.load(kRelaxed)) {}
+  };
+
   std::shared_ptr<detail::PayloadPoolCore> home;
+  CrossShard cross_shard;
+
   void operator()(const Buffer* buffer) const {
     Buffer storage = std::move(*const_cast<Buffer*>(buffer));
     delete buffer;
-    if (tls_payload_pool == home.get()) {
+    if (tls_payload_pool == home.get() &&
+        !cross_shard.marked.load(kRelaxed)) {
       home->put_local(std::move(storage));
     } else {
       home->put_remote(std::move(storage));
@@ -223,6 +236,12 @@ PayloadRef PayloadRef::adopt(PooledBuffer&& pooled) {
   ref.size_ = owned->size();
   ref.owner_ = std::move(owned);
   return ref;
+}
+
+void PayloadRef::mark_cross_shard() const {
+  if (auto* pooled = std::get_deleter<PooledReturn>(owner_)) {
+    pooled->cross_shard.marked.store(true, kRelaxed);
+  }
 }
 
 PayloadRef PayloadRef::copy_of(std::span<const std::uint8_t> bytes) {

@@ -120,6 +120,15 @@ class PayloadRef {
   /// Sub-view from `offset` to the end.
   PayloadRef slice(std::size_t offset) const;
 
+  /// Declares that a reference to this payload is handed to another shard.
+  /// A pooled backing buffer then always returns to its home pool through
+  /// the remote-return stack, drained at the next round boundary, even when
+  /// the last reference dies on the home shard: which of two concurrently
+  /// running shards drops it last is host timing, and a buffer reusable
+  /// mid-round only when the home shard happened to be last would make the
+  /// pool's allocation count differ between runs.
+  void mark_cross_shard() const;
+
   /// True if both refs view the same backing buffer.
   bool same_buffer(const PayloadRef& other) const {
     return owner_ != nullptr && owner_ == other.owner_;

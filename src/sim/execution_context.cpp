@@ -28,6 +28,7 @@
 #endif
 #endif
 #ifdef MCMPI_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -70,6 +71,12 @@ struct FiberStack {
     void* map = ::mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
     MC_ASSERT_MSG(map != MAP_FAILED, "fiber stack allocation failed");
+#ifdef MCMPI_ASAN_FIBERS
+    // The range may be a destroyed fiber's stack, unmapped while it was
+    // blocked: its frames' redzones are still poisoned in the shadow, and a
+    // new fiber's stores there would be reported as stack errors.
+    __asan_unpoison_memory_region(map, map_bytes);
+#endif
     base = map;
     // Guard page at the low end: stacks grow down, so running off the end
     // faults loudly instead of scribbling over a neighbouring allocation.

@@ -352,14 +352,18 @@ TEST(TuningTable, DefaultsEncodeThePaperCrossovers) {
     EXPECT_EQ(coll.resolve(CollOp::kBcast, 8), "nack-mcast");
     EXPECT_EQ(coll.resolve(CollOp::kBcast, 1024), "nack-mcast");
     EXPECT_EQ(coll.resolve(CollOp::kBcast, 1025), "nack-mcast");
-    // The multicast barrier wins at every N (Fig. 13).
+    // On one segment the multicast barrier wins at every N (Fig. 13), and
+    // the multicast allreduce release from 16 B (claims_tuning).
     EXPECT_EQ(coll.resolve(CollOp::kBarrier, 0), "mcast");
     EXPECT_EQ(coll.resolve(CollOp::kAllreduce, 64 * 1024), "mcast-binary");
+    EXPECT_EQ(coll.resolve(CollOp::kAllreduce, 16), "mcast-binary");
     EXPECT_EQ(coll.resolve(CollOp::kAllgather, 64 * 1024), "mcast-lockstep");
+    EXPECT_EQ(coll.resolve(CollOp::kAllgather, 1024), "mcast-lockstep");
     EXPECT_EQ(coll.resolve(CollOp::kAllgather, 64), "ring");
-    // Large-message reduce/gather/scatter ride the multicast/scout
-    // variants; small messages stay on point-to-point.
-    EXPECT_EQ(coll.resolve(CollOp::kReduce, 32 * 1024), "mcast-scout");
+    // Large-message gather/scatter ride the multicast/scout variants;
+    // small messages stay on point-to-point.  Reduce stays on the binomial
+    // tree at every size: mcast-scout's lockstep rounds lose everywhere.
+    EXPECT_EQ(coll.resolve(CollOp::kReduce, 32 * 1024), "mpich");
     EXPECT_EQ(coll.resolve(CollOp::kReduce, 8), "mpich");
     EXPECT_EQ(coll.resolve(CollOp::kGather, 32 * 1024), "scout-combining");
     EXPECT_EQ(coll.resolve(CollOp::kGather, 1024), "mpich");

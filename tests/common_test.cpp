@@ -218,6 +218,30 @@ TEST(Bytes, EncodingIsLittleEndianOnTheWire) {
   EXPECT_TRUE(r.done());
 }
 
+TEST(PayloadPool, CrossShardPayloadReturnsOnlyAtTheNextDrain) {
+  PayloadPool pool;
+  const PayloadPoolScope scope(&pool);
+  const Buffer bytes = pattern_payload(1, 100);
+  { const PayloadRef first = PayloadRef::copy_of(bytes); }
+  // Died on its home pool: reusable at once.
+  { const PayloadRef reused = PayloadRef::copy_of(bytes); }
+  EXPECT_EQ(pool.hits(), 1u);
+  {
+    const PayloadRef crossed = PayloadRef::copy_of(bytes);
+    crossed.mark_cross_shard();
+  }
+  EXPECT_EQ(pool.hits(), 2u);
+  // The crossed buffer died on its home pool too, but another shard might
+  // have dropped it last: it waits for the round's drain either way.
+  { const PayloadRef fresh = PayloadRef::copy_of(bytes); }
+  EXPECT_EQ(pool.misses(), 2u);
+  pool.drain_remote();
+  const PayloadRef a = PayloadRef::copy_of(bytes);
+  const PayloadRef b = PayloadRef::copy_of(bytes);
+  EXPECT_EQ(pool.hits(), 4u);
+  EXPECT_EQ(pool.misses(), 2u);
+}
+
 TEST(Bytes, ReaderOverrunThrows) {
   Buffer buf{1, 2, 3};
   ByteReader r(buf);

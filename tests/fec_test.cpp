@@ -960,6 +960,28 @@ TEST(FecMcast, LossyAutoSelectionPrefersFec) {
   });
 }
 
+TEST(LossyTuning, OneSegmentAllgatherKeepsTheRingUpTo2KiB) {
+  // The lockstep multicast allgather is not loss-tolerant.  Under loss the
+  // ring keeps per-rank blocks up to 2 KiB, where the segmented pipeline
+  // is 3-8x slower (claims_tuning --op=allgather's lossy rows); a clean
+  // wire takes the lockstep from 513 B.
+  Cluster lossy(
+      faulty_config(9, NetworkType::kSwitch, FaultProfile{.loss = 0.01}));
+  lossy.world().run([](mpi::Proc& p) {
+    const coll::Coll facade = p.comm_world().coll();
+    EXPECT_EQ(facade.resolve(coll::CollOp::kAllgather, 2048), "ring");
+    EXPECT_EQ(facade.resolve(coll::CollOp::kAllgather, 4096),
+              "mcast-segmented");
+  });
+  Cluster clean(faulty_config(9, NetworkType::kSwitch, FaultProfile{}));
+  clean.world().run([](mpi::Proc& p) {
+    const coll::Coll facade = p.comm_world().coll();
+    EXPECT_EQ(facade.resolve(coll::CollOp::kAllgather, 512), "ring");
+    EXPECT_EQ(facade.resolve(coll::CollOp::kAllgather, 2048),
+              "mcast-lockstep");
+  });
+}
+
 // ------------------------------- parity generations in an ack stream
 
 

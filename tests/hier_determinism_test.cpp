@@ -210,7 +210,7 @@ Trace run_hier_workload(NetworkType network, int procs, int segments,
                                   "hier");
         EXPECT_EQ(blocks.size(), static_cast<std::size_t>(comm.size()));
 
-        comm.coll().barrier();  // kAuto -> hier
+        comm.coll().barrier();  // kAuto -> mcast
       });
 
   Trace trace;
@@ -293,9 +293,9 @@ TEST(HierMatrixCross, MergedSchedCountersArePinned) {
   EXPECT_TRUE(t.same_times(again));
   // Exact pins (update deliberately, with the schedule change that owns
   // them): the values must be a pure function of the simulation.
-  EXPECT_EQ(t.sched.events_executed, 4697u) << "PIN-events_executed";
-  EXPECT_EQ(t.sched.handoffs, 619u) << "PIN-handoffs";
-  EXPECT_EQ(t.events_scheduled, 5151u) << "PIN-events_scheduled";
+  EXPECT_EQ(t.sched.events_executed, 4361u) << "PIN-events_executed";
+  EXPECT_EQ(t.sched.handoffs, 538u) << "PIN-handoffs";
+  EXPECT_EQ(t.events_scheduled, 4780u) << "PIN-events_scheduled";
 }
 
 }  // namespace

@@ -488,6 +488,7 @@ TEST(HierTuning, DefaultsPickHierOnlyAcrossSegments) {
   std::string tiny_bcast;
   std::string barrier;
   std::string allgather;
+  std::string big_allgather;
   std::string intra_bcast;
   cluster.world().run([&](mpi::Proc& p) {
     const mpi::Comm world = p.comm_world();
@@ -499,6 +500,8 @@ TEST(HierTuning, DefaultsPickHierOnlyAcrossSegments) {
           table.select(coll::CollOp::kBcast, 256, world.size(), world);
       barrier = table.select(coll::CollOp::kBarrier, 0, world.size(), world);
       allgather =
+          table.select(coll::CollOp::kAllgather, 2048, world.size(), world);
+      big_allgather =
           table.select(coll::CollOp::kAllgather, 16384, world.size(), world);
       intra_bcast = table.select(coll::CollOp::kBcast, 16384,
                                  st.intra.size(), st.intra);
@@ -509,8 +512,13 @@ TEST(HierTuning, DefaultsPickHierOnlyAcrossSegments) {
   // its store-and-forward: a clean bcast stays flat across segments.
   EXPECT_EQ(big_bcast, "nack-mcast");
   EXPECT_EQ(tiny_bcast, "nack-mcast");
-  EXPECT_EQ(barrier, "hier");
+  // Behind 100 us trunks a clean multi-segment barrier of more than 4
+  // ranks is fastest as one multicast barrier (claims_tuning --op=barrier).
+  EXPECT_EQ(barrier, "mcast");
+  // Leader bundles cross each trunk once up to 2 KiB per rank; past that
+  // the bundle's intra release costs more than the ring's trunk shifts.
   EXPECT_EQ(allgather, "hier");
+  EXPECT_EQ(big_allgather, "ring");
   EXPECT_EQ(intra_bcast, "nack-mcast")
       << "the intra comm spans one segment: flat rules apply";
 }
@@ -518,8 +526,8 @@ TEST(HierTuning, DefaultsPickHierOnlyAcrossSegments) {
 TEST(HierTuning, SelectionDoesNotLeakAcrossClusters) {
   // Two 16-rank, 2-segment clusters with the same partial override and
   // different trunks: constructing the second must not change what the
-  // first one's kAuto picks.  The override does not match barrier, which
-  // falls through to the defaults' min_segments rule.
+  // first one's kAuto picks.  The override does not match allgather,
+  // which falls through to the defaults' min_segments rule.
   const auto make = [](SimTime trunk) {
     ClusterConfig config;
     config.num_procs = 16;
@@ -530,16 +538,16 @@ TEST(HierTuning, SelectionDoesNotLeakAcrossClusters) {
     config.coll_tuning = "bcast,*,*,mpich";
     return std::make_unique<Cluster>(config);
   };
-  const auto barrier_pick = [](Cluster& c) {
+  const auto allgather_pick = [](Cluster& c) {
     return c.world().proc(0).comm_world().coll().resolve(
-        coll::CollOp::kBarrier, 0);
+        coll::CollOp::kAllgather, 2048);
   };
   const auto fast = make(microseconds(100));
-  EXPECT_EQ(barrier_pick(*fast), "hier");
+  EXPECT_EQ(allgather_pick(*fast), "hier");
   const auto slow = make(milliseconds(2));
-  EXPECT_EQ(barrier_pick(*fast), "hier")
+  EXPECT_EQ(allgather_pick(*fast), "hier")
       << "a later Cluster changed an earlier Cluster's kAuto pick";
-  EXPECT_EQ(barrier_pick(*slow), "hier");
+  EXPECT_EQ(allgather_pick(*slow), "hier");
 }
 
 TEST(HierTuning, DefaultsDriveKAutoAcrossSegments) {
@@ -549,8 +557,8 @@ TEST(HierTuning, DefaultsDriveKAutoAcrossSegments) {
   cluster.world().run([&](mpi::Proc& p) {
     auto& good = ok[static_cast<std::size_t>(p.rank())];
     const mpi::Comm world = p.comm_world();
-    // All kAuto: bcast and allgather resolve to the hier algorithms (the
-    // selection itself is covered above); results must be exact.  Under
+    // All kAuto across segments (the selection itself is covered above);
+    // results must be exact.  Under
     // kAuto every rank presents the agreed payload size (selection keys on
     // the local count, like MPI's matching-count rule).
     Buffer data(16384);
@@ -709,6 +717,92 @@ TEST(HierTrunks, BlastBlockOvertakingTheBarrierReleaseIsHeld) {
   });
   for (int r = 0; r < 16; r += 4) {
     EXPECT_TRUE(ok[static_cast<std::size_t>(r)]) << "rank " << r;
+  }
+}
+
+// ------------------------------------------ strided tenant communicators
+
+/// What one rank of a tenant communicator saw in a back-to-back run: its
+/// resolved algorithm and its result bytes per call.
+struct TenantLog {
+  std::vector<std::string> picks;
+  std::vector<Buffer> results;
+};
+
+/// perfbench's tenants-4seg shape: 16 ranks on 4 switch segments split
+/// into the four communicators r % 4, one rank per segment, all running at
+/// once.  Each runs bcast, barrier, allreduce, reduce and allgather back to
+/// back under kAuto, or as the point-to-point reference (mpich, and the
+/// ring allgather), at sizes on both sides of every tuning threshold those
+/// ops have, on 100 us trunks or with one 2 ms trunk.
+std::vector<TenantLog> run_tenants(bool reference, sim::ShardDriver driver,
+                                   bool slow_trunk) {
+  ClusterConfig config = slow_trunk ? one_slow_trunk(1, 3) : config_for(16, 4);
+  config.trunk_latency = microseconds(100);
+  config.sim_shards = 4;
+  config.shard_driver = driver;
+  Cluster cluster(config);
+  std::vector<TenantLog> logs(16);
+  cluster.world().run([&](mpi::Proc& p) {
+    const int tenant_id = p.rank() % 4;
+    const mpi::Comm tenant = p.split(p.comm_world(), tenant_id, p.rank());
+    coll::Coll coll = tenant.coll();
+    TenantLog& log = logs[static_cast<std::size_t>(p.rank())];
+    const std::string algo = reference ? "mpich" : coll::kAuto;
+    const std::string allgather_algo = reference ? "ring" : coll::kAuto;
+    const auto note = [&](coll::CollOp op, std::size_t bytes, Buffer result) {
+      log.picks.push_back(coll.resolve(
+          op, bytes, op == coll::CollOp::kAllgather ? allgather_algo : algo));
+      log.results.push_back(std::move(result));
+    };
+    int call = 0;
+    for (const std::size_t bytes :
+         {16, 512, 1024, 2048, 4096, 8192, 16384}) {
+      const auto seed = static_cast<std::uint64_t>(++call * 16 + tenant_id);
+      const Buffer mine = pattern_payload(seed * 4 + tenant.rank(), bytes);
+      Buffer data(bytes);
+      if (tenant.rank() == 0) {
+        data = pattern_payload(seed, bytes);
+      }
+      coll.bcast(data, 0, algo);
+      note(coll::CollOp::kBcast, bytes, std::move(data));
+      coll.barrier(algo);
+      note(coll::CollOp::kBarrier, 0, {});
+      note(coll::CollOp::kAllreduce, bytes,
+           coll.allreduce(mine, mpi::Op::kSum, mpi::Datatype::kByte, algo));
+      note(coll::CollOp::kReduce, bytes,
+           coll.reduce(mine, mpi::Op::kSum, mpi::Datatype::kByte, call % 4,
+                       algo));
+      Buffer gathered;
+      for (const Buffer& block : coll.allgather(mine, allgather_algo)) {
+        gathered.insert(gathered.end(), block.begin(), block.end());
+      }
+      note(coll::CollOp::kAllgather, bytes, std::move(gathered));
+    }
+  });
+  return logs;
+}
+
+TEST(HierTenants, StridedCommsAgreeOnKAutoAndMatchMpich) {
+  for (const bool slow_trunk : {false, true}) {
+    for (const auto driver :
+         {sim::ShardDriver::kSerial, sim::ShardDriver::kParallel}) {
+      SCOPED_TRACE(std::string(slow_trunk ? "one 2 ms trunk" : "100 us") +
+                   (driver == sim::ShardDriver::kSerial ? ", serial"
+                                                        : ", parallel"));
+      const auto automatic = run_tenants(false, driver, slow_trunk);
+      const auto mpich = run_tenants(true, driver, slow_trunk);
+      for (std::size_t r = 0; r < automatic.size(); ++r) {
+        EXPECT_EQ(automatic[r].picks, automatic[0].picks)
+            << "world rank " << r << " resolved a different algorithm";
+        ASSERT_EQ(automatic[r].results.size(), mpich[r].results.size());
+        for (std::size_t i = 0; i < automatic[r].results.size(); ++i) {
+          EXPECT_TRUE(automatic[r].results[i] == mpich[r].results[i])
+              << "world rank " << r << ", call " << i << " ("
+              << automatic[r].picks[i] << ")";
+        }
+      }
+    }
   }
 }
 
