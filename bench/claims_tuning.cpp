@@ -10,10 +10,10 @@
 //   - topologies: the paper's 9 hosts on a hub, 9 hosts on a switch, and
 //     16 hosts on 2 or 4 switch segments behind 100 us or 2 ms trunks;
 //   - communicators: 2 ranks (comm ranks 0 and N-1, so the pair spans
-//     segments), the whole world, and (all ops but bcast) on 4 segments
-//     the strided communicator of world ranks r % 4 == 0, one rank per
-//     segment, the shape of each tenant communicator in perfbench's
-//     tenants-4seg;
+//     segments), the whole world, and (all ops but bcast) across segments
+//     the strided communicator of world ranks r % 4 == 0: on 4 segments
+//     one rank per segment, the shape of each tenant communicator in
+//     perfbench's tenants-4seg, and on 2 segments two ranks per segment;
 //   - payloads on both sides of every size threshold.  bcast: 1024 B (the
 //     old scout crossover), 16 KiB (the NACK stream's), the FEC blast's
 //     fit in the 256 KiB multicast receive buffer, the buffer itself and
@@ -39,37 +39,40 @@
 // A rule sees op, bytes, ranks and segment span, not the medium nor the
 // trunk latency, so every topology has a twin it cannot tell apart: the
 // paper hub and the 9-host switch, and each segment count behind 100 us
-// and behind 2 ms trunks.  The grid measures each point beside its twin.
-// A clean point where no registered algorithm is within 1.10x of the best
-// both there and at its twin cannot be satisfied by any rule order: it
-// prints "ungated" with the twin's best algorithm instead of a claim.  At
-// the committed rules these are:
-//   - barrier, 16 ranks behind 2 ms trunks (2 and 4 segments): mpich's
-//     recursive doubling wins, and the multicast barrier kAuto picks is
-//     1.25-1.53x; behind 100 us the multicast barrier wins and mpich is
-//     1.30-1.37x.  Also the one-rank-per-segment comm behind 100 us
-//     trunks at 1 ms skew: kAuto's mpich, best behind 2 ms, is 1.13-1.14x
-//     the multicast barrier;
-//   - allgather of 1 KiB or more per rank on the 9-host switch: the ring
-//     wins, and the lockstep multicast kAuto picks is 1.20-1.80x; on the
-//     hub the ring's N-1 copies of each block collide, 1.7-23x the
-//     lockstep;
-//   - allgather of 4 KiB per rank on 16 ranks behind 2 ms trunks, 4
-//     segments: kAuto's ring is 1.12-1.17x hier, which is 1.28x the ring
-//     behind 100 us; and 16 KiB per rank on one rank per segment behind
-//     100 us trunks at 20 us skew: kAuto's hier is 1.14x the ring, which
-//     is 1.26x hier behind 2 ms;
-//   - allreduce of 4 KiB on 16 ranks behind 2 ms trunks, 4 segments, 1 ms
-//     skew, seed 2001: kAuto's mcast-binary is 1.11x hier, which is 1.20x
-//     mcast-binary behind 100 us.
-// Where the choice was free, kAuto takes the algorithm whose worse ratio
-// over the twins is smaller, except the multi-segment barrier, which
-// follows the 100 us trunks of perfbench's tenants-4seg.
+// and behind 2 ms trunks.  Every point is measured beside its twin, and
+// the best worst-twin ratio is what the best single algorithm for both
+// costs at the worse of them: the smallest, over the candidates, of the
+// larger of the candidate's two ratios to each point's best.  Where it
+// exceeds 1.10 no rule order satisfies both points, and the claim at
+// both (never at a bcast point: every bcast point is satisfiable) is
+// kAuto <= 1.10x the best worst-twin ratio times the best median, which
+// its row prints as "of bound".  At the committed rules these are:
+//   - barrier, 16 ranks across segments: behind 100 us trunks the
+//     multicast barrier wins and mpich's recursive doubling is 1.23-1.38x;
+//     behind 2 ms mpich wins and the multicast barrier is 1.25-1.53x.
+//     kAuto takes mpich on 2 segments, where it is the better of the two
+//     at the worse twin, and the multicast barrier on 4, as perfbench's
+//     tenants-4seg (100 us) would (bounds 1.35-1.52).  Also the strided
+//     comms behind 100 us at 1 ms skew: kAuto's mpich, best behind 2 ms,
+//     is 1.13-1.14x the multicast barrier (bounds 1.24-1.25);
+//   - allgather of 1 KiB or more per rank on 9 hosts: on the switch the
+//     ring wins and the lockstep multicast kAuto picks is 1.20-1.80x; on
+//     the hub the ring's N-1 copies of each block collide, 1.7-23x the
+//     lockstep (bounds 1.32-1.98);
+//   - allgather of 1-2 KiB per rank on the strided comm of 2 segments and
+//     16 KiB on that of 4 segments: kAuto's hier wins behind 2 ms and is
+//     1.14-1.25x the ring behind 100 us (bounds 1.25-1.37); and 4 KiB per
+//     rank on 16 ranks, 4 segments: kAuto's ring wins behind 100 us and is
+//     1.12-1.17x hier behind 2 ms (bounds 1.23-1.29);
+//   - allreduce of 4 KiB on 16 ranks, 4 segments, 1 ms skew, seed 2001:
+//     kAuto's mcast-binary wins behind 100 us and is 1.11x hier behind
+//     2 ms (bound 1.23).
 
 // For bcast, one open-loop row sends back-to-back kAuto bcasts from one
 // root and prints the receivers' socket-buffer drops.
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -100,7 +103,8 @@ enum class Members {
 };
 
 /// The strided communicator's stride: one rank per segment on 16 hosts and
-/// 4 segments, as perfbench's tenants-4seg splits its world.
+/// 4 segments, as perfbench's tenants-4seg splits its world, and two ranks
+/// per segment on 2 segments.
 constexpr int kStride = 4;
 
 struct Shape {
@@ -347,16 +351,19 @@ Measured measure_point(const Shape& s, int reps) {
   return point;
 }
 
-/// True when some candidate is within 1.10x of the best both at `p` and
-/// at its twin: then a rule order exists that satisfies both points.
-bool satisfiable(const Measured& p, const Measured& twin) {
+/// The best worst-twin ratio: over the candidates of both `p` and its
+/// twin, the smallest of each one's larger ratio to the two points' bests.
+/// It is what the best rule for both points costs at the worse of them; a
+/// rule order satisfies both within 1.10x when it is <= 1.10.
+double best_worst_twin_ratio(const Measured& p, const Measured& twin) {
+  double best = std::numeric_limits<double>::infinity();
   for (const auto& [algo, us] : p.medians) {
     const double there = twin.ratio_of(algo);
-    if (us <= 1.10 * p.best_us && there > 0 && there <= 1.10) {
-      return true;
+    if (there > 0) {
+      best = std::min(best, std::max(us / p.best_us, there));
     }
   }
-  return false;
+  return best;
 }
 
 }  // namespace
@@ -426,8 +433,9 @@ int main(int argc, char** argv) {
     std::snprintf(text, sizeof text, "%.3f", ratio);
     return std::string(text);
   };
-  // Prints the point and claims it, unless it is lossy or no rule order
-  // can satisfy it and its twin (null for the lossy rows).
+  // Prints the point and, unless it is lossy (null twin), claims it: kAuto
+  // within 1.10x of the best, or within 1.10x of the best worst-twin ratio
+  // where no rule order satisfies both twins (never for bcast).
   const auto report = [&](const Measured& p, const Measured* twin) {
     const Shape& s = p.shape;
     result_ok = result_ok && p.result_ok;
@@ -436,29 +444,31 @@ int main(int argc, char** argv) {
     for (const auto& [algo, us] : p.medians) {
       all += (all.empty() ? "" : " ") + algo + '=' + Table::num(us);
     }
-    const bool gated = twin != nullptr && (ratio <= 1.10 ||
-                                           satisfiable(p, *twin));
+    const double twin_ratio =
+        twin == nullptr ? 0 : best_worst_twin_ratio(p, *twin);
+    const double bound =
+        op != CollOp::kBcast && twin_ratio > 1.10 ? 1.10 * twin_ratio : 1.10;
     std::string verdict = ratio_text(ratio);
-    if (twin != nullptr && !gated) {
-      verdict += " ungated (twin " + std::string(twin->shape.topo.name) +
-                 ": " + twin->best + ")";
+    if (bound > 1.10) {
+      verdict += " of bound " + ratio_text(bound) + " (twin " +
+                 twin->shape.topo.name + ": " + twin->best + ")";
     }
     table.add_row({s.topo.name, s.members_name(), std::to_string(s.bytes),
                    std::to_string(s.skew_us), std::to_string(s.seed),
                    s.loss > 0 ? "1%" : "0", p.pick, Table::num(p.auto_us),
                    p.best, Table::num(p.best_us), all, verdict});
-    if (!gated) {
-      return;  // printed, not gated: lossy, or no rule order satisfies it
+    if (twin == nullptr) {
+      return;  // lossy: printed, not gated
     }
-    shape_check({.text = op_name + ": kAuto (" + p.pick +
-                         ") <= 1.10x the best (" + p.best + ") at " +
-                         s.topo.name + ", " + s.members_name() + " ranks, " +
-                         std::to_string(s.bytes) + " B, " +
+    shape_check({.text = op_name + ": kAuto (" + p.pick + ") <= " +
+                         ratio_text(bound) + "x the best (" + p.best +
+                         ") at " + s.topo.name + ", " + s.members_name() +
+                         " ranks, " + std::to_string(s.bytes) + " B, " +
                          std::to_string(s.skew_us) + " us skew, seed " +
                          std::to_string(s.seed) + " (" +
                          Table::num(p.auto_us) + " vs " +
                          Table::num(p.best_us) + " us)",
-                 .lhs = 1.10 * p.best_us,
+                 .lhs = bound * p.best_us,
                  .rhs = p.auto_us});
   };
 
@@ -467,7 +477,7 @@ int main(int argc, char** argv) {
   for (const std::uint64_t seed : {2000, 2001}) {
     for (std::size_t t = 0; t < topologies.size(); t += 2) {
       std::vector<Members> members = {Members::kPair, Members::kWorld};
-      if (op != CollOp::kBcast && topologies[t].segments == kStride) {
+      if (op != CollOp::kBcast && topologies[t].segments > 1) {
         members.push_back(Members::kStrided);
       }
       for (const Members m : members) {

@@ -70,11 +70,13 @@ TuningTable TuningTable::defaults() {
   // to bench/claims_tuning.cpp (one ctest per op, claims_claims_tuning and
   // claims_claims_tuning_<op>): at each clean point of its grid — hub,
   // switch, 2 and 4 segments behind 100 us and 2 ms trunks; 2 ranks, the
-  // world, and one rank per segment — kAuto's simulated median is within
-  // 1.10x of the best applicable registered algorithm, unless no algorithm
-  // is within 1.10x both there and on the twin topology no rule field
-  // tells apart (hub vs switch, 100 us vs 2 ms trunks); those points are
-  // printed, and the header of claims_tuning.cpp names them.
+  // world, and the strided r % 4 comm (one rank per segment on 4, two on
+  // 2) — kAuto's simulated median is within 1.10x of the best applicable
+  // registered algorithm.  Where no algorithm is within 1.10x both there
+  // and on the twin topology no rule field tells apart (hub vs switch,
+  // 100 us vs 2 ms trunks), the bound is 1.10x what the best algorithm for
+  // both costs at the worse twin; the header of claims_tuning.cpp names
+  // those points.
   // bcast: two blocks.  The lossy block, closed by its total
   // mcast-segmented rule, keeps the picks every network had before the
   // clean block existed.  Under loss fec-mcast pre-empts the scout-ordered
@@ -93,16 +95,19 @@ TuningTable TuningTable::defaults() {
   // send); above 16 KiB fec-mcast's frame-sized chunks let receivers
   // pipeline the receive path one fragmented datagram serializes; past
   // one FEC blast the segmented pipeline, flat across segments too.
-  // barrier (--op=barrier): a pair or the one-rank-per-segment comm
-  // across segments is fastest as mpich's recursive doubling, whose
-  // rounds cross the trunks in parallel; anything else as the multicast
-  // barrier (Fig. 13), whose one fold and release beat hier's detour
-  // through leaders[0] by 1.5-2.6x behind 100 us trunks.  Behind 2 ms
-  // trunks mpich wins the 16-rank world by 1.2-1.5x: ungated.  The
-  // multicast barrier is not loss-tolerant, so a lossy network falls
-  // through to hier across segments, as before the gate (under 1% loss
-  // 1.7-3.0x faster than mpich on 4 segments, 1.9-2.0x slower on 2), and
-  // to mpich within one.
+  // barrier (--op=barrier): up to 4 ranks across segments (a pair, the
+  // strided comms) mpich's recursive doubling, whose rounds cross the
+  // trunks in parallel.  A larger comm across segments loses 1.23-1.38x
+  // with mpich behind 100 us trunks and 1.25-1.53x with the multicast
+  // barrier behind 2 ms, which no rule field tells apart (twin-bounded):
+  // the multicast barrier on 4 or more segments, as tenants-4seg's 100 us
+  // trunks want, and mpich on 2 or 3, where the multicast barrier behind
+  // 2 ms (1.39-1.53x) costs more than mpich behind 100 us (1.23-1.38x).
+  // On one segment the multicast barrier (Fig. 13).  hier's detour
+  // through leaders[0] is best at no clean point, but the multicast
+  // barrier is not loss-tolerant: a lossy network falls through to hier
+  // on 4 or more segments (under 1% loss 1.7-3.0x faster than mpich) and
+  // to mpich elsewhere (hier is 1.9-2.0x slower on 2 segments).
   // allreduce (--op=allreduce): binomial reduce to rank 0 plus a broadcast
   // stage.  mpich at 2 ranks; on 4 or more segments hier's leader combine
   // up to 2 KiB (4 KiB on one rank per segment), where one trunk crossing
@@ -113,10 +118,11 @@ TuningTable TuningTable::defaults() {
   // it stays registered as a comparison point.
   // allgather (--op=allgather), keyed on each rank's share: ring at 2
   // ranks; across segments hier's leader bundles up to 2 KiB, and at any
-  // size on one rank per segment, then the ring.  On one segment the ring
-  // up to 512 B, then mcast-lockstep: on a hub the ring's N-1 copies of
-  // each block collide (1.7-23x the lockstep from 1 KiB), while on a
-  // switch the ring is 1.2-1.8x faster; the lockstep costs less at worst.
+  // size on one rank per segment (4 ranks on 4 segments), then the ring.
+  // On one segment the ring up to 512 B, then mcast-lockstep: on a hub
+  // the ring's N-1 copies of each block collide (1.7-23x the lockstep from
+  // 1 KiB), while on a switch the ring is 1.2-1.8x faster; the lockstep
+  // costs less at worst.
   // The lockstep is not loss-tolerant: under loss the ring keeps blocks up
   // to 2 KiB, where the segmented pipeline's acks cost 3-8x.
   // The trailing catch-all rules cover payloads the multicast variants'
@@ -136,11 +142,11 @@ TuningTable TuningTable::defaults() {
       "bcast,*,*,mcast-segmented,0,lossy;"
       "bcast,16384,2,mpich; bcast,16384,*,nack-mcast; bcast,*,*,fec-mcast;"
       "bcast,*,*,mcast-segmented;"
-      "barrier,*,4,mpich,2; barrier,*,*,mcast; barrier,*,*,hier,2;"
-      "barrier,*,*,mpich;"
+      "barrier,*,4,mpich,2; barrier,*,*,mcast,4; barrier,*,*,hier,4;"
+      "barrier,*,*,mpich,2; barrier,*,*,mcast; barrier,*,*,mpich;"
       "allreduce,*,2,mpich; allreduce,4096,4,hier,4; allreduce,2048,*,hier,4;"
       "allreduce,*,*,mcast-binary; allreduce,*,*,mpich;"
-      "allgather,*,2,ring; allgather,2048,*,hier,2; allgather,*,4,hier,2;"
+      "allgather,*,2,ring; allgather,2048,*,hier,2; allgather,*,4,hier,4;"
       "allgather,*,*,ring,2; allgather,2048,*,ring,0,lossy;"
       "allgather,512,*,ring;"
       "allgather,*,*,mcast-lockstep; allgather,*,*,mcast-segmented;"

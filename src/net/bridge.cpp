@@ -75,8 +75,12 @@ void Bridge::on_rx(Port& local, const Frame& frame) {
   // the lookahead that keeps the conservative windows deterministic.
   Nic* peer_nic = local.peer->nic.get();
   const SimTime arrival = sim_.now() + latency_ + extra;
-  frame.header.mark_cross_shard();
-  frame.payload.mark_cross_shard();
+  // Only a hop to another shard makes the payload's last drop a race; on
+  // one shard it returns to the pool at once.
+  if (local.peer->shard != local.shard) {
+    frame.header.mark_cross_shard();
+    frame.payload.mark_cross_shard();
+  }
   sim_.schedule_cross(local.peer->shard, arrival,
                       [peer_nic, frame] { peer_nic->forward(frame); });
   if (duplicate) {

@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "cluster/cluster.hpp"
 #include "coll/facade.hpp"
@@ -544,25 +546,32 @@ TEST(TuningTable, LossyNetworksFallThroughToPointToPoint) {
 }
 
 TEST(TuningTable, LossyMultiSegmentBarrierPicksHierOnlyAcrossSegments) {
+  // Under loss the multicast barrier may not run.  hier's leader barrier is
+  // 1.7-3.0x faster than mpich on 4 segments and 1.9-2.0x slower on 2
+  // (claims_tuning --op=barrier's lossy rows).
   constexpr int kProcs = 16;
-  ClusterConfig config = config_for(kProcs);
-  config.num_segments = 2;
-  config.hosts = cluster::make_uniform_hosts(kProcs);
-  config.faults.link.loss = 0.01;
-  Cluster cluster(config);
-  std::string world_pick;
-  std::string segment_pick;
-  cluster.world().run([&](mpi::Proc& p) {
-    const mpi::Comm world = p.comm_world();
-    const mpi::Comm segment =
-        p.split(world, p.world().segment_of(p.rank()), p.rank());
-    if (p.rank() == 0) {
-      world_pick = world.coll().resolve(CollOp::kBarrier, 0);
-      segment_pick = segment.coll().resolve(CollOp::kBarrier, 0);
-    }
-  });
-  EXPECT_EQ(world_pick, "hier");
-  EXPECT_EQ(segment_pick, "mpich");
+  const auto picks = [](int segments) {
+    ClusterConfig config = config_for(kProcs);
+    config.num_segments = segments;
+    config.hosts = cluster::make_uniform_hosts(kProcs);
+    config.faults.link.loss = 0.01;
+    Cluster cluster(config);
+    std::pair<std::string, std::string> world_and_segment;
+    cluster.world().run([&](mpi::Proc& p) {
+      const mpi::Comm world = p.comm_world();
+      const mpi::Comm segment =
+          p.split(world, p.world().segment_of(p.rank()), p.rank());
+      if (p.rank() == 0) {
+        world_and_segment = {world.coll().resolve(CollOp::kBarrier, 0),
+                             segment.coll().resolve(CollOp::kBarrier, 0)};
+      }
+    });
+    return world_and_segment;
+  };
+  EXPECT_EQ(picks(4), std::make_pair(std::string("hier"),
+                                     std::string("mpich")));
+  EXPECT_EQ(picks(2), std::make_pair(std::string("mpich"),
+                                     std::string("mpich")));
 }
 
 TEST(TuningTable, LossyMultiSegmentBcastRidesTheFlatFecStream) {

@@ -936,10 +936,14 @@ TEST(SegmentRepair, CleanWireOrOneSegmentNeverEntersTheChain) {
   }
 }
 
-TEST(FecMcast, LossyAutoSelectionPrefersFec) {
+TEST(LossyTuning, AutoSelectionTakesLossTolerantAlgorithms) {
   // The default tuning table's lossy block sends every bcast past 1 KiB
   // that one FEC blast carries to fec-mcast; a clean wire reaches it only
-  // past the NACK stream's 16 KiB.
+  // past the NACK stream's 16 KiB.  The lockstep multicast allgather is not
+  // loss-tolerant: under loss the ring keeps per-rank blocks up to 2 KiB,
+  // where the segmented pipeline is 3-8x slower (claims_tuning
+  // --op=allgather's lossy rows); a clean wire takes the lockstep from
+  // 513 B.
   Cluster lossy(
       faulty_config(9, NetworkType::kSwitch, FaultProfile{.loss = 0.05}));
   lossy.world().run([](mpi::Proc& p) {
@@ -951,31 +955,15 @@ TEST(FecMcast, LossyAutoSelectionPrefersFec) {
     // (loss-tolerant) segmented pipeline.
     EXPECT_EQ(facade.resolve(coll::CollOp::kBcast, 16u << 20),
               "mcast-segmented");
-  });
-  Cluster clean(faulty_config(9, NetworkType::kSwitch, FaultProfile{}));
-  clean.world().run([](mpi::Proc& p) {
-    EXPECT_FALSE(p.network_lossy());
-    EXPECT_EQ(p.comm_world().coll().resolve(coll::CollOp::kBcast, 4 * 1024),
-              "nack-mcast");
-  });
-}
-
-TEST(LossyTuning, OneSegmentAllgatherKeepsTheRingUpTo2KiB) {
-  // The lockstep multicast allgather is not loss-tolerant.  Under loss the
-  // ring keeps per-rank blocks up to 2 KiB, where the segmented pipeline
-  // is 3-8x slower (claims_tuning --op=allgather's lossy rows); a clean
-  // wire takes the lockstep from 513 B.
-  Cluster lossy(
-      faulty_config(9, NetworkType::kSwitch, FaultProfile{.loss = 0.01}));
-  lossy.world().run([](mpi::Proc& p) {
-    const coll::Coll facade = p.comm_world().coll();
     EXPECT_EQ(facade.resolve(coll::CollOp::kAllgather, 2048), "ring");
     EXPECT_EQ(facade.resolve(coll::CollOp::kAllgather, 4096),
               "mcast-segmented");
   });
   Cluster clean(faulty_config(9, NetworkType::kSwitch, FaultProfile{}));
   clean.world().run([](mpi::Proc& p) {
+    EXPECT_FALSE(p.network_lossy());
     const coll::Coll facade = p.comm_world().coll();
+    EXPECT_EQ(facade.resolve(coll::CollOp::kBcast, 4 * 1024), "nack-mcast");
     EXPECT_EQ(facade.resolve(coll::CollOp::kAllgather, 512), "ring");
     EXPECT_EQ(facade.resolve(coll::CollOp::kAllgather, 2048),
               "mcast-lockstep");

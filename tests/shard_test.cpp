@@ -26,7 +26,11 @@
 #include "cluster/experiment.hpp"
 #include "coll/facade.hpp"
 #include "common/bytes.hpp"
+#include "net/bridge.hpp"
 #include "net/counters.hpp"
+#include "net/nic.hpp"
+#include "net/switch.hpp"
+#include "sim/simulator.hpp"
 
 namespace mcmpi {
 namespace {
@@ -189,6 +193,58 @@ TEST(Bridge, LocalTrafficStaysOffTheTrunk) {
     }
   });
   EXPECT_EQ(cluster.bridges().front()->forwarded_frames(), 0u);
+}
+
+TEST(Bridge, SameShardTrunkReturnsPooledPayloadsAtOnce) {
+  // A trunk whose two ports share a shard hands nothing to another shard:
+  // a pooled payload that crossed it is reusable as soon as it dies.  The
+  // one-shard loop drains remote returns only when a run starts, so a
+  // buffer parked there would stay leased for the rest of the run and
+  // every crossed frame would allocate afresh.
+  sim::ShardingConfig sharding;
+  sharding.payload_pool = true;
+  sim::Simulator sim(1, sim::default_execution_backend(), sharding);
+  ASSERT_EQ(sim.num_shards(), 1u);
+  net::Switch seg0(sim);
+  net::Switch seg1(sim);
+  net::Nic sender(sim, net::MacAddr::host(1), "h1");
+  sender.set_segment(0);
+  sender.attach_to(seg0);
+  net::Nic receiver(sim, net::MacAddr::host(2), "h2");
+  receiver.set_segment(1);
+  receiver.attach_to(seg1);
+  int received = 0;
+  receiver.set_rx_handler([&received](const net::Frame&) { ++received; });
+  const net::Bridge bridge(
+      sim, {&seg0, 0, 0, net::MacAddr::host(0xB0000000u), "trunk/seg0"},
+      {&seg1, 1, 0, net::MacAddr::host(0xB0000001u), "trunk/seg1"},
+      microseconds(100), [](net::MacAddr mac) {
+        return mac == net::MacAddr::host(1)   ? 0
+               : mac == net::MacAddr::host(2) ? 1
+                                              : -1;
+      });
+  const PayloadPool& pool = *sim.shard(0).payload_pool();
+  // Sends `frames` frames 1 ms apart, each one crossing the trunk alone,
+  // in one run; returns the run's pool misses.
+  const auto misses_of_run = [&](int frames) {
+    const std::uint64_t before = pool.misses();
+    for (int k = 0; k < frames; ++k) {
+      sim.schedule_after(milliseconds(k + 1), [&sender, k] {
+        net::Frame frame;
+        frame.dst = net::MacAddr::host(2);
+        frame.payload = PayloadRef::copy_of(
+            pattern_payload(static_cast<std::uint64_t>(k), 1000));
+        sender.send(frame);
+      });
+    }
+    sim.run();
+    return pool.misses() - before;
+  };
+  const std::uint64_t short_run = misses_of_run(4);
+  const std::uint64_t long_run = misses_of_run(64);
+  EXPECT_EQ(received, 68);
+  EXPECT_EQ(bridge.forwarded_frames(), 68u);
+  EXPECT_LE(long_run, short_run);
 }
 
 // ---------------------------------------------------------- driver oracle
