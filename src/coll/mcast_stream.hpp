@@ -3,11 +3,9 @@
 /// The reliable-multicast engine: one windowed chunk stream, four presets.
 ///
 /// The paper's design is one mechanism — get receivers ready, multicast
-/// the payload once — and every reliable multicast in this repo is that
-/// mechanism plus a recovery loop.  This engine runs the loop once, on the
-/// communicator's one multicast group, with two parameters (a window and a
-/// recovery policy), and the registry's reliable broadcasts are presets of
-/// it:
+/// the payload once — plus, here, a recovery loop.  The engine runs it on
+/// the communicator's one multicast group, and the registry's reliable
+/// broadcasts are presets of it:
 ///
 ///   preset            chunking         k   feedback parity readiness
 ///   ack-mcast         whole            1   ack      0      none
@@ -16,73 +14,25 @@
 ///                     frames filled)
 ///   mcast-segmented   64 KiB           4   ack      0      scout gather
 ///
-/// The registry's `sequencer` (Orca-style) is no preset of its own: the root
-/// hands its payload over point-to-point to comm rank 0, which broadcasts
-/// it as nack-mcast (same configuration, history and stats).
+/// The registry's `sequencer` hands its payload to comm rank 0 for a
+/// nack-mcast.  Every k chunks form a generation, followed by r
+/// Reed–Solomon parity frames (gf256.hpp).  ACK feedback keeps at most k
+/// chunks unacked (k = 1 is the paper's ACK protocol); under NACK feedback
+/// the root blasts and returns, and a sink serves what receivers request.
 ///
-///   * CHUNK — the payload is cut into chunks (chunk_bytes, or
-///     total / min(k, frames filled) when chunk_bytes is 0: a chunk below
-///     one Ethernet frame adds no loss independence but pays a whole
-///     per-message cost), each multicast with a 32 B sub-header after
-///     the usual 16 B (context, root, seq) framing.  Every header carries
-///     the stream geometry (chunk count, nominal chunk size, generation,
-///     k, r, total), so a receiver takes ALL geometry from the wire, never
-///     from its own configuration or socket buffer.
-///
-///   * GENERATIONS — every k consecutive chunks form a
-///     generation.  With a parity overhead > 0 the root follows each
-///     generation with r Reed–Solomon parity frames (gf256.hpp); a receiver
-///     holding any generation-size subset of data + parity rebuilds the
-///     missing chunks in-window, with zero recovery round trips.
-///
-///   * FEEDBACK — ACK: every receiver acks every chunk over the raw path,
-///     the root keeps at most k chunks in flight (k is the
-///     sliding window) and re-multicasts the oldest unretired chunk when
-///     acks stop arriving (the ORNL discipline; in lockstep, k = 1, the
-///     deadline runs from the chunk's last transmission, as in the
-///     paper's ACK protocol).  NACK: the root blasts every chunk once
-///     and returns; receivers that hear silence request the missing
-///     chunks of their current generation, and an engine sink that
-///     outlives the call re-multicasts them, suppressing repeats inside
-///     an aggregation window (SRM style).  With parity, receivers NACK on
-///     evidence, not on a LAN timer: (1) each keeps, per root, an EWMA
-///     (gain 1/8) of the time from its own call entry to the operation's
-///     first frame, and its first silence wait ends at entry + that
-///     distance + timeout (as SRM scales request timers by distance) —
-///     without parity a lost whole-payload datagram is total silence, so
-///     nack-mcast keeps the plain timer; (2) once the stream's final slot
-///     (the last parity frame) has arrived, a cursor still blocked after
-///     decoding NACKs its gap at once, once per stream.  On 16 hosts
-///     behind a 2 ms trunk at 1% loss this cut NACKs from 8.7 to 1.3 per
-///     bcast and wire frames by 45%.
-///
-///   * SEGMENT-LOCAL REPAIR — NACKs stay in the segment, after RMTP's
-///     designated receivers.  In each segment that does not hold the
-///     root, the members (comm ranks ascending, root excluded) elect a
-///     leader m0 and a deputy m1 without wire traffic, as hier does.  A
-///     receiver in the root's segment NACKs the root's bounded history; a
-///     remote receiver NACKs m0, and m0 NACKs m1 (the root when the
-///     segment has no m1).  m0 and m1 keep the frames of the stream they
-///     are receiving until their next NACK-stream receive entry; their
-///     sinks re-multicast what they hold and forward what they lack to the
-///     root, each frame at most once per aggregation window.  A NACK not
-///     addressed to the root carries the root.  A single-segment
-///     communicator never enters the chain.  On the same 16 hosts this cut
-///     p99 latency by 18%, NACKs from 1.28 to 1.04 per bcast and
-///     retransmits from 1.10 to 0.79.
-///
-/// Both feedback modes back their timer off after every fruitless round
-/// and give up with a named hard error after max_retries consecutive
-/// rounds without progress (0 = never) — silence never hangs a rank.
-///
-/// The ACK-mode hot path is zero-copy: chunks are sub-spans of the user
-/// buffer gather-framed straight into the wire datagram.  NACK mode frames
-/// each chunk once into storage shared by the wire and the retransmission
-/// history (the root returns before anyone has it): a parity-free frame
-/// is carved from the preset's slab (common/bytes.hpp PayloadSlab), a
-/// parity stream's frame gets a pooled buffer of its own.  The history is
-/// one ring of history_frames entries per (communicator, preset), so a
-/// retained frame costs no heap object of its own.
+/// The engine is four units over one internal header (stream_engine.hpp):
+/// the wire format (in that header) and plan with the entry points
+/// (mcast_stream.cpp), the sender (stream_send.cpp), the Receiver
+/// (stream_recv.cpp: wait for the first frame, receive, decode, recovery
+/// round n), and repair (stream_repair.cpp: the repair chain and the NACK
+/// sink).  The ACK root and the NACK receiver share one RecoveryClock: it
+/// backs the timer off after every fruitless round and raises the named
+/// give-up error after max_retries rounds in a row without progress (0 =
+/// never), so silence never hangs a rank.  The root's history and a
+/// repairer's frames are one FrameHistory type, bounded by history_frames,
+/// with no heap node per frame; a sink re-multicasts a frame at most once
+/// per 500 us aggregation window (kAggregationWindow).  The protocol and
+/// its measurements are in docs/COLLECTIVES.md.
 
 #include <cstddef>
 #include <span>
@@ -121,15 +71,12 @@ const char* to_string(StreamPreset preset);
 /// protocol policy, like a datatype.
 struct StreamConfig {
   /// Requested chunk payload bytes; 0 splits the payload into
-  /// min(k, Ethernet frames it fills) chunks, so a payload below k frames
-  /// costs one datagram per frame, not k sub-frame datagrams.
-  /// The engine clamps it to the datagram ceiling and to the receive
-  /// buffer (ACK mode: a window of frames; NACK mode: one frame).
+  /// min(k, Ethernet frames it fills) chunks.  Clamped to the datagram
+  /// ceiling and the receive buffer (ACK: a window of frames; NACK: one).
   std::size_t chunk_bytes = 0;
-  /// Chunks per generation, and in ACK mode also the sliding window of
-  /// unacked chunks (1 = lockstep send-then-ack: the recovery
-  /// clock runs from the last transmission and only a retired chunk resets
-  /// it; with a window every ack restarts it).
+  /// Chunks per generation, and in ACK mode the window of unacked chunks
+  /// (1 = lockstep: the recovery clock runs from the last transmission and
+  /// only a retired chunk resets it; with a window every ack does).
   int k = 8;
   Feedback feedback = Feedback::kNack;
   Readiness readiness = Readiness::kNone;
@@ -137,10 +84,8 @@ struct StreamConfig {
   /// parity frames (capped so k + r <= 256); 0 sends no parity.
   double overhead = 0.125;
   /// Silence before the first recovery round: the root's ack deadline in
-  /// ACK mode, a receiver's NACK timer in NACK mode.  With parity a NACK
-  /// receiver starts its first wait only when the first frame is due (its
-  /// learned distance to the root), and NACKs a gap without waiting once
-  /// the stream's final slot has arrived; see FEEDBACK above.
+  /// ACK mode, a receiver's NACK timer in NACK mode (with parity, its first
+  /// wait starts when the first frame is due; see docs/COLLECTIVES.md).
   SimTime timeout = milliseconds(2);
   /// Timer multiplier after every fruitless round (reset by progress).
   double backoff = 2.0;
@@ -149,11 +94,6 @@ struct StreamConfig {
   /// Consecutive recovery rounds without progress before the stream gives
   /// up with a hard error (0 = retry forever).
   int max_retries = 30;
-  /// NACK mode, root and repairer sinks: repeats of a frame requested
-  /// within this window are suppressed (the first re-multicast serves them
-  /// all), and a repairer forwards each frame to the root at most once per
-  /// window.
-  SimTime aggregation_window = microseconds(500);
   /// NACK mode: framed chunks the root retains for retransmission (oldest
   /// evicted first), and the most of its current stream a repairer keeps.
   std::size_t history_frames = 256;

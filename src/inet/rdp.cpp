@@ -1,9 +1,10 @@
 #include "inet/rdp.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "sim/simulator.hpp"
 
 namespace mcmpi::inet {
@@ -85,12 +86,13 @@ void RdpEndpoint::rto_fired(IpAddr dst) {
   }
   ++tx.retries;
   if (tx.retries > params_.max_retries) {
+    // Dropping the unacked segments would leave a gap in the stream that no
+    // later segment fills, so the peer's traffic would stall for good: end
+    // the run with the cause instead.
     ++stats_.send_failures;
-    MC_LOG(kError, "rdp") << "giving up on peer " << dst.to_string()
-                          << " after " << params_.max_retries << " retries";
-    tx.unacked.clear();
-    tx.backlog.clear();
-    return;
+    throw std::runtime_error("rdp: peer " + dst.to_string() +
+                             " unreachable after " +
+                             std::to_string(params_.max_retries) + " retries");
   }
   ++stats_.retransmits;
   // Go-back-one recovery: resend the earliest unacked segment; the

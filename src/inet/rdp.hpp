@@ -50,6 +50,9 @@ class RdpEndpoint {
     /// MPICH numbers degrade on the hub at large message sizes (Fig. 11).
     std::size_t ack_every = 2;
     std::size_t window_segments = 64;       // max unacked segments per peer
+    /// Retransmissions of one segment before the peer counts as
+    /// unreachable: the timer event then throws std::runtime_error, which
+    /// ends the simulation run with the peer and the budget named.
     int max_retries = 25;
   };
 

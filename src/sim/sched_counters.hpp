@@ -46,7 +46,7 @@ enum class CounterMerge { kSum, kMax };
   X(event_pool_misses, kSum)                                                 \
                                                                              \
   /* Ack-window instrumentation of the stream engine's ack-feedback mode     \
-     (coll/mcast_stream.cpp, e.g. mcast-segmented, ack-mcast).  chunk_sent   \
+     (coll/stream_send.cpp, e.g. mcast-segmented, ack-mcast).  chunk_sent    \
      counts first transmissions, chunk_retried the timeout-driven            \
      re-multicasts, chunk_acked every per-chunk ack the root consumed;       \
      chunk_peak_window is the high-water mark of simultaneously in-flight    \
@@ -67,7 +67,7 @@ enum class CounterMerge { kSum, kMax };
   X(frames_duplicated, kSum)                                                 \
   X(frames_reordered, kSum)                                                  \
                                                                              \
-  /* Reliable-multicast recovery instrumentation (coll/mcast_stream.cpp):    \
+  /* Reliable-multicast recovery instrumentation (coll/stream_*.cpp):       \
      receiver-side NACK rounds sent, root-side NACKs suppressed by the       \
      sink's aggregation window, and protocol-level payload re-multicasts     \
      (ack-window timeouts + NACK-served resends). */                         \

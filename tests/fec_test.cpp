@@ -31,6 +31,7 @@
 #include "coll/registry.hpp"
 #include "coll/mcast_stream.hpp"
 #include "common/bytes.hpp"
+#include "mpi/mcast_channel.hpp"
 #include "net/fault.hpp"
 
 namespace mcmpi {
@@ -329,7 +330,6 @@ TEST(StreamConfig, RejectsOutOfRangeValues) {
     expect_bad(with([](auto& c) { c.backoff = 0.5; }));
     expect_bad(with([](auto& c) { c.timeout_cap = microseconds(1); }));
     expect_bad(with([](auto& c) { c.max_retries = -1; }));
-    expect_bad(with([](auto& c) { c.aggregation_window = microseconds(-1); }));
     expect_bad(with([](auto& c) { c.history_frames = 0; }));
     // A generation must fit GF(256) only when parity is on.
     coll::StreamConfig wide = coll::preset_config(StreamPreset::kSegmented);
@@ -681,6 +681,55 @@ TEST(StreamRecovery, PresetsKeepTheirOwnRetransmissionHistory) {
   const sim::SchedCounters sched = cluster.simulator().sched_counters();
   EXPECT_GT(sched.fec_fallbacks, 0u);  // fec-mcast did need its history
   EXPECT_EQ(unserved, 0u);
+}
+
+TEST(StreamRecovery, ResizedHistoryKeepsTheNewestFrames) {
+  // The root's NACK history changes size after it has wrapped.  Six 100 B
+  // chunks wrap a 4-frame history (it keeps base+2..5); one more stream
+  // under the new bound retains base+6.  Then rank 1 NACKs base+0..6
+  // itself.  Shrunk to 2, only the newest two frames are served and the
+  // other five count as unserved; grown to 8, all five held frames are
+  // served and only the two evicted before the resize are not.
+  const auto serve = [](std::size_t resized) {
+    Cluster cluster(faulty_config(2, NetworkType::kSwitch, FaultProfile{}));
+    std::pair<std::uint64_t, std::uint64_t> counts;  // (served, unserved)
+    cluster.world().run([&](mpi::Proc& p) {
+      const mpi::Comm& comm = p.comm_world();
+      const std::uint64_t base = p.mcast_channel(comm).expected_seq();
+      coll::StreamConfig cfg = coll::preset_config(StreamPreset::kNack);
+      cfg.chunk_bytes = 100;
+      cfg.history_frames = 4;
+      coll::set_stream_config(p, comm, StreamPreset::kNack, cfg);
+      Buffer data = p.rank() == 0 ? pattern_payload(1, 600) : Buffer{};
+      comm.coll().bcast(data, 0, "nack-mcast");
+      cfg.history_frames = resized;
+      coll::set_stream_config(p, comm, StreamPreset::kNack, cfg);
+      data = p.rank() == 0 ? pattern_payload(2, 100) : Buffer{};
+      comm.coll().bcast(data, 0, "nack-mcast");
+      EXPECT_TRUE(check_pattern(2, data)) << "rank " << p.rank();
+      if (p.rank() == 1) {
+        Buffer nack;
+        ByteWriter w(nack);
+        w.u8(static_cast<std::uint8_t>(StreamPreset::kNack));
+        w.u8(0);
+        w.u16(7);
+        for (std::uint64_t seq = base; seq < base + 7; ++seq) {
+          w.u64(seq);
+        }
+        p.send(comm, 0, mpi::kTagChunkNack, nack, net::FrameKind::kControl,
+               mpi::CostTier::kRaw);
+        p.send(comm, 0, /*tag=*/1, Buffer(1));
+        return;
+      }
+      (void)p.recv(comm, 1, 1);
+      p.self().delay(milliseconds(5));  // the sink serves on arrival
+      const coll::StreamStats& st = coll::stream_stats(p, comm);
+      counts = {st.nacks_served, st.nacks_unserved};
+    });
+    return counts;
+  };
+  EXPECT_EQ(serve(2), std::make_pair(std::uint64_t{2}, std::uint64_t{5}));
+  EXPECT_EQ(serve(8), std::make_pair(std::uint64_t{5}, std::uint64_t{2}));
 }
 
 TEST(FecMcast, TotalLossIsAHardErrorNotAHang) {

@@ -5,6 +5,8 @@
 
 #include <iterator>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "inet/ip.hpp"
 #include "inet/ip_addr.hpp"
@@ -540,6 +542,27 @@ TEST(Rdp, HeavyLossStillConverges) {
                               fx.b_received[static_cast<std::size_t>(i)].second));
   }
   EXPECT_EQ(fx.a->stats().send_failures, 0u);
+}
+
+TEST(Rdp, UnreachablePeerEndsTheRunWithANamedError) {
+  // Every data frame is lost, so the retry budget runs out.  Dropping the
+  // unacked segments and carrying on would leave a gap no later segment
+  // fills; the run must end instead, naming the peer and the budget.
+  RdpFixture fx;
+  fx.network.set_drop_hook([](const net::Frame& f, const net::Nic&) {
+    return f.kind == net::FrameKind::kData;
+  });
+  fx.a->send(IpAddr::host(1), PayloadRef(pattern_payload(7, 100)));
+  try {
+    fx.sim.run();
+    FAIL() << "an unreachable peer must end the run";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "rdp: peer " +
+                                         IpAddr::host(1).to_string() +
+                                         " unreachable after 25 retries");
+  }
+  EXPECT_EQ(fx.a->stats().send_failures, 1u);
+  EXPECT_TRUE(fx.b_received.empty());
 }
 
 }  // namespace
