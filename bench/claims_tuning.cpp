@@ -2,7 +2,8 @@
 //
 // The tuning table (coll/tuning.cpp) is hand-written; this bench is the
 // measurement its rules answer to, one op per run (--op=bcast, barrier,
-// allreduce, reduce or allgather; one ctest each).  It sweeps a fixed grid
+// allreduce, allgather, reduce, gather, scatter, scan or alltoall; one
+// ctest each).  It sweeps a fixed grid
 // and, at every point, runs kAuto and every registered algorithm of the op
 // that may run there (applicable to the communicator and payload, never
 // lossy, and loss-tolerant on a lossy network), each with the same seed
@@ -19,8 +20,9 @@
 //     fit in the 256 KiB multicast receive buffer, the buffer itself and
 //     the 512000 B datagram ceiling.  allreduce and reduce: 16 B, 1 KiB,
 //     2 KiB, 4 KiB and 16 KiB per rank (perfbench's tenants run 16 B to
-//     16 KiB).  allgather: the same sizes as each rank's share, which is
-//     what its rules key on.  barrier: no payload;
+//     16 KiB), and so gather and scan.  allgather, scatter and alltoall:
+//     the same sizes as each rank's block, which is what their rules key
+//     on, and for scatter 64 KiB.  barrier: no payload;
 //   - entry skew of 20 us (the paper's loosely synchronized SPMD ranks)
 //     and of 1 ms, where a scout gather waits for the last rank and a NACK
 //     stream does not;
@@ -32,9 +34,12 @@
 // at every point and for every algorithm: each rank's result is the
 // reference result, which is what mpich returns — the root's bytes
 // (bcast), the byte-wise sum of every rank's operand (allreduce, and
-// reduce at its root; other reduce ranks get nothing) and every rank's
-// block in rank order (allgather).  Lossy points (1% link loss) print
-// their ratio but are not gated.
+// reduce at its root; other reduce ranks get nothing), the byte-wise sum
+// of the operands of ranks 0..r at rank r (scan), every rank's block in
+// rank order (allgather, and gather at its root; other gather ranks get
+// nothing), each rank's own chunk (scatter) and, at every rank, block r
+// being what rank r sent it (alltoall).  Lossy points (1% link loss)
+// print their ratio but are not gated.
 //
 // A rule sees op, bytes, ranks and segment span, not the medium nor the
 // trunk latency, so every topology has a twin it cannot tell apart: the
@@ -66,7 +71,12 @@
 //     1.12-1.17x hier behind 2 ms (bounds 1.23-1.29);
 //   - allreduce of 4 KiB on 16 ranks, 4 segments, 1 ms skew, seed 2001:
 //     kAuto's mcast-binary wins behind 100 us and is 1.11x hier behind
-//     2 ms (bound 1.23).
+//     2 ms (bound 1.23);
+//   - scan of 1 KiB or more on 9 hosts: on the switch the doubling scan
+//     wins, on the hub its rounds collide and mpich's chain wins.  kAuto
+//     takes the doubling scan up to 2 KiB (1.15-2.18x on the hub) and the
+//     chain above (2.0-2.3x on the switch; the doubling scan would cost
+//     2.6-2.9x on the hub); bounds 1.27-2.49.
 
 // For bcast, one open-loop row sends back-to-back kAuto bcasts from one
 // root and prints the receivers' socket-buffer drops.
@@ -111,7 +121,8 @@ struct Shape {
   CollOp op = CollOp::kBcast;
   Topology topo;
   Members members = Members::kWorld;
-  std::size_t bytes = 0;  // allgather: each rank's share; barrier: 0
+  /// allgather, scatter and alltoall: each rank's block; barrier: 0.
+  std::size_t bytes = 0;
   int skew_us = 0;
   std::uint64_t seed = 0;
   double loss = 0;
@@ -168,25 +179,55 @@ std::uint64_t operand_seed(std::uint64_t tag, int r) {
   return tag << 8 | static_cast<std::uint64_t>(r);
 }
 
-/// The byte-wise sum of every rank's operand: what mpich's allreduce
-/// returns, and its reduce at the root.
-Buffer reference_sum(std::uint64_t tag, std::size_t bytes, int ranks) {
+/// The block comm rank `from` sends to comm rank `to` in an alltoall.
+std::uint64_t block_seed(std::uint64_t tag, int from, int to) {
+  return tag << 16 | static_cast<std::uint64_t>(from) << 8 |
+         static_cast<std::uint64_t>(to);
+}
+
+/// True when `blocks` holds `ranks` blocks of `bytes`, block r being the
+/// pattern `seed(r)`.
+template <typename Seed>
+bool blocks_match(const std::vector<Buffer>& blocks, int ranks,
+                  std::size_t bytes, Seed seed) {
+  if (blocks.size() != static_cast<std::size_t>(ranks)) {
+    return false;
+  }
+  for (int r = 0; r < ranks; ++r) {
+    const Buffer& block = blocks[static_cast<std::size_t>(r)];
+    if (block.size() != bytes || !check_pattern(seed(r), block)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The byte-wise sums of the operands of comm ranks 0..r, for every r:
+/// what mpich's scan returns at rank r, and the last one what its
+/// allreduce returns (and its reduce at the root).
+std::vector<Buffer> reference_prefixes(std::uint64_t tag, std::size_t bytes,
+                                       int ranks) {
+  std::vector<Buffer> prefixes;
   Buffer sum(bytes);
   for (int r = 0; r < ranks; ++r) {
     const Buffer operand = pattern_payload(operand_seed(tag, r), bytes);
     for (std::size_t i = 0; i < bytes; ++i) {
       sum[i] = static_cast<std::uint8_t>(sum[i] + operand[i]);
     }
+    prefixes.push_back(sum);
   }
-  return sum;
+  return prefixes;
 }
 
 /// One call of the shape's op with `algo`; true when this rank's result is
-/// the reference result.
+/// the reference result.  `prefixes` is reference_prefixes' for the
+/// repetition (empty for ops that reduce nothing).
 bool run_op(const Shape& s, const mpi::Comm& comm, const std::string& algo,
-            std::uint64_t tag, const Buffer& sum) {
+            std::uint64_t tag, const std::vector<Buffer>& prefixes) {
   coll::Coll coll = comm.coll();
   const int me = comm.rank();
+  const int size = comm.size();
+  const auto operand = [&](int r) { return operand_seed(tag, r); };
   switch (s.op) {
     case CollOp::kBcast: {
       // Every rank passes the payload size: kAuto resolves on it.
@@ -201,31 +242,49 @@ bool run_op(const Shape& s, const mpi::Comm& comm, const std::string& algo,
       coll.barrier(algo);
       return true;
     case CollOp::kAllreduce:
-      return coll.allreduce(pattern_payload(operand_seed(tag, me), s.bytes),
-                            mpi::Op::kSum, mpi::Datatype::kByte, algo) == sum;
+      return coll.allreduce(pattern_payload(operand(me), s.bytes),
+                            mpi::Op::kSum, mpi::Datatype::kByte,
+                            algo) == prefixes.back();
     case CollOp::kReduce: {
       const Buffer got =
-          coll.reduce(pattern_payload(operand_seed(tag, me), s.bytes),
-                      mpi::Op::kSum, mpi::Datatype::kByte, 0, algo);
-      return me == 0 ? got == sum : got.empty();
+          coll.reduce(pattern_payload(operand(me), s.bytes), mpi::Op::kSum,
+                      mpi::Datatype::kByte, 0, algo);
+      return me == 0 ? got == prefixes.back() : got.empty();
     }
-    case CollOp::kAllgather: {
-      const std::vector<Buffer> blocks = coll.allgather(
-          pattern_payload(operand_seed(tag, me), s.bytes), algo);
-      if (blocks.size() != static_cast<std::size_t>(comm.size())) {
-        return false;
-      }
-      for (int r = 0; r < comm.size(); ++r) {
-        const Buffer& block = blocks[static_cast<std::size_t>(r)];
-        if (block.size() != s.bytes ||
-            !check_pattern(operand_seed(tag, r), block)) {
-          return false;
+    case CollOp::kScan:
+      return coll.scan(pattern_payload(operand(me), s.bytes), mpi::Op::kSum,
+                       mpi::Datatype::kByte,
+                       algo) == prefixes[static_cast<std::size_t>(me)];
+    case CollOp::kAllgather:
+      return blocks_match(
+          coll.allgather(pattern_payload(operand(me), s.bytes), algo), size,
+          s.bytes, operand);
+    case CollOp::kGather: {
+      const std::vector<Buffer> blocks =
+          coll.gather(pattern_payload(operand(me), s.bytes), 0, algo);
+      return me == 0 ? blocks_match(blocks, size, s.bytes, operand)
+                     : blocks.empty();
+    }
+    case CollOp::kScatter: {
+      // The root scatters rank r's operand to rank r.
+      std::vector<Buffer> chunks;
+      if (me == 0) {
+        for (int r = 0; r < size; ++r) {
+          chunks.push_back(pattern_payload(operand(r), s.bytes));
         }
       }
-      return true;
+      const Buffer got = coll.scatter(chunks, 0, s.bytes, algo);
+      return got.size() == s.bytes && check_pattern(operand(me), got);
     }
-    default:
-      break;
+    case CollOp::kAlltoall: {
+      std::vector<Buffer> to_each;
+      for (int r = 0; r < size; ++r) {
+        to_each.push_back(pattern_payload(block_seed(tag, me, r), s.bytes));
+      }
+      return blocks_match(coll.alltoall(to_each, s.bytes, algo), size,
+                          s.bytes,
+                          [&](int r) { return block_seed(tag, r, me); });
+    }
   }
   return false;
 }
@@ -246,16 +305,17 @@ Run run_case(const Shape& s, const std::string& algo, int reps) {
   exp.max_skew = microseconds(s.skew_us);
   // Loss recovery and 1 ms of skew can outlast the default spacing.
   exp.rep_interval = milliseconds(s.loss > 0 ? 200 : 100);
-  // The reference sums, one per repetition (tag rep + 1), built before the
-  // ranks run so no rank's simulated time pays for them.
-  std::vector<Buffer> sums;
-  if (s.op == CollOp::kAllreduce || s.op == CollOp::kReduce) {
+  // The reference prefix sums, one set per repetition (tag rep + 1), built
+  // before the ranks run so no rank's simulated time pays for them.
+  std::vector<std::vector<Buffer>> prefixes;
+  if (s.op == CollOp::kAllreduce || s.op == CollOp::kReduce ||
+      s.op == CollOp::kScan) {
     for (int rep = 0; rep < exp.warmup_reps + exp.reps; ++rep) {
-      sums.push_back(reference_sum(static_cast<std::uint64_t>(rep + 1),
-                                   s.bytes, s.ranks()));
+      prefixes.push_back(reference_prefixes(
+          static_cast<std::uint64_t>(rep + 1), s.bytes, s.ranks()));
     }
   }
-  const Buffer no_sum;
+  const std::vector<Buffer> no_prefixes;
   std::vector<std::optional<mpi::Comm>> comms(
       static_cast<std::size_t>(s.topo.hosts));
   std::vector<int> ok(static_cast<std::size_t>(s.topo.hosts), 1);
@@ -269,9 +329,10 @@ Run run_case(const Shape& s, const std::string& algo, int reps) {
           return;  // outside the communicator under test
         }
         const auto tag = static_cast<std::uint64_t>(rep + 1);
-        const Buffer& sum =
-            sums.empty() ? no_sum : sums[static_cast<std::size_t>(rep)];
-        if (!run_op(s, *comm, algo, tag, sum)) {
+        const std::vector<Buffer>& reference =
+            prefixes.empty() ? no_prefixes
+                             : prefixes[static_cast<std::size_t>(rep)];
+        if (!run_op(s, *comm, algo, tag, reference)) {
           ok[static_cast<std::size_t>(p.rank())] = 0;
         }
       });
@@ -376,8 +437,9 @@ int main(int argc, char** argv) {
   BenchOptions options;
   try {
     Flags flags(argc, argv);
-    op_name = flags.get_string(
-        "op", op_name, "bcast, barrier, allreduce, reduce or allgather");
+    op_name = flags.get_string("op", op_name,
+                               "bcast, barrier, allreduce, allgather, reduce, "
+                               "gather, scatter, scan or alltoall");
     // The other ops' points take milliseconds, and a hub's collisions move
     // a 3-repetition median by 10-30%: they take 15.
     reps = static_cast<int>(flags.get_int(
@@ -393,16 +455,14 @@ int main(int argc, char** argv) {
     return 2;  // a bad invocation, not a failed claim
   }
   std::optional<CollOp> gated_op;
-  for (const CollOp op : {CollOp::kBcast, CollOp::kBarrier,
-                          CollOp::kAllreduce, CollOp::kReduce,
-                          CollOp::kAllgather}) {
+  for (const CollOp op : coll::kAllCollOps) {
     if (coll::to_string(op) == op_name) {
       gated_op = op;
     }
   }
   if (!gated_op) {
-    std::cerr << "--op: expected bcast, barrier, allreduce, reduce or "
-                 "allgather, got '"
+    std::cerr << "--op: expected bcast, barrier, allreduce, allgather, "
+                 "reduce, gather, scatter, scan or alltoall, got '"
               << op_name << "'\n";
     return 2;
   }
@@ -423,6 +483,8 @@ int main(int argc, char** argv) {
     sizes = {512, 2048, 16384, 24576, 200000, 250000, 270000, 520000};
   } else if (op == CollOp::kBarrier) {
     sizes = {0};
+  } else if (op == CollOp::kScatter) {
+    sizes.push_back(65536);
   }
 
   Table table({"topology", "ranks", "bytes", "skew us", "seed", "loss",

@@ -1,7 +1,6 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "coll/tuning.hpp"
@@ -21,20 +20,6 @@ NetworkType parse_network(const std::string& name) {
     return NetworkType::kSwitch;
   }
   throw std::invalid_argument("unknown network type: " + name);
-}
-
-unsigned default_sim_shards() {
-  static const unsigned cached = [] {
-    const char* env = std::getenv("MCMPI_SIM_SHARDS");
-    if (env != nullptr && *env != '\0') {
-      const long value = std::strtol(env, nullptr, 10);
-      if (value >= 1 && value <= 0xFFFF) {
-        return static_cast<unsigned>(value);
-      }
-    }
-    return 1u;
-  }();
-  return cached;
 }
 
 int Cluster::segment_of_rank(int rank) const {

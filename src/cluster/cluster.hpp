@@ -27,9 +27,6 @@ enum class NetworkType { kHub, kSwitch };
 std::string to_string(NetworkType type);
 NetworkType parse_network(const std::string& name);
 
-/// Simulator shard count from MCMPI_SIM_SHARDS (default 1).  Read once.
-unsigned default_sim_shards();
-
 struct ClusterConfig {
   int num_procs = 4;
   NetworkType network = NetworkType::kHub;
@@ -56,14 +53,13 @@ struct ClusterConfig {
   /// Worker threads the sharded simulator multiplexes the segments onto
   /// (the simulator always creates one LOGICAL shard per segment, so
   /// timings and scheduler counters are a pure function of the topology —
-  /// never of this count).  Honors MCMPI_SIM_SHARDS unless overridden;
-  /// clamped to the segment count.  A single-segment cluster always
-  /// behaves exactly like an unsharded one.
-  unsigned sim_shards = default_sim_shards();
+  /// never of this count).  Clamped to the segment count.  A
+  /// single-segment cluster always behaves exactly like an unsharded one.
+  unsigned sim_shards = 1;
   /// Thread model executing a multi-shard simulation's rounds.  The serial
   /// driver is the determinism reference; the parallel driver must be (and
-  /// is tested to be) bit-identical.  Honors MCMPI_SIM_SHARD_DRIVER.
-  sim::ShardDriver shard_driver = sim::default_shard_driver();
+  /// is tested to be) bit-identical.
+  sim::ShardDriver shard_driver = sim::ShardDriver::kParallel;
   /// Per-shard payload buffer pooling (see sim::ShardingConfig).  Off by
   /// default so committed bench baselines keep their payload_allocs pins;
   /// throughput-mode runs opt in.

@@ -138,14 +138,6 @@ std::vector<PayloadRef> collect_async_blocks(
   return out;
 }
 
-/// Group-aligned slice boundary: first byte of rank r's slice.
-std::size_t slice_offset(std::size_t groups, std::size_t group_bytes, int size,
-                         int r) {
-  return (groups * static_cast<std::size_t>(r) /
-          static_cast<std::size_t>(size)) *
-         group_bytes;
-}
-
 /// World ranks of every member except `root`, in comm-rank order (the
 /// expected data-scout senders).
 std::vector<mpi::Rank> non_root_world_ranks(const Comm& comm, int root) {
@@ -160,92 +152,6 @@ std::vector<mpi::Rank> non_root_world_ranks(const Comm& comm, int root) {
 }
 
 }  // namespace
-
-Buffer reduce_mcast_scout(Proc& p, const Comm& comm,
-                          std::span<const std::uint8_t> data, mpi::Op op,
-                          mpi::Datatype type, int root) {
-  const int size = comm.size();
-  const int rank = comm.rank();
-  MC_EXPECTS(root >= 0 && root < size);
-  MC_EXPECTS(data.size() % mpi::datatype_size(type) == 0);
-  if (size == 1) {
-    return Buffer(data.begin(), data.end());
-  }
-  const std::size_t count = data.size() / mpi::datatype_size(type);
-  const std::size_t group = mpi::op_group_elements(op);
-  // Slices may only split at combining-group boundaries.  An operand that
-  // is not a whole number of groups (a custom op with an awkward extent —
-  // the predicate cannot see the op, so kAuto may still land here) degrades
-  // to ONE group spanning the whole vector: a single rank combines
-  // full-width partials, still in rank order, and the conservative
-  // eager-path predicate already admits that worst-case scout size.
-  const bool aligned = group > 0 && count % group == 0;
-  const std::size_t groups = aligned ? count / group : (count > 0 ? 1 : 0);
-  const std::size_t group_bytes =
-      aligned ? group * mpi::datatype_size(type) : data.size();
-
-  (void)p.mcast_channel(comm);
-  // Readiness once for the whole lockstep phase (§4: receivers before any
-  // multicast fires).
-  barrier_mcast(p, comm);
-
-  const std::size_t lo = slice_offset(groups, group_bytes, size, rank);
-  const std::size_t hi = slice_offset(groups, group_bytes, size, rank + 1);
-  const std::size_t slice_count = (hi - lo) / mpi::datatype_size(type);
-
-  // Lockstep multicast of every operand, combining this rank's slice in
-  // rank order as the operands stream past (lower ∘ higher).
-  Buffer myslice;
-  for (int r = 0; r < size; ++r) {
-    Buffer operand;
-    std::span<const std::uint8_t> view;
-    if (r == rank) {
-      mcast_send_framed(p, comm, data, r, net::FrameKind::kData);
-      view = data;
-    } else {
-      operand = mcast_recv_framed(p, comm, r);
-      MC_ASSERT_MSG(operand.size() == data.size(),
-                    "reduce operand size mismatch across ranks");
-      view = operand;
-    }
-    Buffer slice(view.begin() + static_cast<std::ptrdiff_t>(lo),
-                 view.begin() + static_cast<std::ptrdiff_t>(hi));
-    if (r == 0) {
-      myslice = std::move(slice);
-    } else {
-      mpi::apply_op(op, type, myslice, slice, slice_count);
-      myslice = std::move(slice);
-    }
-  }
-
-  // Combined partial slices flow to the root as data scouts.
-  if (rank != root) {
-    send_block_async(p, comm, root, mpi::kTagReducePartial, myslice);
-    return {};
-  }
-  const std::vector<PayloadRef> partials =
-      collect_async_blocks(p, comm, mpi::kTagReducePartial,
-                           non_root_world_ranks(comm, root),
-                           mpi::CostTier::kMpi);
-
-  // The one delivery copy: slices land directly in the result buffer.
-  Buffer result(data.size());
-  std::copy(myslice.begin(), myslice.end(),
-            result.begin() + static_cast<std::ptrdiff_t>(lo));
-  std::size_t idx = 0;
-  for (int r = 0; r < size; ++r) {
-    if (r == root) {
-      continue;
-    }
-    const PayloadRef& part = partials[idx++];
-    const std::size_t r_lo = slice_offset(groups, group_bytes, size, r);
-    const std::size_t r_hi = slice_offset(groups, group_bytes, size, r + 1);
-    MC_ASSERT_MSG(part.size() == r_hi - r_lo, "partial slice size mismatch");
-    std::copy(part.data(), part.data() + part.size(),
-              result.begin() + static_cast<std::ptrdiff_t>(r_lo));
-  }
-  return result;
-}
 
 std::vector<Buffer> gather_scout_combining(Proc& p, const Comm& comm,
                                            std::span<const std::uint8_t> data,

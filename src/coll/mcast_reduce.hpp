@@ -1,16 +1,7 @@
 #pragma once
 /// \file mcast_reduce.hpp
-/// Scout-combining reduction and gather — the multicast-native extension of
-/// the paper's scout protocols to data-carrying collectives.
-///
-/// reduce "mcast-scout": every rank multicasts its operand once in rank
-/// order (lockstep, behind one multicast barrier), every rank combines its
-/// assigned slice of all operands locally in rank order, then the combined
-/// partial slices flow to the root as fire-and-forget data scouts.  The
-/// payload crosses the shared medium N times total (each operand once) and
-/// the root receives ~one payload image of partials instead of N-1 full
-/// operands — the combining work is spread over all ranks, the root's
-/// receive bandwidth is the bandwidth-splitting win.
+/// Scout-combining gather — the scout protocols' aggregate collection
+/// (coll/mcast.cpp) extended to a data-carrying collective.
 ///
 /// gather "scout-combining": non-root ranks ship their block to the root as
 /// one fire-and-forget data scout each; the root absorbs them through an
@@ -18,27 +9,17 @@
 /// the engine) and is charged the whole sequential receive chain in at most
 /// one wake-up, exactly like the aggregate scout gather of coll/mcast.cpp.
 ///
-/// Both protocols frame each async block with a per-communicator operation
-/// sequence number, so a block for collective k+1 that overtakes a straggler
-/// of collective k (possible: the senders never block) is stashed, not
+/// Each async block is framed with a per-communicator operation sequence
+/// number, so a block for collective k+1 that overtakes a straggler of
+/// collective k (possible: the senders never block) is stashed, not
 /// miscounted.
 
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "mpi/datatype.hpp"
 #include "mpi/proc.hpp"
 
 namespace mcmpi::coll {
-
-/// Multicast-lockstep reduce with scout-combined partial slices.  Returns
-/// the reduced vector at `root` (empty elsewhere).  Operands combine in
-/// communicator rank order (safe for non-commutative ops); slices split
-/// only at op_group_elements(op) boundaries.  Requires the partial slices
-/// to take the eager path (see the registry predicate).
-Buffer reduce_mcast_scout(mpi::Proc& p, const mpi::Comm& comm,
-                          std::span<const std::uint8_t> data, mpi::Op op,
-                          mpi::Datatype type, int root);
 
 /// Flat gather over fire-and-forget data scouts with an aggregate charged
 /// collection at the root.  Returns comm.size() blocks at `root` (indexed

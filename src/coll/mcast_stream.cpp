@@ -7,14 +7,13 @@
 #include "coll/gf256.hpp"
 #include "coll/limits.hpp"
 #include "coll/mcast.hpp"
-#include "coll/mcast_scatter.hpp"
 #include "coll/stream_engine.hpp"
 #include "common/assert.hpp"
 #include "inet/udp.hpp"
 
 // The stream engine's plan unit (its wire format is inline in
 // stream_engine.hpp), with the engine's entry points: the presets, their
-// configuration, and the three collectives.
+// configuration, and the two collectives.
 
 namespace mcmpi::coll {
 namespace engine {
@@ -68,8 +67,9 @@ std::size_t plan_chunk(std::size_t total, const StreamConfig& cfg, int r,
 
 /// One stream from `root`.  Every rank joins the group first; scout
 /// readiness then gathers scouts toward the root, so no chunk beats a join.
-void run_stream(Proc& p, const Comm& comm, int root, Stream stream,
-                StreamPreset preset, const ChunkSink& sink) {
+void run_stream(Proc& p, const Comm& comm, int root,
+                std::span<const std::uint8_t> stream, StreamPreset preset,
+                const ChunkSink& sink) {
   StreamState& st = state_of(p, comm);
   (void)p.mcast_channel(comm);
   if (st.presets[slot(preset)].config.readiness == Readiness::kScout) {
@@ -177,8 +177,7 @@ void bcast_stream(Proc& p, const Comm& comm, Buffer& buffer, int root,
   if (comm.size() == 1) {
     return;
   }
-  const std::span<const std::uint8_t> stream[] = {buffer};
-  run_stream(p, comm, root, stream, preset, fill(buffer));
+  run_stream(p, comm, root, buffer, preset, fill(buffer));
 }
 
 std::vector<Buffer> allgather_stream(Proc& p, const Comm& comm,
@@ -193,94 +192,11 @@ std::vector<Buffer> allgather_stream(Proc& p, const Comm& comm,
   }
   // N complete streams in rank order: with ack feedback and scout
   // readiness, round r+1's scouts cannot precede round r's final acks.
-  const std::span<const std::uint8_t> stream[] = {data};
   for (int r = 0; r < size; ++r) {
-    run_stream(p, comm, r, stream, preset,
+    run_stream(p, comm, r, data, preset,
                fill(blocks[static_cast<std::size_t>(r)]));
   }
   return blocks;
-}
-
-Buffer scatter_stream(Proc& p, const Comm& comm,
-                      const std::vector<Buffer>& chunks, int root,
-                      StreamPreset preset) {
-  MC_EXPECTS(root >= 0 && root < comm.size());
-  const int size = comm.size();
-  if (size == 1) {
-    MC_EXPECTS(chunks.size() == 1);
-    return chunks[0];
-  }
-  const std::size_t table_bytes = scatter_table_bytes(size);
-
-  if (comm.rank() == root) {
-    MC_EXPECTS_MSG(chunks.size() == static_cast<std::size_t>(size),
-                   "scatter needs comm.size() chunks at the root");
-    Buffer table;
-    ByteWriter w(table);
-    w.u32(static_cast<std::uint32_t>(size));
-    std::vector<std::span<const std::uint8_t>> stream(1);  // the table's slot
-    std::size_t total = table_bytes;
-    for (const Buffer& b : chunks) {
-      w.u64(b.size());
-      total += b.size();
-      stream.push_back(b);
-    }
-    stream[0] = table;
-    // Receivers locate their range from the table, so it must land whole
-    // in the first chunk of the stream.
-    const std::size_t chunk =
-        stream_plan(total, stream_config(p, comm, preset),
-                    p.mcast_recv_buffer())
-            .chunk_bytes;
-    MC_EXPECTS_MSG(chunk >= table.size(),
-                   "chunk size below the scatter table — raise chunk_bytes");
-    run_stream(p, comm, root, stream, preset, {});
-    return chunks[static_cast<std::size_t>(root)];
-  }
-
-  Buffer table(table_bytes);
-  Buffer own;
-  bool located = false;
-  std::size_t my_begin = 0;
-  std::size_t my_end = 0;
-  run_stream(p, comm, root, {}, preset, [&](std::size_t offset,
-                                            std::size_t total,
-                                            PayloadRef body) {
-    const std::size_t length = body.size();
-    if (offset < table_bytes) {
-      const std::size_t n = std::min(table_bytes - offset, length);
-      body.slice(0, n).copy_to(std::span(table).subspan(offset, n));
-    }
-    if (!located) {
-      // The root guarantees the table fits chunk 0 (asserted above), so
-      // the first delivery locates this rank's range.
-      MC_ASSERT_MSG(offset + length >= table_bytes,
-                    "first chunk did not cover the scatter table");
-      ByteReader r(table);
-      MC_ASSERT(r.u32() == static_cast<std::uint32_t>(size));
-      std::size_t off = table_bytes;
-      for (int i = 0; i < size; ++i) {
-        const std::size_t len = static_cast<std::size_t>(r.u64());
-        if (i == comm.rank()) {
-          my_begin = off;
-          my_end = off + len;
-        }
-        off += len;
-      }
-      MC_ASSERT_MSG(off == total, "scatter table does not match the stream");
-      own.resize(my_end - my_begin);
-      located = true;
-    }
-    // Keep only the overlap with this rank's block — everything else of
-    // the shared stream is discarded without a copy.
-    const std::size_t lo = std::max(offset, my_begin);
-    const std::size_t hi = std::min(offset + length, my_end);
-    if (lo < hi) {
-      body.slice(lo - offset, hi - lo)
-          .copy_to(std::span(own).subspan(lo - my_begin, hi - lo));
-    }
-  });
-  return own;
 }
 
 }  // namespace mcmpi::coll

@@ -151,11 +151,4 @@ std::vector<Buffer> allgather_stream(mpi::Proc& p, const mpi::Comm& comm,
                                      std::span<const std::uint8_t> data,
                                      StreamPreset preset);
 
-/// Scatter: the [chunk table ‖ concatenated blocks] stream of
-/// mcast_scatter.hpp, freed from the single-datagram ceiling.  Receivers
-/// keep only the table and their own range.
-Buffer scatter_stream(mpi::Proc& p, const mpi::Comm& comm,
-                      const std::vector<Buffer>& chunks, int root,
-                      StreamPreset preset);
-
 }  // namespace mcmpi::coll

@@ -5,11 +5,10 @@
 #include <string_view>
 
 #include "coll/hier.hpp"
+#include "coll/limits.hpp"
 #include "coll/mcast.hpp"
 #include "coll/mcast_allgather.hpp"
-#include "coll/mcast_alltoall.hpp"
 #include "coll/mcast_reduce.hpp"
-#include "coll/mcast_scatter.hpp"
 #include "coll/mcast_stream.hpp"
 #include "coll/mpich.hpp"
 #include "coll/scatter_allgather.hpp"
@@ -347,20 +346,6 @@ void register_builtins(Registry& r) {
                    mpi::Datatype type,
                    int root) { return reduce_mpich(p, comm, data, op, type,
                                                    root); }});
-  r.add(CollAlgorithm{
-      .name = "mcast-scout",
-      .op = CollOp::kReduce,
-      .description = "lockstep multicast of operands, slice-combining on "
-                     "every rank, scout-gathered partials to root",
-      .applicable =
-          [](const mpi::Comm& comm, std::size_t bytes) {
-            return fits_eager(comm, bytes) && fits_mcast_datagram(comm, bytes);
-          },
-      .reduce = [](mpi::Proc& p, const mpi::Comm& comm,
-                   std::span<const std::uint8_t> data, mpi::Op op,
-                   mpi::Datatype type, int root) {
-        return reduce_mcast_scout(p, comm, data, op, type, root);
-      }});
 
   // -------------------------------------------------------------- gather
   r.add(CollAlgorithm{
@@ -394,34 +379,6 @@ void register_builtins(Registry& r) {
                     const std::vector<Buffer>& chunks,
                     int root) { return scatter_mpich(p, comm, chunks,
                                                      root); }});
-  r.add(CollAlgorithm{
-      .name = "mcast-slice",
-      .op = CollOp::kScatter,
-      .description = "one multicast of the concatenated payload, each rank "
-                     "slices its chunk (Zhou et al. bandwidth saving)",
-      // bytes is the per-rank chunk size; the concatenated datagram must
-      // fit the fragment-offset ceiling and the receivers' socket buffer.
-      .applicable =
-          [](const mpi::Comm& comm, std::size_t bytes) {
-            return fits_mcast_datagram(
-                comm, bytes * static_cast<std::size_t>(comm.size()) +
-                          scatter_table_bytes(comm.size()));
-          },
-      .scatter = [](mpi::Proc& p, const mpi::Comm& comm,
-                    const std::vector<Buffer>& chunks, int root) {
-        return scatter_mcast_slice(p, comm, chunks, root);
-      }});
-  r.add(CollAlgorithm{
-      .name = "mcast-segmented",
-      .op = CollOp::kScatter,
-      .description = "segmented pipelined multicast of [table ‖ blocks]; "
-                     "receivers keep their range — no payload size ceiling",
-      .applicable = always,
-      .scatter = [](mpi::Proc& p, const mpi::Comm& comm,
-                    const std::vector<Buffer>& chunks, int root) {
-        return scatter_stream(p, comm, chunks, root,
-                              StreamPreset::kSegmented);
-      }});
 
   // ------------------------------------------------------------ alltoall
   r.add(CollAlgorithm{
@@ -433,23 +390,6 @@ void register_builtins(Registry& r) {
       .alltoall = [](mpi::Proc& p, const mpi::Comm& comm,
                      const std::vector<Buffer>& to_each) {
         return alltoall_mpich(p, comm, to_each);
-      }});
-  r.add(CollAlgorithm{
-      .name = "mcast-rr",
-      .op = CollOp::kAlltoall,
-      .description = "round-robin lockstep: each rank multicasts its whole "
-                     "personalized vector once, receivers slice their block",
-      // The concatenated vector (+ table) must fit one multicast datagram
-      // and the receivers' socket buffer.
-      .applicable =
-          [](const mpi::Comm& comm, std::size_t bytes) {
-            return fits_mcast_datagram(
-                comm, bytes * static_cast<std::size_t>(comm.size()) +
-                          alltoall_table_bytes(comm.size()));
-          },
-      .alltoall = [](mpi::Proc& p, const mpi::Comm& comm,
-                     const std::vector<Buffer>& to_each) {
-        return alltoall_mcast_rr(p, comm, to_each);
       }});
 
   // ---------------------------------------------------------------- scan

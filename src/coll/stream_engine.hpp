@@ -241,12 +241,11 @@ Chain join_chain(Proc& p, const Comm& comm, int root);
 Buffer nack_message(int preset, int root, std::span<const std::uint64_t> seqs);
 void install_sink(Proc& p, const Comm& comm, StreamState& st);
 
-/// A logical stream: the concatenation of its spans.
-using Stream = std::span<const std::span<const std::uint8_t>>;
 /// Delivery of one chunk: (stream offset, stream total, bytes).
 using ChunkSink = std::function<void(std::size_t, std::size_t, PayloadRef)>;
-void send_stream(Proc& p, const Comm& comm, int root, Stream stream,
-                 StreamPreset preset, StreamState& st);
+void send_stream(Proc& p, const Comm& comm, int root,
+                 std::span<const std::uint8_t> stream, StreamPreset preset,
+                 StreamState& st);
 void recv_stream(Proc& p, const Comm& comm, int root,
                  StreamPreset preset, StreamState& st, const ChunkSink& sink);
 

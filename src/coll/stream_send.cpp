@@ -1,7 +1,5 @@
 // The stream engine's send unit: the Sender class.
 
-#include <numeric>
-
 #include "coll/gf256.hpp"
 #include "coll/stream_engine.hpp"
 #include "common/assert.hpp"
@@ -14,8 +12,9 @@ namespace {
 /// or an ACK-mode retransmission), parity, and the ack window (ACK mode).
 class Sender {
  public:
-  Sender(Proc& p, const Comm& comm, int root, Stream stream,
-         StreamPreset preset, StreamState& st)
+  Sender(Proc& p, const Comm& comm, int root,
+         std::span<const std::uint8_t> stream, StreamPreset preset,
+         StreamState& st)
       : p_(p), comm_(comm), root_(root), stream_(stream), preset_(preset),
         st_(st), ps_(st.presets[slot(preset)]),
         nack_(ps_.config.feedback == Feedback::kNack),
@@ -24,9 +23,7 @@ class Sender {
         counters_(p.self().shard().counters()), ch_(p.mcast_channel(comm)),
         clock_(ps_.config) {
     MC_EXPECTS(comm.size() > 1);
-    const std::size_t total = std::accumulate(
-        stream.begin(), stream.end(), std::size_t{0},
-        [](std::size_t n, const auto& part) { return n + part.size(); });
+    const std::size_t total = stream.size();
     const StreamPlan plan =
         stream_plan(total, ps_.config, p.mcast_recv_buffer());
     const auto n_chunks = static_cast<std::uint32_t>(plan.n_data);
@@ -83,25 +80,6 @@ class Sender {
     bool retired = false;
   };
 
-  /// Appends chunk i's sub-spans of the stream to parts_: gather-framing
-  /// with zero assembly copies, however many source buffers compose it.
-  void collect_parts(std::uint32_t i) {
-    std::size_t offset = chunks_[i].offset;
-    std::size_t length = chunks_[i].length;
-    for (auto part = stream_.begin(); length > 0 && part != stream_.end();
-         ++part) {
-      if (offset >= part->size()) {
-        offset -= part->size();
-        continue;
-      }
-      const std::size_t n = std::min(part->size() - offset, length);
-      parts_.push_back(part->subspan(offset, n));
-      offset = 0;
-      length -= n;
-    }
-    MC_ASSERT_MSG(length == 0, "chunk range exceeds the stream");
-  }
-
   /// ACK mode gather-frames the chunk straight into the wire datagram.
   /// NACK mode frames it once into storage shared by the wire and the
   /// history: the preset's slab, or with parity a pooled buffer of its own.
@@ -127,7 +105,11 @@ class Sender {
       write_header(w, h);
       parts_.push_back(header_);
     }
-    collect_parts(i);
+    // Gather-framing: the chunk goes out as a view of the stream, with no
+    // assembly copy.
+    if (c.length > 0) {
+      parts_.push_back(stream_.subspan(c.offset, c.length));
+    }
     if (!nack_) {
       ch_.send_parts(parts_, net::FrameKind::kData);
     } else {
@@ -185,13 +167,8 @@ class Sender {
       for (std::uint32_t q = 0; q < rows; ++q) {
         const std::uint8_t coef = gf256::parity_coef(
             pr, static_cast<int>(q), static_cast<int>(rows));
-        parts_.clear();
-        collect_parts(k0 + q);
-        std::size_t pos = 0;
-        for (const auto& part : parts_) {
-          gf256::mul_acc(acc.subspan(pos, part.size()), part, coef);
-          pos += part.size();
-        }
+        const ChunkState& row = chunks_[k0 + q];
+        gf256::mul_acc(acc, stream_.subspan(row.offset, row.length), coef);
       }
       p_.self().delay(p_.costs().send_overhead(
           static_cast<std::int64_t>(plen), mpi::CostTier::kMcastData));
@@ -258,7 +235,7 @@ class Sender {
   Proc& p_;
   const Comm& comm_;
   const int root_;
-  const Stream stream_;
+  const std::span<const std::uint8_t> stream_;
   const StreamPreset preset_;
   StreamState& st_;
   PresetState& ps_;
@@ -280,8 +257,9 @@ class Sender {
 
 }  // namespace
 
-void send_stream(Proc& p, const Comm& comm, int root, Stream stream,
-                 StreamPreset preset, StreamState& st) {
+void send_stream(Proc& p, const Comm& comm, int root,
+                 std::span<const std::uint8_t> stream, StreamPreset preset,
+                 StreamState& st) {
   Sender(p, comm, root, stream, preset, st).run();
 }
 

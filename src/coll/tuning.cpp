@@ -66,17 +66,16 @@ std::int64_t parse_bound(const std::string& text, const char* what,
 }  // namespace
 
 TuningTable TuningTable::defaults() {
-  // Every rule of bcast, barrier, allreduce, reduce and allgather answers
-  // to bench/claims_tuning.cpp (one ctest per op, claims_claims_tuning and
-  // claims_claims_tuning_<op>): at each clean point of its grid — hub,
-  // switch, 2 and 4 segments behind 100 us and 2 ms trunks; 2 ranks, the
-  // world, and the strided r % 4 comm (one rank per segment on 4, two on
-  // 2) — kAuto's simulated median is within 1.10x of the best applicable
-  // registered algorithm.  Where no algorithm is within 1.10x both there
-  // and on the twin topology no rule field tells apart (hub vs switch,
-  // 100 us vs 2 ms trunks), the bound is 1.10x what the best algorithm for
-  // both costs at the worse twin; the header of claims_tuning.cpp names
-  // those points.
+  // Every rule answers to bench/claims_tuning.cpp (one ctest per op,
+  // claims_claims_tuning and claims_claims_tuning_<op>): at each clean
+  // point of its grid — hub, switch, 2 and 4 segments behind 100 us and
+  // 2 ms trunks; 2 ranks, the world, and the strided r % 4 comm (one rank
+  // per segment on 4, two on 2) — kAuto's simulated median is within 1.10x
+  // of the best applicable registered algorithm.  Where no algorithm is
+  // within 1.10x both there and on the twin topology no rule field tells
+  // apart (hub vs switch, 100 us vs 2 ms trunks), the bound is 1.10x what
+  // the best algorithm for both costs at the worse twin; the header of
+  // claims_tuning.cpp names those points.
   // bcast: two blocks.  The lossy block, closed by its total
   // mcast-segmented rule, keeps the picks every network had before the
   // clean block existed.  Under loss fec-mcast pre-empts the scout-ordered
@@ -113,28 +112,33 @@ TuningTable TuningTable::defaults() {
   // up to 2 KiB (4 KiB on one rank per segment), where one trunk crossing
   // per segment saves more than its extra leader round costs; everywhere
   // else the mcast-binary release, from 16 B on one segment too.
-  // reduce (--op=reduce): mpich at every point.  mcast-scout's lockstep
-  // operand multicasts lose everywhere (2.6-3.1x on one rank per segment);
-  // it stays registered as a comparison point.
+  // reduce (--op=reduce): mpich at every point.
   // allgather (--op=allgather), keyed on each rank's share: ring at 2
   // ranks; across segments hier's leader bundles up to 2 KiB, and at any
   // size on one rank per segment (4 ranks on 4 segments), then the ring.
   // On one segment the ring up to 512 B, then mcast-lockstep: on a hub
   // the ring's N-1 copies of each block collide (1.7-23x the lockstep from
   // 1 KiB), while on a switch the ring is 1.2-1.8x faster; the lockstep
-  // costs less at worst.
+  // costs less at worst.  Past the lockstep's datagram, the segmented
+  // pipeline: from 256 KiB per rank it beats the ring on the hub and on
+  // the switch, where the ring costs 1.2-9.8x.
   // The lockstep is not loss-tolerant: under loss the ring keeps blocks up
   // to 2 KiB, where the segmented pipeline's acks cost 3-8x.
+  // gather (--op=gather): the scout-combining gather, within 1.01x of the
+  // best at every point, and mpich past its eager-path predicate or on a
+  // lossy network.
+  // scatter (--op=scatter) and alltoall (--op=alltoall): mpich, their only
+  // algorithm.
+  // scan (--op=scan): the doubling scan, except on one segment above
+  // 2 KiB, where its rounds collide on the hub (2.6-2.9x mpich's chain)
+  // and mpich costs 2.0-2.3x on the switch: the chain costs less at worst.
   // The trailing catch-all rules cover payloads the multicast variants'
   // predicates reject (rendezvous-sized blocks, the datagram ceiling): an
-  // inapplicable tuned pick falls through to the next matching rule.  The
-  // segmented pipeline is the trailing multicast rule for bcast, allgather
-  // and scatter, so multicast serves every payload size.  gather, scatter,
-  // scan and alltoall keep the paper's shape ungated: point-to-point at 2
-  // ranks and small sizes, their multicast variants above.
+  // inapplicable tuned pick falls through to the next matching rule.
   // Every op ends in an always-applicable, loss-tolerant algorithm; the
-  // barrier and scatter multicasts are not loss-tolerant, so on a lossy
-  // network those two ops end on mpich.
+  // multicast barrier, the lockstep allgather and the scout-combining
+  // gather are not loss-tolerant, so on a lossy network those picks fall
+  // through to the next rule.
   // Parsed once: the table is immutable, and every World installs a copy.
   static const TuningTable table = parse(
       "bcast,*,2,mpich,0,lossy; bcast,1024,*,mpich,0,lossy;"
@@ -151,14 +155,10 @@ TuningTable TuningTable::defaults() {
       "allgather,512,*,ring;"
       "allgather,*,*,mcast-lockstep; allgather,*,*,mcast-segmented;"
       "reduce,*,*,mpich;"
-      "gather,*,2,mpich; gather,1024,*,mpich;"
       "gather,*,*,scout-combining; gather,*,*,mpich;"
-      "scatter,*,2,mpich; scatter,1024,*,mpich;"
-      "scatter,*,*,mcast-slice; scatter,*,*,mcast-segmented;"
       "scatter,*,*,mpich;"
-      "scan,*,2,mpich; scan,1024,*,mpich; scan,*,*,binomial;"
-      "alltoall,*,2,mpich; alltoall,2048,*,mpich;"
-      "alltoall,*,*,mcast-rr; alltoall,*,*,mpich");
+      "scan,2048,*,binomial; scan,*,*,binomial,2; scan,*,*,mpich;"
+      "alltoall,*,*,mpich");
   return table;
 }
 

@@ -4,10 +4,8 @@
 ///
 /// The paper's central claim is that the *same* MPI call should ride IP
 /// multicast when it wins and point-to-point when it does not.  The tuning
-/// table encodes where each side wins — the paper's crossovers (Figs. 3/4,
-/// 12 and 13), and for bcast, barrier, allreduce, reduce and allgather the
-/// picks bench/claims_tuning.cpp gates — as an ordered rule list, first
-/// match wins:
+/// table encodes where each side wins, as bench/claims_tuning.cpp measures
+/// it for every op, as an ordered rule list, first match wins:
 ///
 ///     op,max_bytes,max_ranks,algorithm[,min_segments[,lossy]]
 ///

@@ -24,14 +24,9 @@ std::size_t datatype_size(Datatype type) {
 
 namespace {
 
-struct CustomOpState {
-  CustomOpFn fn;
-  std::size_t group_elements = 1;
-};
-
-CustomOpState& custom_op_state() {
-  static CustomOpState state;
-  return state;
+CustomOpFn& custom_op() {
+  static CustomOpFn fn;
+  return fn;
 }
 
 }  // namespace
@@ -49,23 +44,16 @@ bool op_defined(Op op, Datatype type) {
     case Op::kBor:
       return type != Datatype::kDouble;
     case Op::kCustom:
-      return static_cast<bool>(custom_op_state().fn);
+      return static_cast<bool>(custom_op());
   }
   return false;
 }
 
 bool op_commutative(Op op) { return op != Op::kCustom; }
 
-void set_custom_op(CustomOpFn fn, std::size_t group_elements) {
-  MC_EXPECTS_MSG(group_elements > 0, "custom op group extent must be > 0");
-  custom_op_state() = {std::move(fn), group_elements};
-}
+void set_custom_op(CustomOpFn fn) { custom_op() = std::move(fn); }
 
-void clear_custom_op() { custom_op_state() = {}; }
-
-std::size_t op_group_elements(Op op) {
-  return op == Op::kCustom ? custom_op_state().group_elements : 1;
-}
+void clear_custom_op() { custom_op() = {}; }
 
 namespace {
 
@@ -126,7 +114,7 @@ void apply_op(Op op, Datatype type, std::span<const std::uint8_t> in,
   const std::size_t bytes = count * datatype_size(type);
   MC_EXPECTS(in.size() >= bytes && inout.size() >= bytes);
   if (op == Op::kCustom) {
-    custom_op_state().fn(type, in, inout, count);
+    custom_op()(type, in, inout, count);
     return;
   }
   switch (type) {

@@ -28,9 +28,8 @@ bool op_commutative(Op op);
 /// convention, where `in` holds the partial of the LOWER-ranked operands.
 /// Every reduction algorithm in this codebase honors that orientation, so
 /// rank order is observable (and tested) for non-commutative custom ops.
-/// Preconditions: both spans hold `count * datatype_size(type)` bytes,
-/// op_defined(op, type), and for slicing algorithms `count` is a multiple
-/// of op_group_elements(op).
+/// Preconditions: both spans hold `count * datatype_size(type)` bytes and
+/// op_defined(op, type).
 void apply_op(Op op, Datatype type, std::span<const std::uint8_t> in,
               std::span<std::uint8_t> inout, std::size_t count);
 
@@ -41,22 +40,16 @@ using CustomOpFn =
     std::function<void(Datatype type, std::span<const std::uint8_t> in,
                        std::span<std::uint8_t> inout, std::size_t count)>;
 
-/// Registers the Op::kCustom body.  `group_elements` declares the operand
-/// granularity: elements combine in independent groups of this many (e.g. 4
-/// for a 2x2 matrix product), and slicing algorithms (mcast-scout reduce)
-/// only split buffers at group boundaries.
-void set_custom_op(CustomOpFn fn, std::size_t group_elements = 1);
+/// Registers the Op::kCustom body.  Every reduction algorithm hands it
+/// whole operands, so it may combine elements in groups of any extent
+/// (e.g. 4 for a 2x2 matrix product).
+void set_custom_op(CustomOpFn fn);
 void clear_custom_op();
-
-/// Elements per independent combining group (1 for every built-in op).
-std::size_t op_group_elements(Op op);
 
 /// RAII registration for tests: installs on construction, clears on scope
 /// exit.
 struct CustomOpGuard {
-  explicit CustomOpGuard(CustomOpFn fn, std::size_t group_elements = 1) {
-    set_custom_op(std::move(fn), group_elements);
-  }
+  explicit CustomOpGuard(CustomOpFn fn) { set_custom_op(std::move(fn)); }
   ~CustomOpGuard() { clear_custom_op(); }
   CustomOpGuard(const CustomOpGuard&) = delete;
   CustomOpGuard& operator=(const CustomOpGuard&) = delete;

@@ -89,7 +89,7 @@ class Proc {
                           CostTier tier = CostTier::kRaw);
 
   /// Fire-and-forget data send (the data-carrying scout of the
-  /// scout-combining gather and mcast-scout reduce): charges the send
+  /// scout-combining gather): charges the send
   /// overhead and emits once it has elapsed without waking the caller, under
   /// the same two conditions as send_control_async — the payload must take
   /// the eager path (asserted against the engine threshold) and the caller's

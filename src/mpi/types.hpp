@@ -22,7 +22,6 @@ inline constexpr Tag kTagScout = -101;      // multicast readiness scouts
 inline constexpr Tag kTagBarrier = -102;    // MPICH barrier messages
 inline constexpr Tag kTagCollective = -103; // tree collectives over p2p
 inline constexpr Tag kTagSequencer = -105;  // Orca-style sequencer handoff
-inline constexpr Tag kTagReducePartial = -107;  // mcast-scout reduce partials
 inline constexpr Tag kTagGatherBlock = -108;    // scout-combining gather blocks
 inline constexpr Tag kTagChunkAck = -109;       // stream engine chunk acks
 inline constexpr Tag kTagChunkNack = -110;      // stream engine NACKs

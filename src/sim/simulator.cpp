@@ -1,9 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
-#include <string_view>
 #include <thread>
 
 #include "common/assert.hpp"
@@ -62,17 +60,6 @@ SimTime saturating_add(SimTime t, SimTime d) {
 
 const char* to_string(ShardDriver driver) {
   return driver == ShardDriver::kSerial ? "serial" : "parallel";
-}
-
-ShardDriver default_shard_driver() {
-  static const ShardDriver cached = [] {
-    const char* env = std::getenv("MCMPI_SIM_SHARD_DRIVER");
-    if (env != nullptr && std::string_view(env) == "serial") {
-      return ShardDriver::kSerial;
-    }
-    return ShardDriver::kParallel;
-  }();
-  return cached;
 }
 
 // ---------------------------------------------------------------- SimProcess

@@ -111,11 +111,6 @@ enum class ShardDriver { kSerial, kParallel };
 
 const char* to_string(ShardDriver driver);
 
-/// Process-wide default driver: the MCMPI_SIM_SHARD_DRIVER environment
-/// variable ("serial" or "parallel"); kParallel when unset or unrecognised.
-/// Read once and cached.  Irrelevant for 1-shard simulators.
-ShardDriver default_shard_driver();
-
 /// Partitioning configuration.  `lookahead` must be positive when
 /// `shards > 1` and any cross-shard traffic exists: it is the promise that
 /// every schedule_cross() delivery lies at least that far in the sender's
@@ -123,7 +118,7 @@ ShardDriver default_shard_driver();
 struct ShardingConfig {
   unsigned shards = 1;
   SimTime lookahead = kTimeZero;
-  ShardDriver driver = default_shard_driver();
+  ShardDriver driver = ShardDriver::kParallel;
   /// Install a per-shard size-classed payload buffer pool (common/bytes.hpp)
   /// for the duration of each shard's execution, so datagram assembly
   /// recycles backing buffers instead of allocating.  Off by default: the

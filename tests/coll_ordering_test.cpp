@@ -30,7 +30,7 @@ ClusterConfig config_for(int procs) {
 }
 
 // --------------------------------------------------------- the custom op
-// 2x2 row-major int64 matrices; combining groups of 4 elements.  The op
+// 2x2 row-major int64 matrices, combined in groups of 4 elements.  The op
 // computes inout = in · inout — `in` is the lower-ranked partial, per the
 // apply_op convention — so a reduction over ranks yields the left-to-right
 // matrix product.
@@ -101,7 +101,7 @@ class ReduceOrdering
 
 TEST_P(ReduceOrdering, AppliesOperandsInRankOrder) {
   const auto [algo, procs, root] = GetParam();
-  const mpi::CustomOpGuard guard(matrix_product_op, /*group_elements=*/4);
+  const mpi::CustomOpGuard guard(matrix_product_op);
   Cluster cluster(config_for(procs));
   Buffer at_root;
   cluster.world().run([&](mpi::Proc& p) {
@@ -143,7 +143,7 @@ class ScanOrdering
 
 TEST_P(ScanOrdering, EveryPrefixIsInRankOrder) {
   const auto [algo, procs] = GetParam();
-  const mpi::CustomOpGuard guard(matrix_product_op, /*group_elements=*/4);
+  const mpi::CustomOpGuard guard(matrix_product_op);
   Cluster cluster(config_for(procs));
   std::vector<Buffer> results(static_cast<std::size_t>(procs));
   cluster.world().run([&](mpi::Proc& p) {
@@ -166,58 +166,11 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// A custom op whose declared group extent does not divide the element
-// count: mcast-scout cannot slice at group boundaries (and the registry
-// predicate cannot see the op), so it must degrade to one full-width
-// combining slice — still rank order, still exact.
-TEST(ReduceOrdering, MisalignedGroupCountDegradesToOneSlice) {
-  const mpi::CustomOpGuard guard(
-      [](mpi::Datatype type, std::span<const std::uint8_t> in,
-         std::span<std::uint8_t> inout, std::size_t count) {
-        MC_ASSERT(type == mpi::Datatype::kInt64);
-        for (std::size_t i = 0; i < count; ++i) {
-          std::int64_t a = 0;
-          std::int64_t b = 0;
-          std::memcpy(&a, in.data() + i * 8, 8);
-          std::memcpy(&b, inout.data() + i * 8, 8);
-          const std::int64_t r = 2 * a + b;  // non-commutative
-          std::memcpy(inout.data() + i * 8, &r, 8);
-        }
-      },
-      /*group_elements=*/4);
-  constexpr int kProcs = 5;
-  constexpr std::size_t kCount = 5;  // not a multiple of the group extent
-  Cluster cluster(config_for(kProcs));
-  Buffer at_root;
-  cluster.world().run([&](mpi::Proc& p) {
-    std::array<std::int64_t, kCount> values;
-    values.fill(p.rank() + 1);
-    Buffer bytes(sizeof values);
-    std::memcpy(bytes.data(), values.data(), sizeof values);
-    const Buffer out = p.comm_world().coll().reduce(
-        bytes, mpi::Op::kCustom, mpi::Datatype::kInt64, 0, "mcast-scout");
-    if (p.rank() == 0) {
-      at_root = out;
-    }
-  });
-  // Left fold of a ∘ b = 2a + b over the per-rank values 1..5.
-  std::int64_t expected = 1;
-  for (int r = 1; r < kProcs; ++r) {
-    expected = 2 * expected + (r + 1);
-  }
-  ASSERT_EQ(at_root.size(), kCount * 8);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    std::int64_t v = 0;
-    std::memcpy(&v, at_root.data() + i * 8, 8);
-    EXPECT_EQ(v, expected) << "element " << i;
-  }
-}
-
 // The allreduce stages sit on reduce_mpich: the custom op must survive the
 // reduce-then-broadcast composition too.
 TEST(AllreduceOrdering, StagedAllreduceKeepsRankOrder) {
   constexpr int kProcs = 6;
-  const mpi::CustomOpGuard guard(matrix_product_op, /*group_elements=*/4);
+  const mpi::CustomOpGuard guard(matrix_product_op);
   Cluster cluster(config_for(kProcs));
   std::vector<int> ok(kProcs, 0);
   cluster.world().run([&](mpi::Proc& p) {

@@ -48,22 +48,19 @@ TEST(Registry, CarriesTheFullAlgorithmSet) {
   for (const char* name : {"ring", "mcast-lockstep", "mcast-blast"}) {
     EXPECT_NE(r.find(CollOp::kAllgather, name), nullptr) << name;
   }
-  // The widened surface: reduce / gather / scatter / scan, each with the
-  // point-to-point baseline and a multicast/scout variant.
-  for (const char* name : {"mpich", "mcast-scout"}) {
-    EXPECT_NE(r.find(CollOp::kReduce, name), nullptr) << name;
+  // The widened surface: gather keeps its scout variant and scan its
+  // doubling scan beside the point-to-point baseline; reduce, scatter and
+  // alltoall keep the baseline alone.
+  for (const CollOp op :
+       {CollOp::kReduce, CollOp::kScatter, CollOp::kAlltoall}) {
+    EXPECT_EQ(r.names(op), std::vector<std::string>{"mpich"})
+        << coll::to_string(op);
   }
   for (const char* name : {"mpich", "scout-combining"}) {
     EXPECT_NE(r.find(CollOp::kGather, name), nullptr) << name;
   }
-  for (const char* name : {"mpich", "mcast-slice"}) {
-    EXPECT_NE(r.find(CollOp::kScatter, name), nullptr) << name;
-  }
   for (const char* name : {"mpich", "binomial"}) {
     EXPECT_NE(r.find(CollOp::kScan, name), nullptr) << name;
-  }
-  for (const char* name : {"mpich", "mcast-rr"}) {
-    EXPECT_NE(r.find(CollOp::kAlltoall, name), nullptr) << name;
   }
   EXPECT_GE(r.entries().size(), 24u);
   // Every entry carries the uniform metadata.
@@ -362,26 +359,25 @@ TEST(TuningTable, DefaultsEncodeThePaperCrossovers) {
     EXPECT_EQ(coll.resolve(CollOp::kAllgather, 64 * 1024), "mcast-lockstep");
     EXPECT_EQ(coll.resolve(CollOp::kAllgather, 1024), "mcast-lockstep");
     EXPECT_EQ(coll.resolve(CollOp::kAllgather, 64), "ring");
-    // Large-message gather/scatter ride the multicast/scout variants;
-    // small messages stay on point-to-point.  Reduce stays on the binomial
-    // tree at every size: mcast-scout's lockstep rounds lose everywhere.
+    // Reduce, scatter and alltoall stay on point-to-point at every size,
+    // gather rides the scout-combining collection at every size
+    // (claims_tuning; GatedPicksForGatherScatterScanAlltoall pins each rule).
     EXPECT_EQ(coll.resolve(CollOp::kReduce, 32 * 1024), "mpich");
     EXPECT_EQ(coll.resolve(CollOp::kReduce, 8), "mpich");
     EXPECT_EQ(coll.resolve(CollOp::kGather, 32 * 1024), "scout-combining");
-    EXPECT_EQ(coll.resolve(CollOp::kGather, 1024), "mpich");
-    EXPECT_EQ(coll.resolve(CollOp::kScatter, 16 * 1024), "mcast-slice");
+    EXPECT_EQ(coll.resolve(CollOp::kGather, 1024), "scout-combining");
+    EXPECT_EQ(coll.resolve(CollOp::kScatter, 16 * 1024), "mpich");
     EXPECT_EQ(coll.resolve(CollOp::kScatter, 64), "mpich");
-    EXPECT_EQ(coll.resolve(CollOp::kScan, 32 * 1024), "binomial");
-    EXPECT_EQ(coll.resolve(CollOp::kScan, 8), "mpich");
-    EXPECT_EQ(coll.resolve(CollOp::kAlltoall, 16 * 1024), "mcast-rr");
+    EXPECT_EQ(coll.resolve(CollOp::kScan, 32 * 1024), "mpich");
+    EXPECT_EQ(coll.resolve(CollOp::kScan, 8), "binomial");
+    EXPECT_EQ(coll.resolve(CollOp::kAlltoall, 16 * 1024), "mpich");
     EXPECT_EQ(coll.resolve(CollOp::kAlltoall, 512), "mpich");
     // Payloads the multicast variants' predicates reject fall through to
-    // the trailing rules: a 128 KiB reduce block exceeds the eager path
-    // (point-to-point tail), while a 64 KiB x 9 rank scatter exceeds the
-    // datagram ceiling and lands on the segmented pipeline — multicast
-    // now serves every payload size for bcast/allgather/scatter.
-    EXPECT_EQ(coll.resolve(CollOp::kReduce, 128 * 1024), "mpich");
-    EXPECT_EQ(coll.resolve(CollOp::kScatter, 64 * 1024), "mcast-segmented");
+    // the trailing rules: a 128 KiB gather block exceeds the eager path
+    // (point-to-point tail), while bcast and allgather past the datagram
+    // ceiling land on the segmented pipeline.
+    EXPECT_EQ(coll.resolve(CollOp::kGather, 128 * 1024), "mpich");
+    EXPECT_EQ(coll.resolve(CollOp::kScatter, 64 * 1024), "mpich");
     EXPECT_EQ(coll.resolve(CollOp::kBcast, 1 << 20), "mcast-segmented");
     EXPECT_EQ(coll.resolve(CollOp::kAllgather, 1 << 20), "mcast-segmented");
     EXPECT_EQ(coll.resolve(CollOp::kAllreduce, 1 << 20), "mpich");
@@ -402,9 +398,58 @@ TEST(TuningTable, TwoRanksPreferPointToPoint) {
     EXPECT_EQ(coll.resolve(CollOp::kBcast, 64 * 1024), "fec-mcast");
     EXPECT_EQ(coll.resolve(CollOp::kAllgather, 64 * 1024), "ring");
     EXPECT_EQ(coll.resolve(CollOp::kReduce, 32 * 1024), "mpich");
-    EXPECT_EQ(coll.resolve(CollOp::kGather, 32 * 1024), "mpich");
+    // The scout-combining gather is point-to-point too: one
+    // fire-and-forget send per rank.
+    EXPECT_EQ(coll.resolve(CollOp::kGather, 32 * 1024), "scout-combining");
     EXPECT_EQ(coll.resolve(CollOp::kScatter, 32 * 1024), "mpich");
   });
+}
+
+TEST(TuningTable, GatedPicksForGatherScatterScanAlltoall) {
+  // One pick per rule of the four ops claims_tuning --op=gather, scatter,
+  // scan and alltoall gate, on the paper hub, a 9-host switch and 16 hosts
+  // on 4 switch segments.
+  const auto picks = [](NetworkType network, int procs, int segments,
+                        std::vector<std::pair<CollOp, std::size_t>> at) {
+    ClusterConfig config = config_for(procs);
+    config.network = network;
+    if (segments > 1) {
+      config.num_segments = segments;
+      config.hosts = cluster::make_uniform_hosts(procs);
+    }
+    Cluster cluster(config);
+    const coll::Coll coll = cluster.world().proc(0).comm_world().coll();
+    std::vector<std::string> out;
+    for (const auto& [op, bytes] : at) {
+      out.push_back(coll.resolve(op, bytes));
+    }
+    return out;
+  };
+  using Picks = std::vector<std::string>;
+  // The hub: the doubling scan up to 2 KiB, then mpich's chain, which
+  // collides less; the scout-combining gather from 16 B.
+  EXPECT_EQ(picks(NetworkType::kHub, 9, 1,
+                  {{CollOp::kScan, 16},
+                   {CollOp::kScan, 4096},
+                   {CollOp::kGather, 16},
+                   {CollOp::kScatter, 16},
+                   {CollOp::kAlltoall, 4096}}),
+            (Picks{"binomial", "mpich", "scout-combining", "mpich",
+                   "mpich"}));
+  // The switch: a gather block past the eager path takes mpich's sends.
+  EXPECT_EQ(picks(NetworkType::kSwitch, 9, 1,
+                  {{CollOp::kAlltoall, 16 * 1024},
+                   {CollOp::kScatter, 16 * 1024},
+                   {CollOp::kGather, 128 * 1024},
+                   {CollOp::kScan, 2048}}),
+            (Picks{"mpich", "mpich", "mpich", "binomial"}));
+  // 4 segments: the doubling scan at every size.
+  EXPECT_EQ(picks(NetworkType::kSwitch, 16, 4,
+                  {{CollOp::kScan, 16 * 1024},
+                   {CollOp::kScatter, 64 * 1024},
+                   {CollOp::kAlltoall, 16},
+                   {CollOp::kGather, 4096}}),
+            (Picks{"binomial", "mpich", "mpich", "scout-combining"}));
 }
 
 TEST(TuningTable, ClusterConfigOverridesTheDefaults) {
@@ -534,14 +579,15 @@ TEST(TuningTable, DefaultsEndInATotalRulePerOp) {
 }
 
 TEST(TuningTable, LossyNetworksFallThroughToPointToPoint) {
-  // The barrier and scatter multicasts are not loss-tolerant: on a lossy
-  // network their trailing mpich rules catch the pick.
+  // The barrier multicast and the scout-combining gather are not
+  // loss-tolerant: on a lossy network their trailing mpich rules catch the
+  // pick.
   ClusterConfig config = config_for(9);
   config.faults.link.loss = 0.01;
   Cluster cluster(config);
   coll::Coll coll = cluster.world().proc(0).comm_world().coll();
   EXPECT_EQ(coll.resolve(CollOp::kBarrier, 0), "mpich");
-  EXPECT_EQ(coll.resolve(CollOp::kScatter, 16 * 1024), "mpich");
+  EXPECT_EQ(coll.resolve(CollOp::kGather, 16 * 1024), "mpich");
   EXPECT_EQ(coll.resolve(CollOp::kScatter, 1 << 20), "mpich");
 }
 

@@ -259,7 +259,7 @@ Mat rank_matrix(int rank) { return {1, rank + 1, 0, 2}; }
 
 TEST(HierAllreduce, NonCommutativeOpCombinesInRankOrder) {
   constexpr int kProcs = 7;  // ragged 3/2/2 blocks
-  const mpi::CustomOpGuard guard(matrix_product_op, /*group_elements=*/4);
+  const mpi::CustomOpGuard guard(matrix_product_op);
   Cluster cluster(config_for(kProcs, 3));
   std::vector<Buffer> results(kProcs);
   cluster.world().run([&](mpi::Proc& p) {
@@ -651,12 +651,12 @@ ClusterConfig one_slow_trunk(int slow_a, int slow_b) {
 }
 
 TEST(HierTrunks, ScoutFreeStreamOvertakingAScoutMulticastIsHeld) {
-  // A communicator of one rank per segment.  The last operand of the
-  // mcast-scout reduce (world rank 12, segment 3) reaches world rank 4
-  // over the slow 1-3 trunk; world rank 0 has it after 100 us, returns,
-  // and its nack-mcast bcast reaches rank 4 over two fast trunks first.
-  // Rank 4 must hold the stream frame while it waits for the operand, then
-  // deliver both.
+  // A communicator of one rank per segment.  The last block of the
+  // lockstep multicast allgather (world rank 12, segment 3) reaches world
+  // rank 4 over the slow 1-3 trunk; world rank 0 has it after 100 us,
+  // returns, and its nack-mcast bcast reaches rank 4 over two fast trunks
+  // first.  Rank 4 must hold the stream frame while it waits for the
+  // block, then deliver both.
   Cluster cluster(one_slow_trunk(1, 3));
   constexpr int kRounds = 3;
   constexpr std::size_t kBytes = 1024;
@@ -669,15 +669,16 @@ TEST(HierTrunks, ScoutFreeStreamOvertakingAScoutMulticastIsHeld) {
     }
     auto& good = ok[static_cast<std::size_t>(p.rank())];
     for (int round = 0; round < kRounds; ++round) {
-      const std::int64_t mine = spread.rank() + round;
-      Buffer bytes(sizeof mine);
-      std::memcpy(bytes.data(), &mine, sizeof mine);
-      const Buffer sum = spread.coll().reduce(
-          bytes, mpi::Op::kSum, mpi::Datatype::kInt64, 2, "mcast-scout");
-      if (spread.rank() == 2) {
-        std::int64_t value = 0;
-        std::memcpy(&value, sum.data(), sizeof value);
-        good &= value == 6 + 4 * round;
+      const std::vector<Buffer> blocks = spread.coll().allgather(
+          pattern_payload(static_cast<std::uint64_t>(
+                              spread.rank() + 4 * round),
+                          kBytes),
+          "mcast-lockstep");
+      good &= blocks.size() == 4;
+      for (int r = 0; r < static_cast<int>(blocks.size()); ++r) {
+        good &= check_pattern(static_cast<std::uint64_t>(r + 4 * round),
+                              blocks[static_cast<std::size_t>(r)]) &&
+                blocks[static_cast<std::size_t>(r)].size() == kBytes;
       }
       Buffer data;
       if (spread.rank() == 0) {

@@ -219,75 +219,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(c.window);
     });
 
-// ------------------------------------------------------------- scatter
-
-TEST(SegmentedScatter, RaggedBlocksMatchMpich) {
-  constexpr int kProcs = 5;
-  constexpr int kRoot = 2;
-  // Varied block sizes, including an empty one: the chunk table carries
-  // the per-rank lengths, so nothing requires uniformity.
-  const auto block_len = [](int r) -> std::size_t {
-    return r == 3 ? 0 : static_cast<std::size_t>(1000 * r + 37);
-  };
-  auto run = [&](const std::string& algo) {
-    Cluster cluster(config_for(kProcs));
-    std::vector<Buffer> outs(kProcs);
-    cluster.world().run([&](mpi::Proc& p) {
-      if (algo == "mcast-segmented") {
-        set_seg_config(p, p.comm_world(), seg_config(2048, 4));
-      }
-      std::vector<Buffer> chunks;
-      if (p.rank() == kRoot) {
-        for (int r = 0; r < kProcs; ++r) {
-          chunks.push_back(pattern_payload(static_cast<std::uint64_t>(r) + 50,
-                                           block_len(r)));
-        }
-      }
-      outs[static_cast<std::size_t>(p.rank())] =
-          p.comm_world().coll().scatter(chunks, kRoot, 0, algo);
-    });
-    return outs;
-  };
-  const auto seg = run("mcast-segmented");
-  const auto ref = run("mpich");
-  for (int r = 0; r < kProcs; ++r) {
-    EXPECT_EQ(seg[static_cast<std::size_t>(r)].size(), block_len(r))
-        << "rank " << r;
-    EXPECT_TRUE(check_pattern(static_cast<std::uint64_t>(r) + 50,
-                              seg[static_cast<std::size_t>(r)]))
-        << "rank " << r;
-    EXPECT_EQ(seg[static_cast<std::size_t>(r)],
-              ref[static_cast<std::size_t>(r)])
-        << "rank " << r;
-  }
-}
-
-TEST(SegmentedScatter, JumboBlocksPastTheDatagramCeiling) {
-  constexpr int kProcs = 3;
-  constexpr std::size_t kBlock = 300000;  // 900 kB stream > kMaxMcastDatagram
-  static_assert(kProcs * kBlock > coll::kMaxMcastDatagram);
-  Cluster cluster(config_for(kProcs));
-  std::vector<int> ok(kProcs, 0);
-  cluster.world().run([&](mpi::Proc& p) {
-    set_seg_config(p, p.comm_world(), seg_config(65536, 4));
-    std::vector<Buffer> chunks;
-    if (p.rank() == 0) {
-      for (int r = 0; r < kProcs; ++r) {
-        chunks.push_back(
-            pattern_payload(static_cast<std::uint64_t>(r) + 9, kBlock));
-      }
-    }
-    const Buffer mine =
-        p.comm_world().coll().scatter(chunks, 0, 0, "mcast-segmented");
-    ok[static_cast<std::size_t>(p.rank())] =
-        mine.size() == kBlock &&
-        check_pattern(static_cast<std::uint64_t>(p.rank()) + 9, mine);
-  });
-  for (int r = 0; r < kProcs; ++r) {
-    EXPECT_TRUE(ok[static_cast<std::size_t>(r)]) << "rank " << r;
-  }
-}
-
 // -------------------------------------------------- dup / split comms
 
 TEST(SegmentedComms, DupAndSplitCommunicators) {
@@ -378,8 +309,6 @@ TEST(SegmentedAuto, JumboPayloadsFallThroughToSegmented) {
     const std::size_t jumbo = 16u << 20;
     EXPECT_EQ(facade.resolve(coll::CollOp::kBcast, jumbo), "mcast-segmented");
     EXPECT_EQ(facade.resolve(coll::CollOp::kAllgather, jumbo),
-              "mcast-segmented");
-    EXPECT_EQ(facade.resolve(coll::CollOp::kScatter, jumbo),
               "mcast-segmented");
     // Jumbo allreduce must dodge the multicast stages' ceiling too.
     EXPECT_EQ(facade.resolve(coll::CollOp::kAllreduce, jumbo), "mpich");
