@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "coll/tuning.hpp"
 #include "common/assert.hpp"
 
 namespace mcmpi::cluster {
@@ -216,10 +215,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     world_->proc(i).engine().set_eager_threshold(config_.eager_threshold);
     world_->proc(i).set_mcast_recv_buffer(config_.mcast_rcvbuf_bytes);
     world_->proc(i).set_network_lossy(faults.lossy());
-  }
-  if (!config_.coll_tuning.empty()) {
-    world_->set_coll_tuning(
-        coll::TuningTable::with_defaults(config_.coll_tuning));
   }
   if (config_.num_segments > 1) {
     // Snooping-bridge multicast scoping: when a derived communicator's

@@ -70,10 +70,6 @@ struct ClusterConfig {
   std::int64_t eager_threshold = 64 * 1024;
   /// Multicast-channel receive buffer per rank (SO_RCVBUF analogue).
   std::size_t mcast_rcvbuf_bytes = 256 * 1024;
-  /// Collective auto-selection rules (coll/tuning.hpp rule syntax),
-  /// installed ahead of the defaults: rules it does not match fall through
-  /// to them.  Empty defers to MCMPI_COLL_TUNING, then to the defaults.
-  std::string coll_tuning;
   /// Adversarial-network fault injection (per-link loss/burst/dup/reorder,
   /// per-host speed skew, background cross traffic).  Disabled by default;
   /// a disabled config defers to the MCMPI_FAULTS environment variable.

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "mpi/world.hpp"
 
 namespace mcmpi::coll {
 
@@ -11,19 +10,20 @@ Coll::Coll(mpi::Proc& p, mpi::Comm comm) : p_(p), comm_(std::move(comm)) {
   MC_EXPECTS_MSG(comm_.valid(), "collective on an invalid communicator");
 }
 
+const CollAlgorithm& Coll::lookup(CollOp op, std::size_t bytes,
+                                  const std::string& algo) const {
+  return algo == kAuto ? TuningTable::defaults().select(op, bytes, comm_)
+                       : Registry::instance().get(op, algo);
+}
+
 std::string Coll::resolve(CollOp op, std::size_t bytes,
                           const std::string& algo) const {
-  if (algo == kAuto) {
-    return p_.world().coll_tuning().select(op, bytes, comm_.size(), comm_);
-  }
-  (void)Registry::instance().get(op, algo);  // validate eagerly
-  return algo;
+  return lookup(op, bytes, algo).name;
 }
 
 const CollAlgorithm& Coll::entry(CollOp op, std::size_t bytes,
                                  const std::string& algo) const {
-  const CollAlgorithm& a =
-      Registry::instance().get(op, resolve(op, bytes, algo));
+  const CollAlgorithm& a = lookup(op, bytes, algo);
   MC_EXPECTS_MSG(!a.applicable || a.applicable(comm_, bytes),
                  "algorithm '" + a.name + "' is not applicable here");
   return a;
@@ -109,8 +109,7 @@ std::shared_ptr<CollRequest> Coll::spawn_helper(
 std::shared_ptr<CollRequest> Coll::ibcast(Buffer& buffer, int root,
                                           const std::string& algo) {
   MC_EXPECTS(root >= 0 && root < comm_.size());
-  // Resolve on the caller's fiber; copy the run function so later registry
-  // growth cannot invalidate the reference.
+  // Resolve on the caller's fiber.
   auto run = entry(CollOp::kBcast, buffer.size(), algo).bcast;
   mpi::Proc* proc = &p_;
   return spawn_helper(

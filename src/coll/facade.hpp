@@ -14,13 +14,13 @@
 ///     p.wait(req);
 ///
 /// Algorithms are resolved by name through coll::Registry; the default
-/// (kAuto) consults the communicator's tuning table (World::coll_tuning —
-/// ClusterConfig / MCMPI_COLL_TUNING overridable), which encodes the
-/// paper's message-size × group-size crossover points.  The facade carries
-/// the full collective surface: bcast / barrier / allreduce / allgather /
-/// reduce / gather / scatter / scan, with nonblocking i-variants.  The
-/// per-algorithm headers (mcast.hpp, mpich.hpp, ...) remain the
-/// implementation layer for primitives and custom protocol knobs.
+/// (kAuto) consults the tuning table (TuningTable::defaults()), which
+/// encodes the paper's message-size × group-size crossover points.  The
+/// facade carries the full collective surface: bcast / barrier / allreduce
+/// / allgather / reduce / gather / scatter / scan, with nonblocking
+/// i-variants.  The per-algorithm headers (mcast.hpp, mpich.hpp, ...)
+/// remain the implementation layer for primitives and custom protocol
+/// knobs.
 
 #include <memory>
 #include <string>
@@ -35,7 +35,7 @@ namespace mcmpi::coll {
 class Coll {
  public:
   /// Usually obtained as comm.coll(); constructible directly for callers
-  /// holding a Proc (e.g. the legacy shims).
+  /// holding a Proc.
   Coll(mpi::Proc& p, mpi::Comm comm);
 
   // ------------------------------------------------------------ blocking
@@ -133,13 +133,18 @@ class Coll {
 
   // ----------------------------------------------------------- selection
   /// The algorithm `algo` resolves to for a payload of `bytes` — kAuto goes
-  /// through the tuning table, anything else is validated against the
-  /// registry and returned as-is.  Exposed so tests and benches can assert
-  /// on the tuned pick without running the collective.
+  /// through the tuning table, anything else is looked up in the registry
+  /// (throws std::invalid_argument when unknown) and returned as-is.
+  /// Exposed so tests and benches can assert on the tuned pick without
+  /// running the collective.
   std::string resolve(CollOp op, std::size_t bytes,
                       const std::string& algo = kAuto) const;
 
  private:
+  /// The entry `algo` names, or kAuto's pick.
+  const CollAlgorithm& lookup(CollOp op, std::size_t bytes,
+                              const std::string& algo) const;
+  /// lookup(), which must be applicable to (comm, bytes).
   const CollAlgorithm& entry(CollOp op, std::size_t bytes,
                              const std::string& algo) const;
   std::shared_ptr<CollRequest> spawn_helper(

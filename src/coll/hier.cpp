@@ -5,34 +5,16 @@
 
 #include "coll/facade.hpp"
 #include "common/assert.hpp"
-#include "mpi/world.hpp"
 
 namespace mcmpi::coll {
 
 using mpi::Comm;
 using mpi::Proc;
+using mpi::SegmentLayout;
 
 namespace {
 
-int segment_of_comm_rank(const Comm& comm, int comm_rank) {
-  return comm.proc()->world().segment_of(comm.world_rank_of(comm_rank));
-}
-
-bool is_leader(const HierState& st, int comm_rank) {
-  return st.leaders[static_cast<std::size_t>(st.my_segment_idx)] == comm_rank;
-}
-
-/// Index into st.leaders/st.members of the segment holding `comm_rank`.
-int segment_idx_of(const HierState& st, int comm_rank) {
-  const int seg = st.seg_of[static_cast<std::size_t>(comm_rank)];
-  for (std::size_t s = 0; s < st.leaders.size(); ++s) {
-    if (st.seg_of[static_cast<std::size_t>(st.leaders[s])] == seg) {
-      return static_cast<int>(s);
-    }
-  }
-  MC_ASSERT_MSG(false, "comm rank's segment has no leader entry");
-  __builtin_unreachable();
-}
+std::size_t at(int index) { return static_cast<std::size_t>(index); }
 
 /// [u64 length][bytes] per block, in order — allgather's trunk bundles and
 /// release payloads (sizes may be ragged).
@@ -93,139 +75,34 @@ std::vector<Buffer> unpack_blocks(std::span<const std::uint8_t> bytes) {
 
 HierState& hier_state(Proc& p, const Comm& comm) {
   HierState& st = p.coll_state<HierState>(comm);
-  if (st.built) {
-    return st;
+  if (!st.intra.valid()) {
+    // Collective: every rank of `comm` reaches this split together
+    // (splitting lazily from inside a collective preserves that).
+    st.intra = p.split(comm, comm.layout().segment[at(comm.rank())],
+                       comm.rank());
   }
-  mpi::World& world = p.world();
-  const int size = comm.size();
-  st.seg_of.resize(static_cast<std::size_t>(size));
-  for (int r = 0; r < size; ++r) {
-    st.seg_of[static_cast<std::size_t>(r)] =
-        world.segment_of(comm.world_rank_of(r));
-  }
-  // Leaders in order of first appearance by comm rank — which is also
-  // ascending leader rank, so every rank derives the identical list.
-  for (int r = 0; r < size; ++r) {
-    const int seg = st.seg_of[static_cast<std::size_t>(r)];
-    bool seen = false;
-    for (const int leader : st.leaders) {
-      if (st.seg_of[static_cast<std::size_t>(leader)] == seg) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
-      st.leaders.push_back(r);
-      st.members.emplace_back();
-    }
-  }
-  for (int r = 0; r < size; ++r) {
-    st.members[static_cast<std::size_t>(segment_idx_of(st, r))].push_back(r);
-  }
-  st.my_segment_idx = segment_idx_of(st, comm.rank());
-  // Contiguous iff no segment is ever re-entered after the ranks walk out
-  // of it.
-  st.contiguous = true;
-  for (int r = 1; r < size && st.contiguous; ++r) {
-    const int seg = st.seg_of[static_cast<std::size_t>(r)];
-    if (seg == st.seg_of[static_cast<std::size_t>(r - 1)]) {
-      continue;
-    }
-    for (int q = 0; q < r - 1; ++q) {
-      if (st.seg_of[static_cast<std::size_t>(q)] == seg) {
-        st.contiguous = false;
-        break;
-      }
-    }
-  }
-  // Collective: every rank of `comm` reaches this split together (building
-  // lazily from inside a collective preserves that).
-  st.intra =
-      p.split(comm, st.seg_of[static_cast<std::size_t>(comm.rank())],
-              comm.rank());
-  st.built = true;
   return st;
-}
-
-bool hier_applicable(const Comm& comm) {
-  if (comm.proc() == nullptr || comm.size() < 2) {
-    return false;
-  }
-  mpi::World& world = comm.proc()->world();
-  if (world.num_segments() < 2) {
-    return false;
-  }
-  const int first = segment_of_comm_rank(comm, 0);
-  for (int r = 1; r < comm.size(); ++r) {
-    if (segment_of_comm_rank(comm, r) != first) {
-      return true;
-    }
-  }
-  return false;
-}
-
-int hier_segment_span(const Comm& comm) {
-  if (comm.proc() == nullptr || comm.proc()->world().num_segments() < 2) {
-    return 1;
-  }
-  std::vector<int> seen;
-  for (int r = 0; r < comm.size(); ++r) {
-    const int seg = segment_of_comm_rank(comm, r);
-    bool dup = false;
-    for (const int s : seen) {
-      if (s == seg) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      seen.push_back(seg);
-    }
-  }
-  return static_cast<int>(seen.size());
-}
-
-bool hier_applicable_contiguous(const Comm& comm) {
-  if (!hier_applicable(comm)) {
-    return false;
-  }
-  // Segment blocks must be contiguous in comm rank order (rank-order
-  // reduction for non-commutative ops combines segment partials blockwise).
-  int prev = segment_of_comm_rank(comm, 0);
-  std::vector<int> closed;
-  for (int r = 1; r < comm.size(); ++r) {
-    const int seg = segment_of_comm_rank(comm, r);
-    if (seg == prev) {
-      continue;
-    }
-    for (const int c : closed) {
-      if (c == seg) {
-        return false;
-      }
-    }
-    closed.push_back(prev);
-    prev = seg;
-  }
-  return true;
 }
 
 void bcast_hier(Proc& p, const Comm& comm, Buffer& buffer, int root) {
   MC_EXPECTS(root >= 0 && root < comm.size());
   HierState& st = hier_state(p, comm);
+  const SegmentLayout& lay = comm.layout();
   const int rank = comm.rank();
-  const int root_seg = segment_idx_of(st, root);
+  const int slot = lay.slot[at(rank)];
+  const int root_seg = lay.slot[at(root)];
 
   // Inter phase: the root ships the payload straight to every remote
   // segment leader (nonblocking, so its own segment's intra bcast overlaps
   // the trunk transfers).
   std::vector<std::shared_ptr<mpi::SendRequest>> sends;
   if (rank == root) {
-    for (std::size_t s = 0; s < st.leaders.size(); ++s) {
+    for (std::size_t s = 0; s < lay.leaders.size(); ++s) {
       if (static_cast<int>(s) != root_seg) {
-        sends.push_back(p.isend(comm, st.leaders[s], mpi::kTagHier, buffer));
+        sends.push_back(p.isend(comm, lay.leaders[s], mpi::kTagHier, buffer));
       }
     }
-  } else if (st.my_segment_idx != root_seg && is_leader(st, rank)) {
+  } else if (slot != root_seg && lay.leaders[at(slot)] == rank) {
     buffer = p.recv(comm, root, mpi::kTagHier);
   }
 
@@ -234,9 +111,8 @@ void bcast_hier(Proc& p, const Comm& comm, Buffer& buffer, int root) {
   // segment's multicast engines.
   if (st.intra.size() > 1) {
     int intra_root = 0;
-    if (st.my_segment_idx == root_seg) {
-      const auto& members =
-          st.members[static_cast<std::size_t>(st.my_segment_idx)];
+    if (slot == root_seg) {
+      const auto& members = lay.members[at(slot)];
       for (std::size_t i = 0; i < members.size(); ++i) {
         if (members[i] == root) {
           intra_root = static_cast<int>(i);
@@ -253,8 +129,10 @@ void bcast_hier(Proc& p, const Comm& comm, Buffer& buffer, int root) {
 
 void barrier_hier(Proc& p, const Comm& comm) {
   HierState& st = hier_state(p, comm);
+  const SegmentLayout& lay = comm.layout();
   const int rank = comm.rank();
-  const bool leader = is_leader(st, rank);
+  const int slot = lay.slot[at(rank)];
+  const bool leader = lay.leaders[at(slot)] == rank;
 
   // Arrive: binomial fold of empty payloads to the leader (intra rank 0).
   // Explicitly mpich — a zero-byte fold gains nothing from multicast.
@@ -264,19 +142,19 @@ void barrier_hier(Proc& p, const Comm& comm) {
   }
   // Inter: flat arrive/release through the first leader — exactly two
   // trunk rounds, independent of segment count.
-  if (leader && st.leaders.size() > 1) {
-    if (st.my_segment_idx == 0) {
-      for (std::size_t s = 1; s < st.leaders.size(); ++s) {
-        (void)p.recv(comm, st.leaders[s], mpi::kTagHier);
+  if (leader && lay.leaders.size() > 1) {
+    if (slot == 0) {
+      for (std::size_t s = 1; s < lay.leaders.size(); ++s) {
+        (void)p.recv(comm, lay.leaders[s], mpi::kTagHier);
       }
-      for (std::size_t s = 1; s < st.leaders.size(); ++s) {
-        p.send(comm, st.leaders[s], mpi::kTagHier, {},
+      for (std::size_t s = 1; s < lay.leaders.size(); ++s) {
+        p.send(comm, lay.leaders[s], mpi::kTagHier, {},
                net::FrameKind::kControl);
       }
     } else {
-      p.send(comm, st.leaders[0], mpi::kTagHier, {},
+      p.send(comm, lay.leaders[0], mpi::kTagHier, {},
              net::FrameKind::kControl);
-      (void)p.recv(comm, st.leaders[0], mpi::kTagHier);
+      (void)p.recv(comm, lay.leaders[0], mpi::kTagHier);
     }
   }
   // Release: binomial bcast of an empty payload from the leader.
@@ -292,8 +170,10 @@ Buffer allreduce_hier(Proc& p, const Comm& comm,
   MC_EXPECTS(data.size() % mpi::datatype_size(type) == 0);
   const std::size_t count = data.size() / mpi::datatype_size(type);
   HierState& st = hier_state(p, comm);
+  const SegmentLayout& lay = comm.layout();
   const int rank = comm.rank();
-  const bool leader = is_leader(st, rank);
+  const int slot = lay.slot[at(rank)];
+  const bool leader = lay.leaders[at(slot)] == rank;
 
   // Intra reduce to the leader (kAuto: sized payloads may use the
   // multicast reduce engines).  Intra rank order == comm rank order, so
@@ -310,20 +190,20 @@ Buffer allreduce_hier(Proc& p, const Comm& comm,
   // so this is comm rank order), then re-broadcasts leader-wise.
   Buffer result;
   if (leader) {
-    if (st.my_segment_idx == 0) {
+    if (slot == 0) {
       result = std::move(partial);
-      for (std::size_t s = 1; s < st.leaders.size(); ++s) {
-        Buffer part = p.recv(comm, st.leaders[s], mpi::kTagHier);
+      for (std::size_t s = 1; s < lay.leaders.size(); ++s) {
+        Buffer part = p.recv(comm, lay.leaders[s], mpi::kTagHier);
         MC_ASSERT(part.size() == result.size());
         mpi::apply_op(op, type, result, part, count);
         result = std::move(part);
       }
-      for (std::size_t s = 1; s < st.leaders.size(); ++s) {
-        p.send(comm, st.leaders[s], mpi::kTagHier, result);
+      for (std::size_t s = 1; s < lay.leaders.size(); ++s) {
+        p.send(comm, lay.leaders[s], mpi::kTagHier, result);
       }
     } else {
-      p.send(comm, st.leaders[0], mpi::kTagHier, partial);
-      result = p.recv(comm, st.leaders[0], mpi::kTagHier);
+      p.send(comm, lay.leaders[0], mpi::kTagHier, partial);
+      result = p.recv(comm, lay.leaders[0], mpi::kTagHier);
     }
   }
   // Intra release bcast (kAuto -> multicast engines at size).  Non-leaders
@@ -341,8 +221,10 @@ Buffer allreduce_hier(Proc& p, const Comm& comm,
 std::vector<Buffer> allgather_hier(Proc& p, const Comm& comm,
                                    std::span<const std::uint8_t> data) {
   HierState& st = hier_state(p, comm);
+  const SegmentLayout& lay = comm.layout();
   const int rank = comm.rank();
-  const bool leader = is_leader(st, rank);
+  const int slot = lay.slot[at(rank)];
+  const bool leader = lay.leaders[at(slot)] == rank;
 
   // Intra gather to the leader; block i is intra rank i == the i-th comm
   // rank of the segment.  Explicitly mpich: the direct p2p gather carries
@@ -364,28 +246,27 @@ std::vector<Buffer> allgather_hier(Proc& p, const Comm& comm,
     std::vector<std::pair<std::size_t, std::shared_ptr<mpi::RecvRequest>>>
         recvs;
     std::vector<std::shared_ptr<mpi::SendRequest>> sends;
-    for (std::size_t s = 0; s < st.leaders.size(); ++s) {
-      if (static_cast<int>(s) != st.my_segment_idx) {
-        recvs.emplace_back(s, p.irecv(comm, st.leaders[s], mpi::kTagHier));
+    for (std::size_t s = 0; s < lay.leaders.size(); ++s) {
+      if (static_cast<int>(s) != slot) {
+        recvs.emplace_back(s, p.irecv(comm, lay.leaders[s], mpi::kTagHier));
       }
     }
-    for (std::size_t s = 0; s < st.leaders.size(); ++s) {
-      if (static_cast<int>(s) != st.my_segment_idx) {
-        sends.push_back(p.isend(comm, st.leaders[s], mpi::kTagHier, mine));
+    for (std::size_t s = 0; s < lay.leaders.size(); ++s) {
+      if (static_cast<int>(s) != slot) {
+        sends.push_back(p.isend(comm, lay.leaders[s], mpi::kTagHier, mine));
       }
     }
-    const auto& my_members =
-        st.members[static_cast<std::size_t>(st.my_segment_idx)];
+    const auto& my_members = lay.members[at(slot)];
     MC_ASSERT(seg_blocks.size() == my_members.size());
     for (std::size_t i = 0; i < my_members.size(); ++i) {
-      out[static_cast<std::size_t>(my_members[i])] = std::move(seg_blocks[i]);
+      out[at(my_members[i])] = std::move(seg_blocks[i]);
     }
     for (auto& [s, request] : recvs) {
       const Buffer bundle = p.wait(request);
       std::vector<Buffer> blocks = unpack_blocks(bundle);
-      MC_ASSERT(blocks.size() == st.members[s].size());
+      MC_ASSERT(blocks.size() == lay.members[s].size());
       for (std::size_t i = 0; i < blocks.size(); ++i) {
-        out[static_cast<std::size_t>(st.members[s][i])] = std::move(blocks[i]);
+        out[at(lay.members[s][i])] = std::move(blocks[i]);
       }
     }
     for (const auto& send : sends) {

@@ -18,16 +18,16 @@
 ///   3. exchange only between leaders over the trunks (point-to-point on
 ///      the parent communicator, tag kTagHier).
 ///
-/// Leader election needs no wire traffic: every rank derives the full
-/// comm-rank -> segment table from World::segment_of and caches it (plus
-/// the split-off intra communicator) in Proc::coll_state, so repeated
-/// collectives on the same communicator pay the split exactly once.
+/// Leader election needs no wire traffic: it reads the communicator's
+/// segment layout (mpi::SegmentLayout), which CommInfo holds from the
+/// communicator's creation.  Only the split-off intra communicator is
+/// cached per rank, in Proc::coll_state, so repeated collectives on the
+/// same communicator pay the split exactly once.
 ///
 /// Registered as bcast:hier-mcast, barrier:hier, allreduce:hier and
-/// allgather:hier (registry.cpp); applicable only when the communicator
-/// spans at least two segments, so single-segment behavior (and every
-/// committed baseline) is untouched and the intra-phase kAuto recursion
-/// terminates.
+/// allgather:hier (registry.cpp); applicable only when the layout spans at
+/// least two segments, so single-segment behavior (and every committed
+/// baseline) is untouched and the intra-phase kAuto recursion terminates.
 
 #include <span>
 #include <vector>
@@ -38,45 +38,19 @@
 
 namespace mcmpi::coll {
 
-/// Cached hierarchical decomposition of one communicator (built lazily,
-/// collectively, on first use; keyed by communicator context in
-/// Proc::coll_state).
+/// Per-rank hierarchical state of one communicator (keyed by communicator
+/// context in Proc::coll_state).
 struct HierState {
-  bool built = false;
   /// Sub-communicator of this rank's segment (split color = segment id,
   /// key = parent comm rank, so intra rank order == parent rank order and
-  /// the segment leader — smallest parent rank — is intra rank 0).
+  /// the segment leader — smallest parent rank — is intra rank 0).  Split
+  /// lazily, on the first hier collective, because the split is collective.
   mpi::Comm intra;
-  /// Segment id of every parent comm rank.
-  std::vector<int> seg_of;
-  /// Leader (parent comm rank) of each spanned segment, ordered by
-  /// ascending leader rank (== order of first appearance).
-  std::vector<int> leaders;
-  /// Parent comm ranks of each spanned segment, ascending, indexed like
-  /// `leaders`.
-  std::vector<std::vector<int>> members;
-  /// This rank's index into `leaders`/`members`.
-  int my_segment_idx = 0;
-  /// Do comm ranks group into contiguous segment blocks?  Required by
-  /// allreduce:hier (rank-order reduction for non-commutative ops).
-  bool contiguous = false;
 };
 
-/// The communicator's decomposition, built (collectively!) on first call.
-/// Every rank of `comm` must enter together — it performs a comm split.
+/// The communicator's state, split (collectively!) on first call.  Every
+/// rank of `comm` must enter together.
 HierState& hier_state(mpi::Proc& p, const mpi::Comm& comm);
-
-/// True when `comm` spans >= 2 segments (hier algorithms applicable).
-/// Pure local computation from the world segment table.
-bool hier_applicable(const mpi::Comm& comm);
-
-/// Number of distinct segments `comm` spans (1 for Proc-less handles and
-/// single-segment worlds).  The tuning table's `min_segments` rule field
-/// gates on this.
-int hier_segment_span(const mpi::Comm& comm);
-
-/// hier_applicable plus contiguous segment blocks (allreduce:hier).
-bool hier_applicable_contiguous(const mpi::Comm& comm);
 
 /// Broadcast: root -> remote segment leaders over the trunks (isend, so the
 /// root's own intra phase overlaps the trunk transfers), then an intra

@@ -44,6 +44,12 @@ namespace {
 
 bool always(const mpi::Comm&, std::size_t) { return true; }
 
+/// The hierarchical algorithms serve communicators across segments; on one
+/// segment they would recurse into themselves.
+bool spans_segments(const mpi::Comm& comm, std::size_t) {
+  return comm.layout().span() >= 2;
+}
+
 /// The scout-combining protocols ship blocks as fire-and-forget eager
 /// sends: the framed payload (+8 B operation sequence) must stay on the
 /// engine's eager path.
@@ -94,9 +100,11 @@ void bcast_preset(mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
   bcast_stream(p, comm, buffer, root, kPreset);
 }
 
-void register_builtins(Registry& r) {
+}  // namespace
+
+Registry::Registry() {
   // ----------------------------------------------------------- broadcast
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "mpich",
       .op = CollOp::kBcast,
       .description = "MPICH binomial tree over point-to-point (Fig. 2)",
@@ -104,21 +112,21 @@ void register_builtins(Registry& r) {
       .loss_tolerant = true,  // pure p2p over the reliable transport
       .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
                   int root) { bcast_mpich(p, comm, buffer, root); }});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "mcast-binary",
       .op = CollOp::kBcast,
       .description = "binomial scout gather, then one IP multicast (Fig. 3)",
       .applicable = fits_mcast_datagram,
       .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
                   int root) { bcast_mcast_binary(p, comm, buffer, root); }});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "mcast-linear",
       .op = CollOp::kBcast,
       .description = "linear scout gather, then one IP multicast (Fig. 4)",
       .applicable = fits_mcast_datagram,
       .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
                   int root) { bcast_mcast_linear(p, comm, buffer, root); }});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "ack-mcast",
       .op = CollOp::kBcast,
       .description =
@@ -126,7 +134,7 @@ void register_builtins(Registry& r) {
       .applicable = fits_mcast_datagram,
       .loss_tolerant = true,  // resends until every receiver ACKs
       .bcast = bcast_preset<StreamPreset::kAck>});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "sequencer",
       .op = CollOp::kBcast,
       .description = "sequencer-ordered multicast (Orca-style): hand off "
@@ -148,7 +156,7 @@ void register_builtins(Registry& r) {
             }
             bcast_stream(p, comm, buffer, /*root=*/0, StreamPreset::kNack);
           }});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "nack-mcast",
       .op = CollOp::kBcast,
       .description = "receiver-driven NACK multicast: blast the payload, "
@@ -157,7 +165,7 @@ void register_builtins(Registry& r) {
       .applicable = fits_mcast_datagram,
       .loss_tolerant = true,  // the point: NACK-driven retransmission
       .bcast = bcast_preset<StreamPreset::kNack>});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "fec-mcast",
       .op = CollOp::kBcast,
       .description = "FEC-coded multicast: k data + r Reed–Solomon parity "
@@ -167,7 +175,7 @@ void register_builtins(Registry& r) {
       .applicable = fits_fec_blast,
       .loss_tolerant = true,  // the point: in-window erasure recovery
       .bcast = bcast_preset<StreamPreset::kFec>});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "scatter-allgather",
       .op = CollOp::kBcast,
       .description =
@@ -178,7 +186,7 @@ void register_builtins(Registry& r) {
           [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer, int root) {
             bcast_scatter_allgather(p, comm, buffer, root);
           }});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "mcast-segmented",
       .op = CollOp::kBcast,
       .description = "segmented pipelined multicast: chunked stream on the "
@@ -187,19 +195,18 @@ void register_builtins(Registry& r) {
       .applicable = always,
       .loss_tolerant = true,  // per-chunk acks + timeout retransmission
       .bcast = bcast_preset<StreamPreset::kSegmented>});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "hier-mcast",
       .op = CollOp::kBcast,
       .description = "hierarchical: root -> segment leaders over the trunks "
                      "once, then per-segment multicast (MagPIe-style)",
-      .applicable = [](const mpi::Comm& comm,
-                       std::size_t) { return hier_applicable(comm); },
+      .applicable = spans_segments,
       .loss_tolerant = true,  // reliable trunks; intra kAuto stays tolerant
       .bcast = [](mpi::Proc& p, const mpi::Comm& comm, Buffer& buffer,
                   int root) { bcast_hier(p, comm, buffer, root); }});
 
   // ------------------------------------------------------------- barrier
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "mpich",
       .op = CollOp::kBarrier,
       .description = "MPICH three-phase point-to-point barrier (Fig. 5)",
@@ -207,20 +214,19 @@ void register_builtins(Registry& r) {
       .loss_tolerant = true,  // pure p2p over the reliable transport
       .barrier = [](mpi::Proc& p,
                     const mpi::Comm& comm) { barrier_mpich(p, comm); }});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "mcast",
       .op = CollOp::kBarrier,
       .description = "scout reduction + one multicast release (§3.2)",
       .applicable = always,
       .barrier = [](mpi::Proc& p,
                     const mpi::Comm& comm) { barrier_mcast(p, comm); }});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "hier",
       .op = CollOp::kBarrier,
       .description = "hierarchical: intra fold to segment leaders, two flat "
                      "trunk rounds among leaders, intra release",
-      .applicable = [](const mpi::Comm& comm,
-                       std::size_t) { return hier_applicable(comm); },
+      .applicable = spans_segments,
       .loss_tolerant = true,  // pure p2p over the reliable transport
       .barrier = [](mpi::Proc& p,
                     const mpi::Comm& comm) { barrier_hier(p, comm); }});
@@ -230,7 +236,7 @@ void register_builtins(Registry& r) {
   // broadcast stage selectable, so the multicast win compounds (the
   // paper's anticipated extension).  One entry per broadcast stage.
   for (const char* stage : {"mpich", "mcast-binary", "mcast-linear"}) {
-    r.add(CollAlgorithm{
+    add(CollAlgorithm{
         .name = stage,
         .op = CollOp::kAllreduce,
         .description = std::string("binomial reduce to rank 0, then ") +
@@ -259,7 +265,7 @@ void register_builtins(Registry& r) {
               return result;
             }});
   }
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "hier",
       .op = CollOp::kAllreduce,
       .description = "hierarchical: intra reduce to segment leaders, leader "
@@ -267,8 +273,8 @@ void register_builtins(Registry& r) {
       // Contiguous segment blocks keep the leader combine in comm rank
       // order — required for non-commutative custom ops.
       .applicable =
-          [](const mpi::Comm& comm, std::size_t) {
-            return hier_applicable_contiguous(comm);
+          [](const mpi::Comm& comm, std::size_t bytes) {
+            return spans_segments(comm, bytes) && comm.layout().contiguous;
           },
       .loss_tolerant = true,  // reliable trunks; intra kAuto stays tolerant
       .allreduce = [](mpi::Proc& p, const mpi::Comm& comm,
@@ -278,7 +284,7 @@ void register_builtins(Registry& r) {
       }});
 
   // ----------------------------------------------------------- allgather
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "ring",
       .op = CollOp::kAllgather,
       .description = "point-to-point ring allgather (N-1 shift steps)",
@@ -288,7 +294,7 @@ void register_builtins(Registry& r) {
                       std::span<const std::uint8_t> data) {
         return allgather_mpich(p, comm, data);
       }});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "mcast-lockstep",
       .op = CollOp::kAllgather,
       .description =
@@ -298,7 +304,7 @@ void register_builtins(Registry& r) {
                       std::span<const std::uint8_t> data) {
         return allgather_mcast(p, comm, data, AllgatherMode::kLockstep).blocks;
       }});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "mcast-blast",
       .op = CollOp::kAllgather,
       .description = "every rank multicasts at once — fastest pacing, may "
@@ -309,7 +315,7 @@ void register_builtins(Registry& r) {
                       std::span<const std::uint8_t> data) {
         return allgather_mcast(p, comm, data, AllgatherMode::kBlast).blocks;
       }});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "mcast-segmented",
       .op = CollOp::kAllgather,
       .description = "N rank-ordered segmented pipelined multicast streams — "
@@ -320,14 +326,13 @@ void register_builtins(Registry& r) {
                       std::span<const std::uint8_t> data) {
         return allgather_stream(p, comm, data, StreamPreset::kSegmented);
       }});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "hier",
       .op = CollOp::kAllgather,
       .description = "hierarchical: intra gather to segment leaders, leader "
                      "bundle exchange over the trunks (each byte crosses "
                      "each trunk once), intra release broadcast",
-      .applicable = [](const mpi::Comm& comm,
-                       std::size_t) { return hier_applicable(comm); },
+      .applicable = spans_segments,
       .loss_tolerant = true,  // reliable trunks; intra kAuto stays tolerant
       .allgather = [](mpi::Proc& p, const mpi::Comm& comm,
                       std::span<const std::uint8_t> data) {
@@ -335,7 +340,7 @@ void register_builtins(Registry& r) {
       }});
 
   // -------------------------------------------------------------- reduce
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "mpich",
       .op = CollOp::kReduce,
       .description = "binomial-tree reduction over point-to-point",
@@ -348,7 +353,7 @@ void register_builtins(Registry& r) {
                                                    root); }});
 
   // -------------------------------------------------------------- gather
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "mpich",
       .op = CollOp::kGather,
       .description = "linear gather over blocking point-to-point sends",
@@ -357,7 +362,7 @@ void register_builtins(Registry& r) {
       .gather = [](mpi::Proc& p, const mpi::Comm& comm,
                    std::span<const std::uint8_t> data,
                    int root) { return gather_mpich(p, comm, data, root); }});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "scout-combining",
       .op = CollOp::kGather,
       .description = "fire-and-forget data scouts, aggregate charged "
@@ -369,7 +374,7 @@ void register_builtins(Registry& r) {
       }});
 
   // ------------------------------------------------------------- scatter
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "mpich",
       .op = CollOp::kScatter,
       .description = "linear scatter over blocking point-to-point sends",
@@ -381,7 +386,7 @@ void register_builtins(Registry& r) {
                                                      root); }});
 
   // ------------------------------------------------------------ alltoall
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "mpich",
       .op = CollOp::kAlltoall,
       .description = "pairwise-shift alltoall over point-to-point sendrecv",
@@ -393,7 +398,7 @@ void register_builtins(Registry& r) {
       }});
 
   // ---------------------------------------------------------------- scan
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "mpich",
       .op = CollOp::kScan,
       .description = "linear-chain inclusive prefix (MPICH 1.x)",
@@ -403,7 +408,7 @@ void register_builtins(Registry& r) {
                  std::span<const std::uint8_t> data, mpi::Op op,
                  mpi::Datatype type) { return scan_mpich(p, comm, data, op,
                                                          type); }});
-  r.add(CollAlgorithm{
+  add(CollAlgorithm{
       .name = "binomial",
       .op = CollOp::kScan,
       .description =
@@ -417,14 +422,8 @@ void register_builtins(Registry& r) {
       }});
 }
 
-}  // namespace
-
-Registry& Registry::instance() {
-  static Registry* registry = [] {
-    auto* r = new Registry();
-    register_builtins(*r);
-    return r;
-  }();
+const Registry& Registry::instance() {
+  static const Registry* registry = new Registry();
   return *registry;
 }
 
@@ -465,12 +464,6 @@ void Registry::add(CollAlgorithm algo) {
                                 to_string(algo.op) + "/" + algo.name);
   }
   entries_.push_back(std::move(algo));
-}
-
-bool Registry::remove(CollOp op, const std::string& name) {
-  return std::erase_if(entries_, [&](const CollAlgorithm& a) {
-           return a.op == op && a.name == name;
-         }) > 0;
 }
 
 const CollAlgorithm* Registry::find(CollOp op, const std::string& name) const {

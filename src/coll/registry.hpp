@@ -11,11 +11,11 @@
 /// loss_tolerant flags.  Benches and tests sweep the registry instead of
 /// hardcoded enum lists, so a newly registered algorithm is swept and
 /// tested for free; the kAuto policy (tuning.hpp) picks among the same
-/// entries by name, from one rule table.
+/// entries, from one rule table.
 ///
-/// Registration is open: link-time plugins (or tests) may add entries via
-/// Registry::instance().add().  The built-in set is registered on first use
-/// (no static-initialization-order games).
+/// The registry is built once, on first use (no static-initialization-order
+/// games), and is read-only after that: entries never move, so the tuning
+/// table and callers may hold pointers to them.
 
 #include <functional>
 #include <span>
@@ -43,7 +43,7 @@ enum class CollOp {
 
 std::string to_string(CollOp op);
 
-/// Every CollOp, in declaration order (tuning parser, sweep helpers).
+/// Every CollOp, in declaration order (sweep helpers, table checks).
 inline constexpr CollOp kAllCollOps[] = {
     CollOp::kBcast,  CollOp::kBarrier, CollOp::kAllreduce, CollOp::kAllgather,
     CollOp::kReduce, CollOp::kGather,  CollOp::kScatter,   CollOp::kScan,
@@ -63,8 +63,8 @@ struct CollAlgorithm {
   std::function<bool(const mpi::Comm&, std::size_t bytes)> applicable;
 
   /// Algorithms that may drop payload under load (blast allgather) are
-  /// never picked by kAuto — TuningTable::parse rejects a rule naming one
-  /// — and are only correctness-checked on the blocks they deliver.
+  /// never picked by kAuto — building a TuningTable rejects a rule naming
+  /// one — and are only correctness-checked on the blocks they deliver.
   bool lossy = false;
 
   /// Recovers from dropped / reordered / duplicated frames (reliable p2p
@@ -117,22 +117,12 @@ struct CollAlgorithm {
       alltoall;
 };
 
-/// Process-wide algorithm registry.  Not thread-safe by design: the
-/// simulation is single-threaded (one runnable context), and registration
-/// happens at startup.
+/// Process-wide algorithm registry: the built-in set, immutable once built
+/// (so every shard's thread may read it).
 class Registry {
  public:
   /// The registry, with the built-in algorithm set registered.
-  static Registry& instance();
-
-  /// Registers `algo`; throws std::invalid_argument on a duplicate
-  /// (op, name) or a missing/mismatched run function.
-  void add(CollAlgorithm algo);
-
-  /// Unregisters (op, name); returns false if absent.  For plugin
-  /// lifecycles and tests — never remove entries while a simulation that
-  /// may dispatch them is running.
-  bool remove(CollOp op, const std::string& name);
+  static const Registry& instance();
 
   /// Lookup; throws std::invalid_argument listing the registered names
   /// when (op, name) is unknown.
@@ -150,7 +140,12 @@ class Registry {
   const std::vector<CollAlgorithm>& entries() const { return entries_; }
 
  private:
-  Registry() = default;
+  Registry();  // registers the built-in set
+
+  /// Registers `algo`; throws std::invalid_argument on a duplicate
+  /// (op, name) or a missing/mismatched run function.
+  void add(CollAlgorithm algo);
+
   std::vector<CollAlgorithm> entries_;
 };
 

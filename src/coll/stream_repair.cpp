@@ -8,11 +8,10 @@
 namespace mcmpi::coll::engine {
 namespace {
 
-/// Segment-local repair, per communicator: every comm rank's segment and,
-/// on a leader or deputy, the frames of the NACK stream it receives and
-/// when its sink last forwarded each seq to the root.
+/// Segment-local repair, per communicator: on a leader or deputy, the
+/// frames of the NACK stream it receives and when its sink last forwarded
+/// each seq to the root.
 struct RepairState {
-  std::vector<int> seg_of;
   FrameHistory held;
   std::map<std::uint64_t, SimTime> forwarded;
 };
@@ -22,13 +21,7 @@ RepairState* repair_state(Proc& p, const Comm& comm) {
   if (p.world().num_segments() < 2) {
     return nullptr;
   }
-  RepairState& rs = p.coll_state<RepairState>(comm);
-  if (rs.seg_of.empty()) {
-    for (int r = 0; r < comm.size(); ++r) {
-      rs.seg_of.push_back(p.world().segment_of(comm.world_rank_of(r)));
-    }
-  }
-  return &rs;
+  return &p.coll_state<RepairState>(comm);
 }
 
 /// Bit 7 of the preset byte flags a NACK sent to a repairer; the root
@@ -37,10 +30,11 @@ constexpr std::uint8_t kNackCarriesRoot = 0x80;
 
 }  // namespace
 
-/// Each remote segment's members — comm ranks ascending, root excluded —
-/// elect their leader m0 and its deputy m1 without wire traffic, as hier
-/// does.  A receiver in the root's segment NACKs the root; a remote one
-/// NACKs m0, and m0 NACKs m1 (the root when the segment has no m1).
+/// Each remote segment's members — comm ranks ascending — elect their
+/// leader m0 and its deputy m1 from the communicator's segment layout
+/// without wire traffic, as hier does.  A receiver in the root's segment
+/// NACKs the root; a remote one NACKs m0, and m0 NACKs m1 (the root when
+/// the segment has no m1).
 Chain join_chain(Proc& p, const Comm& comm, int root) {
   RepairState* rs = repair_state(p, comm);
   if (rs == nullptr) {
@@ -48,23 +42,20 @@ Chain join_chain(Proc& p, const Comm& comm, int root) {
   }
   rs->held.clear();
   rs->forwarded.clear();
-  const auto seg = [rs](int r) {
-    return rs->seg_of[static_cast<std::size_t>(r)];
-  };
+  const mpi::SegmentLayout& lay = comm.layout();
   const int me = comm.rank();
-  if (seg(me) == seg(root)) {
+  const int slot = lay.slot[static_cast<std::size_t>(me)];
+  if (slot == lay.slot[static_cast<std::size_t>(root)]) {
     return {root, nullptr};
   }
-  int m[2] = {-1, -1};
-  for (int r = 0, n = 0; r < comm.size() && n < 2; ++r) {
-    if (r != root && seg(r) == seg(me)) {
-      m[n++] = r;
-    }
+  // The root sits on another segment, so it is none of these members.
+  const std::vector<int>& members = lay.members[static_cast<std::size_t>(slot)];
+  const int m0 = members[0];
+  const int m1 = members.size() > 1 ? members[1] : -1;
+  if (me == m0) {
+    return {m1 >= 0 ? m1 : root, &rs->held};
   }
-  if (me == m[0]) {
-    return {m[1] >= 0 ? m[1] : root, &rs->held};
-  }
-  return {m[0], me == m[1] ? &rs->held : nullptr};
+  return {m0, me == m1 ? &rs->held : nullptr};
 }
 
 Buffer nack_message(int preset, int root,

@@ -1,71 +1,36 @@
 #include "coll/tuning.hpp"
 
-#include <limits>
-#include <sstream>
 #include <stdexcept>
-
-#include "coll/hier.hpp"
+#include <utility>
 
 namespace mcmpi::coll {
 
-namespace {
+TuningRule tuning_rule(CollOp op, std::int64_t max_bytes, int max_ranks,
+                       const std::string& algo, int min_segments,
+                       bool lossy_only) {
+  return TuningRule{op,           max_bytes,
+                    max_ranks,    &Registry::instance().get(op, algo),
+                    min_segments, lossy_only};
+}
 
-/// Error context of the rule being parsed: a malformed spec names the rule
-/// (1-based, with its text) and the offending field's position, not just a
-/// bare range-check failure — `MCMPI_COLL_TUNING` typos should be findable
-/// from the message alone.
-struct RuleContext {
-  std::size_t rule_number = 0;  // 1-based position in the spec
-  std::string rule_text;
-
-  std::string where(std::size_t field) const {
-    std::ostringstream os;
-    os << "tuning rule " << rule_number << " ('" << rule_text << "'), field "
-       << field;
-    return os.str();
-  }
-};
-
-CollOp parse_op(const std::string& text, const RuleContext& ctx) {
-  for (CollOp op : kAllCollOps) {
-    if (to_string(op) == text) {
-      return op;
+TuningTable::TuningTable(std::vector<TuningRule> rules)
+    : rules_(std::move(rules)) {
+  // Fail when the table is built, not at the first collective inside a
+  // running simulation.
+  for (const TuningRule& rule : rules_) {
+    if (rule.algo == nullptr || rule.algo->op != rule.op) {
+      throw std::invalid_argument("tuning rule names no " +
+                                  to_string(rule.op) + " algorithm");
+    }
+    if (rule.algo->lossy) {
+      throw std::invalid_argument(
+          to_string(rule.op) + ':' + rule.algo->name +
+          " is lossy (may drop payload); kAuto never picks it");
     }
   }
-  throw std::invalid_argument(ctx.where(1) + ": unknown collective op '" +
-                              text + "'");
 }
 
-std::string strip(const std::string& s) {
-  const auto begin = s.find_first_not_of(" \t\n\r");
-  if (begin == std::string::npos) {
-    return {};
-  }
-  const auto end = s.find_last_not_of(" \t\n\r");
-  return s.substr(begin, end - begin + 1);
-}
-
-std::int64_t parse_bound(const std::string& text, const char* what,
-                         const RuleContext& ctx, std::size_t field) {
-  if (text == "*") {
-    return -1;
-  }
-  try {
-    std::size_t used = 0;
-    const std::int64_t value = std::stoll(text, &used);
-    if (used != text.size() || value < 0) {
-      throw std::invalid_argument(text);
-    }
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(ctx.where(field) + ": bad " + what +
-                                " bound, offending token '" + text + "'");
-  }
-}
-
-}  // namespace
-
-TuningTable TuningTable::defaults() {
+const TuningTable& TuningTable::defaults() {
   // Every rule answers to bench/claims_tuning.cpp (one ctest per op,
   // claims_claims_tuning and claims_claims_tuning_<op>): at each clean
   // point of its grid — hub, switch, 2 and 4 segments behind 100 us and
@@ -139,175 +104,87 @@ TuningTable TuningTable::defaults() {
   // multicast barrier, the lockstep allgather and the scout-combining
   // gather are not loss-tolerant, so on a lossy network those picks fall
   // through to the next rule.
-  // Parsed once: the table is immutable, and every World installs a copy.
-  static const TuningTable table = parse(
-      "bcast,*,2,mpich,0,lossy; bcast,1024,*,mpich,0,lossy;"
-      "bcast,*,*,fec-mcast,0,lossy; bcast,*,*,hier-mcast,2,lossy;"
-      "bcast,*,*,mcast-segmented,0,lossy;"
-      "bcast,16384,2,mpich; bcast,16384,*,nack-mcast; bcast,*,*,fec-mcast;"
-      "bcast,*,*,mcast-segmented;"
-      "barrier,*,4,mpich,2; barrier,*,*,mcast,4; barrier,*,*,hier,4;"
-      "barrier,*,*,mpich,2; barrier,*,*,mcast; barrier,*,*,mpich;"
-      "allreduce,*,2,mpich; allreduce,4096,4,hier,4; allreduce,2048,*,hier,4;"
-      "allreduce,*,*,mcast-binary; allreduce,*,*,mpich;"
-      "allgather,*,2,ring; allgather,2048,*,hier,2; allgather,*,4,hier,4;"
-      "allgather,*,*,ring,2; allgather,2048,*,ring,0,lossy;"
-      "allgather,512,*,ring;"
-      "allgather,*,*,mcast-lockstep; allgather,*,*,mcast-segmented;"
-      "reduce,*,*,mpich;"
-      "gather,*,*,scout-combining; gather,*,*,mpich;"
-      "scatter,*,*,mpich;"
-      "scan,2048,*,binomial; scan,*,*,binomial,2; scan,*,*,mpich;"
-      "alltoall,*,*,mpich");
+  // Built once: the table is immutable and shared by every Cluster.
+  constexpr std::int64_t kAny = -1;
+  constexpr bool kLossy = true;
+  using enum CollOp;
+  static const TuningTable table({
+      tuning_rule(kBcast, kAny, 2, "mpich", 0, kLossy),
+      tuning_rule(kBcast, 1024, kAny, "mpich", 0, kLossy),
+      tuning_rule(kBcast, kAny, kAny, "fec-mcast", 0, kLossy),
+      tuning_rule(kBcast, kAny, kAny, "hier-mcast", 2, kLossy),
+      tuning_rule(kBcast, kAny, kAny, "mcast-segmented", 0, kLossy),
+      tuning_rule(kBcast, 16384, 2, "mpich"),
+      tuning_rule(kBcast, 16384, kAny, "nack-mcast"),
+      tuning_rule(kBcast, kAny, kAny, "fec-mcast"),
+      tuning_rule(kBcast, kAny, kAny, "mcast-segmented"),
+
+      tuning_rule(kBarrier, kAny, 4, "mpich", 2),
+      tuning_rule(kBarrier, kAny, kAny, "mcast", 4),
+      tuning_rule(kBarrier, kAny, kAny, "hier", 4),
+      tuning_rule(kBarrier, kAny, kAny, "mpich", 2),
+      tuning_rule(kBarrier, kAny, kAny, "mcast"),
+      tuning_rule(kBarrier, kAny, kAny, "mpich"),
+
+      tuning_rule(kAllreduce, kAny, 2, "mpich"),
+      tuning_rule(kAllreduce, 4096, 4, "hier", 4),
+      tuning_rule(kAllreduce, 2048, kAny, "hier", 4),
+      tuning_rule(kAllreduce, kAny, kAny, "mcast-binary"),
+      tuning_rule(kAllreduce, kAny, kAny, "mpich"),
+
+      tuning_rule(kAllgather, kAny, 2, "ring"),
+      tuning_rule(kAllgather, 2048, kAny, "hier", 2),
+      tuning_rule(kAllgather, kAny, 4, "hier", 4),
+      tuning_rule(kAllgather, kAny, kAny, "ring", 2),
+      tuning_rule(kAllgather, 2048, kAny, "ring", 0, kLossy),
+      tuning_rule(kAllgather, 512, kAny, "ring"),
+      tuning_rule(kAllgather, kAny, kAny, "mcast-lockstep"),
+      tuning_rule(kAllgather, kAny, kAny, "mcast-segmented"),
+
+      tuning_rule(kReduce, kAny, kAny, "mpich"),
+
+      tuning_rule(kGather, kAny, kAny, "scout-combining"),
+      tuning_rule(kGather, kAny, kAny, "mpich"),
+
+      tuning_rule(kScatter, kAny, kAny, "mpich"),
+
+      tuning_rule(kScan, 2048, kAny, "binomial"),
+      tuning_rule(kScan, kAny, kAny, "binomial", 2),
+      tuning_rule(kScan, kAny, kAny, "mpich"),
+
+      tuning_rule(kAlltoall, kAny, kAny, "mpich"),
+  });
   return table;
 }
 
-TuningTable TuningTable::with_defaults(const std::string& spec) {
-  TuningTable table = parse(spec);
-  const TuningTable tail = defaults();
-  table.rules_.insert(table.rules_.end(), tail.rules_.begin(),
-                      tail.rules_.end());
-  return table;
-}
-
-TuningTable TuningTable::parse(const std::string& spec) {
-  TuningTable table;
-  std::stringstream rules(spec);
-  std::string rule_text;
-  RuleContext ctx;
-  while (std::getline(rules, rule_text, ';')) {
-    rule_text = strip(rule_text);
-    if (rule_text.empty()) {
-      continue;
-    }
-    ++ctx.rule_number;
-    ctx.rule_text = rule_text;
-    std::stringstream fields(rule_text);
-    std::string field;
-    std::vector<std::string> parts;
-    while (std::getline(fields, field, ',')) {
-      parts.push_back(strip(field));
-    }
-    if (parts.size() < 4 || parts.size() > 6) {
-      throw std::invalid_argument(
-          "tuning rule " + std::to_string(ctx.rule_number) +
-          " needs op,max_bytes,max_ranks,algo[,min_segments[,lossy]], got " +
-          std::to_string(parts.size()) + " fields: '" + rule_text + "'");
-    }
-    TuningRule rule;
-    rule.op = parse_op(parts[0], ctx);
-    rule.max_bytes = parse_bound(parts[1], "byte", ctx, 2);
-    const std::int64_t ranks = parse_bound(parts[2], "rank", ctx, 3);
-    if (ranks > std::numeric_limits<int>::max()) {
-      throw std::invalid_argument(ctx.where(3) + ": rank bound too large");
-    }
-    rule.max_ranks = static_cast<int>(ranks);
-    rule.algo = parts[3];
-    if (parts.size() >= 5) {
-      const std::int64_t segments = parse_bound(parts[4], "segment", ctx, 5);
-      if (segments > std::numeric_limits<int>::max()) {
-        throw std::invalid_argument(ctx.where(5) + ": segment bound too large");
-      }
-      rule.min_segments = segments < 0 ? 0 : static_cast<int>(segments);
-    }
-    if (parts.size() == 6) {
-      if (parts[5] != "lossy") {
-        throw std::invalid_argument(ctx.where(6) +
-                                    ": expected the literal 'lossy', "
-                                    "offending token '" +
-                                    parts[5] + "'");
-      }
-      rule.lossy_only = true;
-    }
-    // Fail at parse time, not at the first collective inside a running
-    // simulation: the named algorithm must exist, and must not be one that
-    // may drop payload.
-    const CollAlgorithm* algo = nullptr;
-    try {
-      algo = &Registry::instance().get(rule.op, rule.algo);
-    } catch (const std::exception& e) {
-      throw std::invalid_argument(ctx.where(4) + ": " + e.what());
-    }
-    if (algo->lossy) {
-      throw std::invalid_argument(ctx.where(4) + ": " + parts[0] + ':' +
-                                  rule.algo +
-                                  " is lossy (may drop payload); kAuto "
-                                  "never picks it");
-    }
-    table.rules_.push_back(std::move(rule));
-  }
-  return table;
-}
-
-std::string TuningTable::select(CollOp op, std::size_t bytes, int ranks,
-                                const mpi::Comm& comm) const {
+const CollAlgorithm& TuningTable::select(CollOp op, std::size_t bytes,
+                                         const mpi::Comm& comm) const {
   // On a lossy network (a fault plane with drop/reorder is attached) only
   // loss-tolerant algorithms may run: anything else asserts or hangs on the
   // first dropped frame.  An intolerant tuned pick falls through, exactly
   // like an inapplicable one.
   const bool lossy_net =
       comm.proc() != nullptr && comm.proc()->network_lossy();
-  int segment_span = -1;  // computed on the first min_segments rule
   for (const TuningRule& rule : rules_) {
-    if (rule.op != op) {
+    if (rule.op != op ||
+        (rule.max_bytes >= 0 &&
+         static_cast<std::int64_t>(bytes) > rule.max_bytes) ||
+        (rule.max_ranks >= 0 && comm.size() > rule.max_ranks) ||
+        (rule.lossy_only && !lossy_net) ||
+        comm.layout().span() < rule.min_segments) {
       continue;
     }
-    if (rule.max_bytes >= 0 &&
-        static_cast<std::int64_t>(bytes) > rule.max_bytes) {
-      continue;
-    }
-    if (rule.max_ranks >= 0 && ranks > rule.max_ranks) {
-      continue;
-    }
-    if (rule.lossy_only && !lossy_net) {
-      continue;
-    }
-    if (rule.min_segments > 0) {
-      if (segment_span < 0) {
-        segment_span = hier_segment_span(comm);
-      }
-      if (segment_span < rule.min_segments) {
-        continue;
-      }
-    }
-    const CollAlgorithm& algo = Registry::instance().get(op, rule.algo);
+    const CollAlgorithm& algo = *rule.algo;
     if (lossy_net && !algo.loss_tolerant) {
       continue;
     }
     if (!algo.applicable || algo.applicable(comm, bytes)) {
-      return rule.algo;
+      return algo;
     }
   }
-  throw std::invalid_argument("no tuning rule matches " + coll::to_string(op) +
+  throw std::invalid_argument("no tuning rule matches " + to_string(op) +
                               " at " + std::to_string(bytes) + " B on " +
-                              std::to_string(ranks) + " ranks");
-}
-
-std::string TuningTable::to_string() const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    const TuningRule& r = rules_[i];
-    os << (i > 0 ? "; " : "") << coll::to_string(r.op) << ',';
-    if (r.max_bytes < 0) {
-      os << '*';
-    } else {
-      os << r.max_bytes;
-    }
-    os << ',';
-    if (r.max_ranks < 0) {
-      os << '*';
-    } else {
-      os << r.max_ranks;
-    }
-    os << ',' << r.algo;
-    if (r.min_segments > 0 || r.lossy_only) {
-      os << ',' << r.min_segments;
-    }
-    if (r.lossy_only) {
-      os << ",lossy";
-    }
-  }
-  return os.str();
+                              std::to_string(comm.size()) + " ranks");
 }
 
 }  // namespace mcmpi::coll

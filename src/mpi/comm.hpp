@@ -13,7 +13,9 @@
 /// bookkeeping (dup/split child registries) lives in CommInfo so that the
 /// collective creation calls agree on the child without extra traffic —
 /// the registries are indexed by per-rank call sequence numbers, which MPI's
-/// same-order-on-all-ranks rule makes deterministic.
+/// same-order-on-all-ranks rule makes deterministic.  So does the
+/// communicator's segment layout: it is computed once, when the
+/// communicator is created, and every member reads the same immutable copy.
 
 #include <map>
 #include <memory>
@@ -33,6 +35,33 @@ namespace mcmpi::mpi {
 
 class Proc;
 
+/// How a communicator's ranks sit on the network segments (from
+/// World::segment_of of each member).  The hierarchical collectives elect
+/// their leaders from it, the registry's hier predicates and kAuto's
+/// min_segments rules read its span, and World scopes a one-segment
+/// communicator's multicast group with it.
+struct SegmentLayout {
+  /// Segment id of each comm rank.
+  std::vector<int> segment;
+  /// Index into `leaders`/`members` of each comm rank's segment.
+  std::vector<int> slot;
+  /// Leader (smallest comm rank) of each spanned segment, ascending — the
+  /// order of first appearance, so every rank derives the same list.
+  std::vector<int> leaders;
+  /// Comm ranks of each spanned segment, ascending, indexed like `leaders`.
+  std::vector<std::vector<int>> members;
+  /// Do the segments form contiguous blocks of comm ranks?  allreduce:hier
+  /// needs it to combine segment partials in comm rank order.
+  bool contiguous = true;
+
+  /// Lays `group` out over the world's segment table (world rank ->
+  /// segment id); an empty table puts every rank on segment 0.
+  SegmentLayout(const Group& group, const std::vector<int>& world_segments);
+
+  /// Number of segments the communicator spans.
+  int span() const { return static_cast<int>(leaders.size()); }
+};
+
 struct CommInfo {
   /// Context ids beyond this bound cannot be given a unique multicast
   /// identity (the group address carries 16 bits, the port 40000 values);
@@ -41,6 +70,7 @@ struct CommInfo {
 
   std::uint32_t context_id = 0;
   Group group;
+  const SegmentLayout layout;
 
   /// Multicast identity of this communicator.  The group address carries
   /// the low 16 bits of the context id; the port folds the high bits in
@@ -73,9 +103,12 @@ struct CommInfo {
   /// simulated results stay deterministic (comm.hpp file comment).
   std::mutex creation_mutex;
 
-  explicit CommInfo(std::uint32_t context, Group g)
+  /// A World-less communicator (no `world_segments`) spans one segment.
+  explicit CommInfo(std::uint32_t context, Group g,
+                    const std::vector<int>& world_segments = {})
       : context_id(context),
         group(std::move(g)),
+        layout(group, world_segments),
         dup_calls(static_cast<std::size_t>(group.size()), 0),
         split_calls(static_cast<std::size_t>(group.size()), 0) {}
 };
@@ -96,6 +129,7 @@ class Comm {
   int size() const { return info_->group.size(); }
   std::uint32_t context() const { return info_->context_id; }
   const Group& group() const { return info_->group; }
+  const SegmentLayout& layout() const { return info_->layout; }
   Rank world_rank_of(int comm_rank) const {
     return info_->group.world_rank(comm_rank);
   }

@@ -196,9 +196,7 @@ Comm Proc::dup(const Comm& comm) {
   const std::lock_guard<std::mutex> lock(info.creation_mutex);
   if (seq >= info.dup_children.size()) {
     MC_ASSERT(seq == info.dup_children.size());
-    info.dup_children.push_back(
-        std::make_shared<CommInfo>(world_.alloc_context(), info.group));
-    world_.note_comm_created(*info.dup_children.back());
+    info.dup_children.push_back(world_.create_comm(info.group));
   }
   return Comm(info.dup_children[seq], world_rank_, this);
 }
@@ -247,12 +245,7 @@ Comm Proc::split(const Comm& comm, int color, int key) {
           ++i;
         }
         if (c >= 0) {
-          const auto [child, inserted] = children.emplace(
-              c, std::make_shared<CommInfo>(world_.alloc_context(),
-                                            Group(members)));
-          if (inserted) {
-            world_.note_comm_created(*child->second);
-          }
+          children.emplace(c, world_.create_comm(Group(members)));
         }
       }
     }

@@ -1,9 +1,7 @@
 #include "mpi/world.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
-#include "coll/tuning.hpp"
 #include "common/assert.hpp"
 
 namespace mcmpi::mpi {
@@ -11,16 +9,6 @@ namespace mcmpi::mpi {
 World::World(sim::Simulator& sim, const std::vector<RankResources>& ranks)
     : sim_(sim) {
   MC_EXPECTS_MSG(!ranks.empty(), "world needs at least one rank");
-  // kAuto's one table: the defaults (whose min_segments rules pick the
-  // hierarchical algorithms on communicators spanning >= 2 segments), or an
-  // MCMPI_COLL_TUNING override's rules followed by the defaults.
-  const char* env_tuning = std::getenv("MCMPI_COLL_TUNING");
-  coll_tuning_ = std::make_shared<coll::TuningTable>(
-      env_tuning != nullptr && *env_tuning != '\0'
-          ? coll::TuningTable::with_defaults(env_tuning)
-          : coll::TuningTable::defaults());
-  world_info_ = std::make_shared<CommInfo>(
-      alloc_context(), Group::world(static_cast<int>(ranks.size())));
   procs_.reserve(ranks.size());
   addresses_.reserve(ranks.size());
   for (std::size_t i = 0; i < ranks.size(); ++i) {
@@ -33,23 +21,19 @@ World::World(sim::Simulator& sim, const std::vector<RankResources>& ranks)
     procs_.push_back(std::make_unique<Proc>(*this, static_cast<Rank>(i),
                                             *r.udp, *r.rdp, *r.costs));
   }
+  world_info_ = std::make_shared<CommInfo>(
+      next_context_++, Group::world(size()), segments_);
 }
 
-void World::note_comm_created(const CommInfo& info) {
-  if (!group_scope_hook_ || num_segments_ < 2 || info.group.size() == 0) {
-    return;
+std::shared_ptr<CommInfo> World::create_comm(Group group) {
+  auto info =
+      std::make_shared<CommInfo>(next_context_++, std::move(group), segments_);
+  // A group on one segment of a multi-segment world: its multicast traffic
+  // need not flood the other segments.
+  if (group_scope_hook_ && num_segments_ > 1 && info->layout.span() == 1) {
+    group_scope_hook_(*info, info->layout.segment.front());
   }
-  const int segment = segment_of(info.group.world_rank(0));
-  for (int r = 1; r < info.group.size(); ++r) {
-    if (segment_of(info.group.world_rank(r)) != segment) {
-      return;  // spans segments: its multicast traffic must keep flooding
-    }
-  }
-  group_scope_hook_(info, segment);
-}
-
-void World::set_coll_tuning(coll::TuningTable table) {
-  coll_tuning_ = std::make_shared<coll::TuningTable>(std::move(table));
+  return info;
 }
 
 Proc& World::proc(int rank) {

@@ -14,10 +14,6 @@
 #include "mpi/proc.hpp"
 #include "sim/simulator.hpp"
 
-namespace mcmpi::coll {
-class TuningTable;
-}  // namespace mcmpi::coll
-
 namespace mcmpi::mpi {
 
 class World {
@@ -56,14 +52,13 @@ class World {
 
   const std::shared_ptr<CommInfo>& world_info() const { return world_info_; }
 
-  /// Allocates a fresh communicator context id.  Atomic: ranks on different
-  /// shards may create communicators concurrently; the sequence of VALUES
-  /// is then allocation-order dependent, but a context id never influences
-  /// timing or payloads (it only names a multicast identity), so simulated
-  /// results stay deterministic.
-  std::uint32_t alloc_context() {
-    return next_context_.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// A new communicator over `group`: a fresh context id and the group's
+  /// segment layout.  Allocation is atomic — ranks on different shards may
+  /// create communicators concurrently; the sequence of id VALUES is then
+  /// allocation-order dependent, but a context id never influences timing
+  /// or payloads (it only names a multicast identity), so simulated results
+  /// stay deterministic.  Callers hold the parent's creation_mutex.
+  std::shared_ptr<CommInfo> create_comm(Group group);
 
   /// Invoked (when set) for every derived communicator whose members all
   /// live on ONE network segment, with that segment id.  The cluster uses
@@ -76,18 +71,6 @@ class World {
   void set_group_scope_hook(GroupScopeHook hook) {
     group_scope_hook_ = std::move(hook);
   }
-  /// Classifies a freshly created communicator and fires the scope hook if
-  /// its group is segment-local (no-op on single-segment worlds).
-  void note_comm_created(const CommInfo& info);
-
-  /// Tuned collective auto-selection rules (coll/tuning.hpp) consulted by
-  /// the kAuto policy of comm.coll().  Construction installs the
-  /// MCMPI_COLL_TUNING environment rules followed by the defaults when set,
-  /// the defaults otherwise; ClusterConfig::coll_tuning overrides via the
-  /// setter (same with_defaults form).  The setter installs `table`
-  /// verbatim.
-  const coll::TuningTable& coll_tuning() const { return *coll_tuning_; }
-  void set_coll_tuning(coll::TuningTable table);
 
   /// Runs `rank_main` as an SPMD program: one simulated process per rank,
   /// then drives the simulation until all ranks return.  May be called
@@ -102,7 +85,6 @@ class World {
   std::vector<int> segments_;     // home segment per rank
   int num_segments_ = 1;
   std::shared_ptr<CommInfo> world_info_;
-  std::shared_ptr<coll::TuningTable> coll_tuning_;
   GroupScopeHook group_scope_hook_;
   std::atomic<std::uint32_t> next_context_{1};
 };

@@ -95,7 +95,7 @@ class Bridge {
   /// under the parallel driver.  Split horizon means only the member
   /// segment's port ever sees first-hop frames of the group, so one port
   /// per bridge suffices.  Marks are never removed: context ids are never
-  /// reused (World::alloc_context), so a stale mark can only ever match
+  /// reused (World::create_comm), so a stale mark can only ever match
   /// traffic of the communicator that installed it.
   void scope_group(MacAddr group, std::uint16_t segment);
 

@@ -1,11 +1,10 @@
 // The communicator-scoped collective API: registry contents and dispatch,
 // the auto-generated algorithm sweep (any newly registered algorithm is
-// correctness-tested for free), tuned kAuto selection with its override
-// chain, nonblocking collectives over the fiber scheduler, and the
-// multicast-identity (group address, port) uniqueness regression.
+// correctness-tested for free), tuned kAuto selection, nonblocking
+// collectives over the fiber scheduler, and the multicast-identity
+// (group address, port) uniqueness regression.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <string>
@@ -36,7 +35,7 @@ ClusterConfig config_for(int procs) {
 // ------------------------------------------------------------- registry
 
 TEST(Registry, CarriesTheFullAlgorithmSet) {
-  Registry& r = Registry::instance();
+  const Registry& r = Registry::instance();
   // The paper's set and the extensions, by name.
   for (const char* name : {"mpich", "mcast-binary", "mcast-linear",
                            "ack-mcast", "sequencer", "scatter-allgather"}) {
@@ -69,19 +68,8 @@ TEST(Registry, CarriesTheFullAlgorithmSet) {
   }
 }
 
-TEST(Registry, RejectsDuplicatesAndUnknownNames) {
-  Registry& r = Registry::instance();
-  coll::CollAlgorithm duplicate;
-  duplicate.name = "mpich";
-  duplicate.op = CollOp::kBcast;
-  duplicate.bcast = [](mpi::Proc&, const mpi::Comm&, Buffer&, int) {};
-  EXPECT_THROW(r.add(duplicate), std::invalid_argument);
-
-  coll::CollAlgorithm no_run;
-  no_run.name = "broken";
-  no_run.op = CollOp::kBarrier;
-  EXPECT_THROW(r.add(no_run), std::invalid_argument);
-
+TEST(Registry, RejectsUnknownNames) {
+  const Registry& r = Registry::instance();
   try {
     (void)r.get(CollOp::kBcast, "no-such-algo");
     FAIL() << "unknown algorithm must throw";
@@ -89,26 +77,6 @@ TEST(Registry, RejectsDuplicatesAndUnknownNames) {
     EXPECT_NE(std::string(e.what()).find("mcast-binary"), std::string::npos)
         << "the error should list the registered names";
   }
-}
-
-TEST(Registry, PluggedInAlgorithmIsDispatchable) {
-  Registry& r = Registry::instance();
-  coll::CollAlgorithm noop;
-  noop.name = "test-noop";
-  noop.op = CollOp::kBarrier;
-  noop.description = "registered by coll_registry_test";
-  noop.applicable = [](const mpi::Comm&, std::size_t) { return true; };
-  noop.barrier = [](mpi::Proc&, const mpi::Comm&) {};
-  r.add(noop);
-  {
-    Cluster cluster(config_for(3));
-    cluster.world().run(
-        [](mpi::Proc& p) { p.comm_world().coll().barrier("test-noop"); });
-  }
-  // The registry is process-wide; unregister so sibling tests (the sweep
-  // in particular) see only the built-in set regardless of test order.
-  EXPECT_TRUE(r.remove(CollOp::kBarrier, "test-noop"));
-  EXPECT_EQ(r.find(CollOp::kBarrier, "test-noop"), nullptr);
 }
 
 // --------------------------------------------------- auto-generated sweep
@@ -120,7 +88,7 @@ TEST(Registry, PluggedInAlgorithmIsDispatchable) {
 
 void sweep_comm(mpi::Proc& p, const mpi::Comm& comm, std::size_t bytes,
                 std::vector<std::string>& errors) {
-  Registry& r = Registry::instance();
+  const Registry& r = Registry::instance();
   coll::Coll coll = comm.coll();
   const auto note = [&](const std::string& what) {
     std::ostringstream os;
@@ -452,96 +420,6 @@ TEST(TuningTable, GatedPicksForGatherScatterScanAlltoall) {
             (Picks{"binomial", "mpich", "mpich", "scout-combining"}));
 }
 
-TEST(TuningTable, ClusterConfigOverridesTheDefaults) {
-  ClusterConfig config = config_for(9);
-  config.coll_tuning = "bcast,*,*,sequencer";
-  Cluster cluster(config);
-  cluster.world().run([](mpi::Proc& p) {
-    coll::Coll coll = p.comm_world().coll();
-    EXPECT_EQ(coll.resolve(CollOp::kBcast, 64 * 1024), "sequencer");
-    EXPECT_EQ(coll.resolve(CollOp::kBcast, 1), "sequencer");
-    // Ops the override table does not cover fall through to the defaults.
-    EXPECT_EQ(coll.resolve(CollOp::kBarrier, 0), "mcast");
-    EXPECT_EQ(coll.resolve(CollOp::kAllgather, 64 * 1024), "mcast-lockstep");
-  });
-}
-
-TEST(TuningTable, EnvironmentOverrideIsHonored) {
-  ::setenv("MCMPI_COLL_TUNING", "bcast,*,*,mcast-linear", 1);
-  Cluster cluster(config_for(4));
-  ::unsetenv("MCMPI_COLL_TUNING");
-  cluster.world().run([](mpi::Proc& p) {
-    EXPECT_EQ(p.comm_world().coll().resolve(CollOp::kBcast, 64 * 1024),
-              "mcast-linear");
-  });
-
-  // ClusterConfig beats the environment.
-  ::setenv("MCMPI_COLL_TUNING", "bcast,*,*,mcast-linear", 1);
-  ClusterConfig config = config_for(4);
-  config.coll_tuning = "bcast,*,*,mpich";
-  Cluster override_cluster(config);
-  ::unsetenv("MCMPI_COLL_TUNING");
-  override_cluster.world().run([](mpi::Proc& p) {
-    EXPECT_EQ(p.comm_world().coll().resolve(CollOp::kBcast, 64 * 1024),
-              "mpich");
-  });
-}
-
-TEST(TuningTable, ParseRejectsMalformedSpecs) {
-  EXPECT_THROW(coll::TuningTable::parse("bcast,*,*"), std::invalid_argument);
-  EXPECT_THROW(coll::TuningTable::parse("frobnicate,*,*,mpich"),
-               std::invalid_argument);
-  EXPECT_THROW(coll::TuningTable::parse("bcast,xyz,*,mpich"),
-               std::invalid_argument);
-  EXPECT_THROW(coll::TuningTable::parse("bcast,*,*,no-such-algo"),
-               std::invalid_argument);
-  // A lossy entry may drop payload: kAuto never picks it.
-  EXPECT_THROW(coll::TuningTable::parse("allgather,*,*,mcast-blast"),
-               std::invalid_argument);
-  // Round-trip of a valid table.
-  const coll::TuningTable table =
-      coll::TuningTable::parse("bcast, 1024, *, mpich; bcast,*,*,mcast-binary");
-  EXPECT_EQ(table.to_string(), "bcast,1024,*,mpich; bcast,*,*,mcast-binary");
-}
-
-TEST(TuningTable, ParseErrorsNameTheRuleFieldAndToken) {
-  // MCMPI_COLL_TUNING typos must be findable from the message alone: every
-  // parse error names the rule (1-based, with its text), the field, and
-  // the offending token.
-  const auto message = [](const std::string& spec) {
-    try {
-      (void)coll::TuningTable::parse(spec);
-    } catch (const std::invalid_argument& e) {
-      return std::string(e.what());
-    }
-    return std::string();
-  };
-  const std::string bound = message("bcast,*,*,mpich; bcast,xyz,*,mpich");
-  EXPECT_NE(bound.find("tuning rule 2 ('bcast,xyz,*,mpich'), field 2"),
-            std::string::npos)
-      << bound;
-  EXPECT_NE(bound.find("offending token 'xyz'"), std::string::npos) << bound;
-  const std::string op = message("frobnicate,*,*,mpich");
-  EXPECT_NE(op.find("field 1"), std::string::npos) << op;
-  EXPECT_NE(op.find("unknown collective op 'frobnicate'"), std::string::npos)
-      << op;
-  const std::string count = message("bcast,*,*");
-  EXPECT_NE(count.find("tuning rule 1"), std::string::npos) << count;
-  EXPECT_NE(count.find("got 3 fields"), std::string::npos) << count;
-  const std::string gate = message("bcast,*,*,mpich,0,sloppy");
-  EXPECT_NE(gate.find("field 6"), std::string::npos) << gate;
-  EXPECT_NE(gate.find("offending token 'sloppy'"), std::string::npos) << gate;
-  const std::string algo = message("bcast,*,*,no-such-algo");
-  EXPECT_NE(algo.find("field 4"), std::string::npos) << algo;
-  const std::string lossy =
-      message("bcast,*,*,mpich; allgather,*,*,mcast-blast");
-  EXPECT_NE(lossy.find("tuning rule 2 ('allgather,*,*,mcast-blast'), field 4"),
-            std::string::npos)
-      << lossy;
-  EXPECT_NE(lossy.find("allgather:mcast-blast is lossy"), std::string::npos)
-      << lossy;
-}
-
 TEST(TuningTable, DefaultsEndInATotalRulePerOp) {
   // kAuto always resolves: every op's last default rule is unbounded,
   // ungated, and names an always-applicable, loss-tolerant entry.
@@ -550,8 +428,7 @@ TEST(TuningTable, DefaultsEndInATotalRulePerOp) {
   multi.hosts = cluster::make_uniform_hosts(16);
   Cluster flat(config_for(9));
   Cluster split(multi);
-  const coll::TuningTable defaults = coll::TuningTable::defaults();
-  const auto& rules = defaults.rules();
+  const auto& rules = coll::TuningTable::defaults().rules();
   for (const CollOp op : coll::kAllCollOps) {
     const coll::TuningRule* last = nullptr;
     for (const coll::TuningRule& rule : rules) {
@@ -564,7 +441,7 @@ TEST(TuningTable, DefaultsEndInATotalRulePerOp) {
     EXPECT_EQ(last->max_ranks, -1) << coll::to_string(op);
     EXPECT_EQ(last->min_segments, 0) << coll::to_string(op);
     EXPECT_FALSE(last->lossy_only) << coll::to_string(op);
-    const coll::CollAlgorithm& algo = Registry::instance().get(op, last->algo);
+    const coll::CollAlgorithm& algo = *last->algo;
     EXPECT_TRUE(algo.loss_tolerant) << coll::to_string(op) << ':' << algo.name;
     for (Cluster* c : {&flat, &split}) {
       const mpi::Comm world = c->world().proc(0).comm_world();
@@ -656,11 +533,16 @@ TEST(TuningTable, BcastRulesSplitIntoALossyAndACleanBlock) {
   // The bcast rules before the clean block, as they stood when every
   // network ran them: under loss the defaults must still pick exactly
   // what these picked, at every size and span.
-  const auto before = coll::TuningTable::parse(
-      "bcast,*,2,mpich; bcast,1024,*,mpich; bcast,*,*,fec-mcast,0,lossy;"
-      "bcast,*,*,hier-mcast,2; bcast,*,*,mcast-binary;"
-      "bcast,*,*,mcast-segmented");
-  const auto defaults = coll::TuningTable::defaults();
+  using coll::tuning_rule;
+  const coll::TuningTable before({
+      tuning_rule(CollOp::kBcast, -1, 2, "mpich"),
+      tuning_rule(CollOp::kBcast, 1024, -1, "mpich"),
+      tuning_rule(CollOp::kBcast, -1, -1, "fec-mcast", 0, /*lossy_only=*/true),
+      tuning_rule(CollOp::kBcast, -1, -1, "hier-mcast", 2),
+      tuning_rule(CollOp::kBcast, -1, -1, "mcast-binary"),
+      tuning_rule(CollOp::kBcast, -1, -1, "mcast-segmented"),
+  });
+  const coll::TuningTable& defaults = coll::TuningTable::defaults();
   const std::size_t past_ceiling = 600 * 1000;  // > the datagram ceiling
   for (const bool lossy : {false, true}) {
     for (const int procs : {2, 9, 16}) {
@@ -674,7 +556,7 @@ TEST(TuningTable, BcastRulesSplitIntoALossyAndACleanBlock) {
       const mpi::Comm world = cluster.world().proc(0).comm_world();
       const auto pick = [&](const coll::TuningTable& table,
                             std::size_t bytes) {
-        return table.select(CollOp::kBcast, bytes, procs, world);
+        return table.select(CollOp::kBcast, bytes, world).name;
       };
       const std::string where = (lossy ? "lossy, " : "clean, ") +
                                 std::to_string(procs) + " ranks, ";
@@ -703,31 +585,37 @@ TEST(TuningTable, BcastRulesSplitIntoALossyAndACleanBlock) {
   }
 }
 
-TEST(TuningTable, OverridesPrependToTheDefaultsAndBareTablesThrow) {
-  const auto defaults = coll::TuningTable::defaults();
-  const auto table = coll::TuningTable::with_defaults("bcast,*,*,mpich");
-  ASSERT_EQ(table.rules().size(), defaults.rules().size() + 1);
-  EXPECT_EQ(table.to_string(), "bcast,*,*,mpich; " + defaults.to_string());
+TEST(TuningTable, BuildRejectsUnknownAndLossyEntries) {
+  // A rule resolves its algorithm when the table is built: an unregistered
+  // name fails there, and so does an entry that may drop payload.
+  EXPECT_THROW(
+      (void)coll::tuning_rule(CollOp::kBcast, -1, -1, "no-such-algo"),
+      std::invalid_argument);
+  try {
+    (void)coll::TuningTable(
+        {coll::tuning_rule(CollOp::kAllgather, -1, -1, "mcast-blast")});
+    FAIL() << "a lossy entry must not enter a table";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("allgather:mcast-blast is lossy"), std::string::npos)
+        << what;
+  }
+}
 
-  // Only a bare parsed table can run out of rules; the error names the op
-  // and the byte count.
+TEST(TuningTable, BareTableThrowsNamingTheOpAndBytes) {
+  // Only a table that is not total can run out of rules; the error names
+  // the op and the byte count.
   Cluster cluster(config_for(4));
   const mpi::Comm world = cluster.world().proc(0).comm_world();
-  const auto bare = coll::TuningTable::parse("bcast,*,*,mpich");
+  const coll::TuningTable bare(
+      {coll::tuning_rule(CollOp::kBcast, -1, -1, "mpich")});
   try {
-    (void)bare.select(CollOp::kBarrier, 0, world.size(), world);
+    (void)bare.select(CollOp::kBarrier, 0, world);
     FAIL() << "a bare table without a barrier rule must throw";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("barrier at 0 B"), std::string::npos) << what;
   }
-}
-
-TEST(TuningTable, LossyGatedRulesRoundTrip) {
-  const coll::TuningTable table = coll::TuningTable::parse(
-      "bcast,*,*,sequencer,0,lossy; bcast,*,*,mcast-binary");
-  EXPECT_EQ(table.to_string(),
-            "bcast,*,*,sequencer,0,lossy; bcast,*,*,mcast-binary");
 }
 
 TEST(TuningAuto, AutoBcastDeliversForSmallAndLarge) {

@@ -2,8 +2,9 @@
 // barrier:hier, allreduce:hier and allgather:hier on multi-segment
 // topologies — ragged segment blocks, roots in every segment, hub and
 // switch media, dup/split (including interleaved, non-contiguous)
-// communicators, lossy trunks, and the min_segments tuning gate that keeps
-// the hierarchy away from single-segment communicators.
+// communicators and their segment layouts, lossy trunks, and the
+// min_segments tuning gate that keeps the hierarchy away from
+// single-segment communicators.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -39,32 +40,30 @@ ClusterConfig config_for(int procs, int segments,
 
 // ------------------------------------------------------- decomposition
 
+/// Does the registry's (op, name) entry accept `comm`?
+bool accepts(coll::CollOp op, const char* name, const mpi::Comm& comm) {
+  return coll::Registry::instance().get(op, name).applicable(comm, 0);
+}
+
 TEST(HierState, RaggedSegmentsElectSmallestRankPerSegment) {
   // 7 ranks over 3 segments: contiguous blocks 3/2/2.
   Cluster cluster(config_for(7, 3));
-  std::vector<coll::HierState> states(7);
+  const mpi::SegmentLayout& lay =
+      cluster.world().proc(0).comm_world().layout();
+  EXPECT_EQ(lay.segment, (std::vector<int>{0, 0, 0, 1, 1, 2, 2}));
+  EXPECT_EQ(lay.slot, (std::vector<int>{0, 0, 0, 1, 1, 2, 2}));
+  EXPECT_EQ(lay.leaders, (std::vector<int>{0, 3, 5}));
+  EXPECT_EQ(lay.members,
+            (std::vector<std::vector<int>>{{0, 1, 2}, {3, 4}, {5, 6}}));
+  EXPECT_EQ(lay.span(), 3);
+  EXPECT_TRUE(lay.contiguous);
+  // Each rank's intra communicator is its segment, led by intra rank 0.
+  std::vector<int> intra_size(7, 0);
   cluster.world().run([&](mpi::Proc& p) {
-    const coll::HierState& st = coll::hier_state(p, p.comm_world());
-    coll::HierState& copy = states[static_cast<std::size_t>(p.rank())];
-    copy.seg_of = st.seg_of;
-    copy.leaders = st.leaders;
-    copy.members = st.members;
-    copy.my_segment_idx = st.my_segment_idx;
-    copy.contiguous = st.contiguous;
-    copy.built = st.intra.size() > 0;
+    intra_size[static_cast<std::size_t>(p.rank())] =
+        coll::hier_state(p, p.comm_world()).intra.size();
   });
-  const std::vector<int> want_seg{0, 0, 0, 1, 1, 2, 2};
-  const std::vector<int> want_leaders{0, 3, 5};
-  const std::vector<std::vector<int>> want_members{{0, 1, 2}, {3, 4}, {5, 6}};
-  for (int r = 0; r < 7; ++r) {
-    const coll::HierState& st = states[static_cast<std::size_t>(r)];
-    EXPECT_EQ(st.seg_of, want_seg) << "rank " << r;
-    EXPECT_EQ(st.leaders, want_leaders) << "rank " << r;
-    EXPECT_EQ(st.members, want_members) << "rank " << r;
-    EXPECT_EQ(st.my_segment_idx, want_seg[static_cast<std::size_t>(r)]);
-    EXPECT_TRUE(st.contiguous) << "rank " << r;
-    EXPECT_TRUE(st.built) << "rank " << r;
-  }
+  EXPECT_EQ(intra_size, (std::vector<int>{3, 3, 3, 2, 2, 2, 2}));
 }
 
 TEST(HierState, ApplicabilityAndSpan) {
@@ -78,11 +77,11 @@ TEST(HierState, ApplicabilityAndSpan) {
     const mpi::Comm world = p.comm_world();
     const coll::HierState& st = coll::hier_state(p, world);
     if (p.rank() == 0) {
-      applicable = coll::hier_applicable(world);
-      contiguous = coll::hier_applicable_contiguous(world);
-      span = coll::hier_segment_span(world);
-      intra_applicable = coll::hier_applicable(st.intra);
-      intra_span = coll::hier_segment_span(st.intra);
+      applicable = accepts(coll::CollOp::kBarrier, "hier", world);
+      contiguous = accepts(coll::CollOp::kAllreduce, "hier", world);
+      span = world.layout().span();
+      intra_applicable = accepts(coll::CollOp::kBarrier, "hier", st.intra);
+      intra_span = st.intra.layout().span();
     }
   });
   EXPECT_TRUE(applicable);
@@ -95,16 +94,84 @@ TEST(HierState, ApplicabilityAndSpan) {
 
 TEST(HierState, SingleSegmentWorldIsNotApplicable) {
   Cluster cluster(config_for(4, 1));
-  bool applicable = true;
-  int span = 0;
+  const mpi::Comm world = cluster.world().proc(0).comm_world();
+  EXPECT_FALSE(accepts(coll::CollOp::kBcast, "hier-mcast", world));
+  EXPECT_EQ(world.layout().span(), 1);
+}
+
+TEST(HierState, DupAndSplitChildrenShareTheirLayoutAcrossShards) {
+  // 16 ranks on 4 switch segments (blocks of 4) on two parallel workers:
+  // rank 0 of the parent creates each child on its shard, and members on
+  // every shard read the one layout it computed.
+  ClusterConfig config = config_for(16, 4);
+  config.sim_shards = 2;
+  config.shard_driver = sim::ShardDriver::kParallel;
+  Cluster cluster(config);
+  enum Kind { kWorld, kDup, kSegment, kStrided, kMixed, kKinds };
+  std::vector<std::array<const mpi::SegmentLayout*, kKinds>> seen(16);
+  std::vector<int> mixed_intra(16, 0);
   cluster.world().run([&](mpi::Proc& p) {
-    if (p.rank() == 0) {
-      applicable = coll::hier_applicable(p.comm_world());
-      span = coll::hier_segment_span(p.comm_world());
-    }
+    const int r = p.rank();
+    const mpi::Comm world = p.comm_world();
+    const mpi::Comm dup = p.dup(world);
+    const mpi::Comm segment = p.split(world, p.world().segment_of(r), r);
+    const mpi::Comm strided = p.split(world, r % 4, r);
+    // Two comms of 8 over two segments each, in scrambled rank order.
+    const mpi::Comm mixed = p.split(world, r / 8, (r * 3) % 8);
+    seen[static_cast<std::size_t>(r)] = {&world.layout(), &dup.layout(),
+                                         &segment.layout(), &strided.layout(),
+                                         &mixed.layout()};
+    mixed_intra[static_cast<std::size_t>(r)] =
+        coll::hier_state(p, mixed).intra.size();
   });
-  EXPECT_FALSE(applicable);
-  EXPECT_EQ(span, 1);
+  using Ranks = std::vector<int>;
+  using Blocks = std::vector<std::vector<int>>;
+  for (int r = 0; r < 16; ++r) {
+    const auto& at = seen[static_cast<std::size_t>(r)];
+    // One layout object per communicator, whichever shard reads it.
+    EXPECT_EQ(at[kWorld], seen[0][kWorld]) << r;
+    EXPECT_EQ(at[kDup], seen[0][kDup]) << r;
+    EXPECT_EQ(at[kSegment], seen[static_cast<std::size_t>(r / 4 * 4)][kSegment])
+        << r;
+    EXPECT_EQ(at[kStrided], seen[static_cast<std::size_t>(r % 4)][kStrided])
+        << r;
+    EXPECT_EQ(at[kMixed], seen[static_cast<std::size_t>(r / 8 * 8)][kMixed])
+        << r;
+    // A one-segment split: the span that lets World scope its group.
+    const mpi::SegmentLayout& segment = *at[kSegment];
+    EXPECT_EQ(segment.span(), 1) << r;
+    EXPECT_EQ(segment.segment, Ranks(4, r / 4)) << r;
+    EXPECT_EQ(segment.members, (Blocks{{0, 1, 2, 3}})) << r;
+    // r % 4: one rank per segment.
+    const mpi::SegmentLayout& strided = *at[kStrided];
+    EXPECT_EQ(strided.span(), 4) << r;
+    EXPECT_EQ(strided.segment, (Ranks{0, 1, 2, 3})) << r;
+    EXPECT_EQ(strided.leaders, (Ranks{0, 1, 2, 3})) << r;
+    EXPECT_EQ(strided.members, (Blocks{{0}, {1}, {2}, {3}})) << r;
+    EXPECT_TRUE(strided.contiguous) << r;
+    // Keys 0..7 pick world ranks 0,3,6,1,4,7,2,5 of each half.
+    const mpi::SegmentLayout& mixed = *at[kMixed];
+    const int base = r / 8 * 2;
+    EXPECT_EQ(mixed.span(), 2) << r;
+    EXPECT_EQ(mixed.segment, (Ranks{base, base, base + 1, base, base + 1,
+                                    base + 1, base, base + 1}))
+        << r;
+    EXPECT_EQ(mixed.slot, (Ranks{0, 0, 1, 0, 1, 1, 0, 1})) << r;
+    EXPECT_EQ(mixed.leaders, (Ranks{0, 2})) << r;
+    EXPECT_EQ(mixed.members, (Blocks{{0, 1, 3, 6}, {2, 4, 5, 7}})) << r;
+    EXPECT_FALSE(mixed.contiguous) << r;
+    EXPECT_EQ(mixed_intra[static_cast<std::size_t>(r)], 4) << r;
+  }
+  for (const Kind kind : {kWorld, kDup}) {
+    const mpi::SegmentLayout& whole = *seen[0][kind];
+    EXPECT_EQ(whole.span(), 4);
+    EXPECT_EQ(whole.leaders, (Ranks{0, 4, 8, 12}));
+    EXPECT_EQ(whole.members, (Blocks{{0, 1, 2, 3},
+                                     {4, 5, 6, 7},
+                                     {8, 9, 10, 11},
+                                     {12, 13, 14, 15}}));
+    EXPECT_TRUE(whole.contiguous);
+  }
 }
 
 // ----------------------------------------------------- bcast conformance
@@ -358,7 +425,7 @@ TEST(HierComms, DupAndContiguousSplitKeepTheHierarchyWorking)
     // Even/odd split: comm ranks still group contiguously by segment
     // ({0,2} on segment 0, {4,6} on segment 1), so hier stays applicable.
     const mpi::Comm half = p.split(world, p.rank() % 2, p.rank());
-    good &= coll::hier_applicable(half);
+    good &= accepts(coll::CollOp::kBcast, "hier-mcast", half);
     Buffer sub;
     if (half.rank() == 0) {
       sub = pattern_payload(21, 2048);
@@ -386,10 +453,11 @@ TEST(HierComms, InterleavedSplitIsNonContiguousButBcastStillWorks) {
     const mpi::Comm mixed =
         p.split(p.comm_world(), 0, (p.rank() * 3) % kProcs);
     if (mixed.rank() == 0) {
-      applicable = coll::hier_applicable(mixed);
-      contiguous = coll::hier_applicable_contiguous(mixed);
-      auto_pick = coll::TuningTable::defaults().select(
-          coll::CollOp::kAllreduce, 16384, mixed.size(), mixed);
+      applicable = accepts(coll::CollOp::kBcast, "hier-mcast", mixed);
+      contiguous = accepts(coll::CollOp::kAllreduce, "hier", mixed);
+      auto_pick = coll::TuningTable::defaults()
+                      .select(coll::CollOp::kAllreduce, 16384, mixed)
+                      .name;
     }
     Buffer data;
     if (mixed.rank() == 2) {
@@ -448,42 +516,11 @@ TEST(HierFaults, SurvivesLossyTrunksAndLinks) {
 
 // ------------------------------------------------------ tuning integration
 
-TEST(HierTuning, MinSegmentsFieldParsesAndRoundTrips) {
-  const auto table = coll::TuningTable::parse(
-      "bcast,*,*,hier-mcast,3; barrier,*,*,hier,2; bcast,*,*,mcast-binary");
-  ASSERT_EQ(table.rules().size(), 3u);
-  EXPECT_EQ(table.rules()[0].min_segments, 3);
-  EXPECT_EQ(table.rules()[1].min_segments, 2);
-  EXPECT_EQ(table.rules()[2].min_segments, 0);
-  EXPECT_EQ(table.to_string(),
-            "bcast,*,*,hier-mcast,3; barrier,*,*,hier,2; "
-            "bcast,*,*,mcast-binary");
-  // `*` in the fifth field means any span.
-  EXPECT_EQ(coll::TuningTable::parse("bcast,*,*,mcast-binary,*")
-                .rules()[0]
-                .min_segments,
-            0);
-  // The default table (hier rules included) round-trips through its own
-  // string form.
-  const auto defaults = coll::TuningTable::defaults();
-  EXPECT_EQ(coll::TuningTable::parse(defaults.to_string()).to_string(),
-            defaults.to_string());
-}
-
-TEST(HierTuning, RejectsMalformedMinSegments) {
-  EXPECT_THROW(coll::TuningTable::parse("bcast,*,*,mcast-binary,abc"),
-               std::invalid_argument);
-  EXPECT_THROW(coll::TuningTable::parse("bcast,*,*,mcast-binary,2,9"),
-               std::invalid_argument);
-  EXPECT_THROW(coll::TuningTable::parse("bcast,*,*,no-such-algo,2"),
-               std::invalid_argument);
-}
-
 TEST(HierTuning, DefaultsPickHierOnlyAcrossSegments) {
   // 2 segments of 4 ranks: the intra comms are big enough (> 2 ranks)
   // that the flat multicast rules apply inside a segment.
   Cluster cluster(config_for(8, 2));
-  const auto table = coll::TuningTable::defaults();
+  const coll::TuningTable& table = coll::TuningTable::defaults();
   std::string big_bcast;
   std::string tiny_bcast;
   std::string barrier;
@@ -494,17 +531,13 @@ TEST(HierTuning, DefaultsPickHierOnlyAcrossSegments) {
     const mpi::Comm world = p.comm_world();
     const coll::HierState& st = coll::hier_state(p, world);
     if (p.rank() == 0) {
-      big_bcast =
-          table.select(coll::CollOp::kBcast, 16384, world.size(), world);
-      tiny_bcast =
-          table.select(coll::CollOp::kBcast, 256, world.size(), world);
-      barrier = table.select(coll::CollOp::kBarrier, 0, world.size(), world);
-      allgather =
-          table.select(coll::CollOp::kAllgather, 2048, world.size(), world);
+      big_bcast = table.select(coll::CollOp::kBcast, 16384, world).name;
+      tiny_bcast = table.select(coll::CollOp::kBcast, 256, world).name;
+      barrier = table.select(coll::CollOp::kBarrier, 0, world).name;
+      allgather = table.select(coll::CollOp::kAllgather, 2048, world).name;
       big_allgather =
-          table.select(coll::CollOp::kAllgather, 16384, world.size(), world);
-      intra_bcast = table.select(coll::CollOp::kBcast, 16384,
-                                 st.intra.size(), st.intra);
+          table.select(coll::CollOp::kAllgather, 16384, world).name;
+      intra_bcast = table.select(coll::CollOp::kBcast, 16384, st.intra).name;
     }
   });
   // The trunk bridges forward every multicast frame, so the flat NACK
@@ -525,10 +558,9 @@ TEST(HierTuning, DefaultsPickHierOnlyAcrossSegments) {
 }
 
 TEST(HierTuning, SelectionDoesNotLeakAcrossClusters) {
-  // Two 16-rank, 2-segment clusters with the same partial override and
-  // different trunks: constructing the second must not change what the
-  // first one's kAuto picks.  The override does not match allgather,
-  // which falls through to the defaults' min_segments rule.
+  // Two 16-rank, 2-segment clusters with different trunks: constructing
+  // the second must not change what the first one's kAuto picks through
+  // the defaults' min_segments rule.
   const auto make = [](SimTime trunk) {
     ClusterConfig config;
     config.num_procs = 16;
@@ -536,7 +568,6 @@ TEST(HierTuning, SelectionDoesNotLeakAcrossClusters) {
     config.network = NetworkType::kSwitch;
     config.hosts = cluster::make_uniform_hosts(16);
     config.trunk_latency = trunk;
-    config.coll_tuning = "bcast,*,*,mpich";
     return std::make_unique<Cluster>(config);
   };
   const auto allgather_pick = [](Cluster& c) {

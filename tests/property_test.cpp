@@ -340,7 +340,7 @@ TEST_P(ReductionConformance, ReduceScanGatherScatterAgree) {
   cluster.world().run([&](mpi::Proc& p) {
     const mpi::Comm comm = p.comm_world();
     coll::Coll coll = comm.coll();
-    coll::Registry& r = coll::Registry::instance();
+    const coll::Registry& r = coll::Registry::instance();
     const Buffer& mine = d.inputs[static_cast<std::size_t>(p.rank())];
     const auto note = [&](const std::string& what) {
       errors.push_back(what + " (procs=" + std::to_string(d.procs) +
